@@ -17,7 +17,7 @@ import numpy as np
 
 from .encoder import EncoderConfig, SpeakerFeatureMap, encode_features, pool_embedding
 from .errors import DataError
-from .frontend import Waveform, compute_fbank
+from .frontend import FRAME_RATE, Waveform, compute_fbank
 
 SEGMENT_FRAMES_DEFAULT = 50  # 0.5 s at 10 ms frames
 
@@ -104,7 +104,7 @@ def tc_similarity_matrix_features(s: SpeakerFeatureMap | np.ndarray, k: int = 8,
     rng = np.random.default_rng(seed)
     starts = np.sort(rng.integers(0, t - seg_frames + 1, size=k))
     embeddings = [values[s0:s0 + seg_frames].mean(axis=0) for s0 in starts]
-    times = starts.astype(np.float64) / 100.0  # 10 ms frames
+    times = starts.astype(np.float64) / FRAME_RATE
     return SimilarityMatrix(values=_cosine_matrix(embeddings), segment_times=times)
 
 

@@ -30,8 +30,9 @@ from .errors import TcssdError
 from .frontend import (FeatureMap, compute_fbank, load_feature_map,
                        load_waveform, save_feature_map, save_waveform,
                        trim_silence)
-from .scoring import (compute_eer, fuse_scores, parse_protocol, read_scores,
-                      score_trials, serialize_protocol, write_scores)
+from .scoring import (DEFAULT_SCORE_BATCH, compute_eer, fuse_scores,
+                      parse_protocol, read_scores, score_trials,
+                      serialize_protocol, write_scores)
 from .training import LABEL_BONAFIDE, LABEL_SPOOF, TrainItem, train
 
 # Reference figures reported for the full-scale systems (trainable
@@ -86,7 +87,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--batch-size", type=int, default=1)
+    p.add_argument("--batch-size", type=int, default=DEFAULT_SCORE_BATCH,
+                   help="equal-length utterances embedded per batch")
 
     p = add("fuse", "weighted score-level fusion of two score files")
     p.add_argument("--a", dest="file_a", required=True)

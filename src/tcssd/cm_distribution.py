@@ -58,39 +58,50 @@ class Cm2Net:
         return self.pool.backward(params, c_pool, dstats, grads)
 
 
-def cm2_embed_features(s: SpeakerFeatureMap | np.ndarray, params: dict,
-                       cfg: EncoderConfig) -> np.ndarray:
-    """Embed a map already at the tap point through CM2's pooling tail."""
-    values = s.values if isinstance(s, SpeakerFeatureMap) else s
-    if values.ndim != 2 or values.shape[0] < 1:
+def cm2_embed_tap(x: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
+    """Embeddings (B, E) of equal-length maps x (B, T, D) already at the tap
+    point, through CM2's pooling tail."""
+    if x.shape[1] < 1:
         raise DataError("embedding needs a T x D matrix with T >= 1")
-    net = Cm2Net(cfg)
-    emb, _ = net.forward_tail(params, values[None, :, :])
-    return emb[0]
+    emb, _ = Cm2Net(cfg).forward_tail(params, x)
+    return emb
 
 
-def cm2_embed(f, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
-    """Full audio lane: frozen frontend concat -> CM2 MFA conv -> tail."""
-    if f.values.shape[1] != cfg.n_mels:
+def cm2_embed_fbank(x: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
+    """Full audio lane on equal-length FBank maps x (B, T, n_mels): frozen
+    frontend concat -> CM2 MFA conv -> tail -> embeddings (B, E)."""
+    if x.shape[2] != cfg.n_mels:
         raise DataError(
-            f"feature map has {f.values.shape[1]} channels, encoder expects {cfg.n_mels}")
+            f"feature map has {x.shape[2]} channels, encoder expects {cfg.n_mels}")
     frontend = FrontendNet(cfg)
     net = Cm2Net(cfg)
     ckpt.require(frontend.tensor_names(frontend.concat_layers()))
     ckpt.require(net.tensor_names(with_mfa=True))
-    x = f.values[None, :, :].astype(np.float32)
-    feats, _ = frontend.forward_features(ckpt.tensors, x, mfa_prefix="cm2")
+    feats, _ = frontend.forward_features(ckpt.tensors, x.astype(np.float32),
+                                         mfa_prefix="cm2")
     emb, _ = net.forward_tail(ckpt.tensors, feats)
-    return emb[0]
+    return emb
+
+
+def cm2_embed_features(s: SpeakerFeatureMap | np.ndarray, params: dict,
+                       cfg: EncoderConfig) -> np.ndarray:
+    """Embed one map already at the tap point through CM2's pooling tail."""
+    values = s.values if isinstance(s, SpeakerFeatureMap) else s
+    if values.ndim != 2:
+        raise DataError("embedding needs a T x D matrix with T >= 1")
+    return cm2_embed_tap(values[None, :, :], params, cfg)[0]
+
+
+def cm2_embed(f, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
+    """Full audio lane for one FBank map."""
+    return cm2_embed_fbank(f.values[None, :, :], cfg, ckpt)[0]
 
 
 def cm2_score(f, cfg: EncoderConfig, ckpt: Checkpoint) -> float:
     """Spoof/bonafide score from the embedding's class cosines."""
-    emb = cm2_embed(f, cfg, ckpt)
-    return score_from_embedding(emb, ckpt.tensors["cm2.cls.w"])
+    return score_from_embedding(cm2_embed(f, cfg, ckpt), ckpt.tensors["cm2.cls.w"])
 
 
 def cm2_score_features(s: SpeakerFeatureMap | np.ndarray, params: dict,
                        cfg: EncoderConfig) -> float:
-    emb = cm2_embed_features(s, params, cfg)
-    return score_from_embedding(emb, params["cm2.cls.w"])
+    return score_from_embedding(cm2_embed_features(s, params, cfg), params["cm2.cls.w"])

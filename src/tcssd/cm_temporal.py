@@ -99,30 +99,41 @@ def gru_forward(diffs: np.ndarray, params: dict, cfg: Cm1Config,
     return h_seq[0, -1]
 
 
-def class_cosines(emb: np.ndarray, class_w: np.ndarray) -> np.ndarray:
-    """Cosine of an embedding against each (renormalized) class row."""
-    norm_e = np.linalg.norm(emb)
-    if norm_e == 0:
+def score_embeddings(emb: np.ndarray, class_w: np.ndarray) -> np.ndarray:
+    """Per row of emb (B, E): cos(e, w_bonafide) - cos(e, w_spoof).
+
+    Higher means more bonafide.  Class rows are renormalized; row 0 is
+    bonafide, row 1 is spoof, matching the training labels.
+    """
+    # Row-wise dot products (not a summed square) so that each row's norm
+    # has the same bits as np.linalg.norm of that row on its own.
+    norm_e = np.sqrt(np.array([row.dot(row) for row in emb]))
+    if np.any(norm_e == 0):
         raise DataError("zero-norm embedding cannot be scored")
     w_norms = np.linalg.norm(class_w, axis=1)
     if np.any(w_norms == 0):
         raise DataError("zero-norm class weight row")
-    return (class_w @ emb) / (w_norms * norm_e)
+    cos = (emb @ class_w.T) / (norm_e[:, None] * w_norms)
+    return cos[:, 0] - cos[:, 1]
 
 
 def score_from_embedding(emb: np.ndarray, class_w: np.ndarray) -> float:
-    """cos(e, w_bonafide) - cos(e, w_spoof); higher means more bonafide.
+    """``score_embeddings`` of a single embedding vector."""
+    return float(score_embeddings(emb[None, :], class_w)[0])
 
-    Class row 0 is bonafide, row 1 is spoof, matching the training labels.
-    """
-    cos = class_cosines(emb, class_w)
-    return float(cos[0] - cos[1])
+
+def cm1_embed(x: np.ndarray, params: dict, cfg: Cm1Config,
+              prefix: str = "cm1") -> np.ndarray:
+    """Embeddings (B, E) of equal-length speaker-feature maps x (B, T, D)."""
+    if x.shape[1] < 2:
+        raise DataError(f"need at least 2 frames to difference, got {x.shape[1]}")
+    emb, _ = Cm1Net(cfg, prefix).forward(params, np.diff(x, axis=1))
+    return emb
 
 
 def cm1_score(s: SpeakerFeatureMap | np.ndarray, params: dict, cfg: Cm1Config,
               prefix: str = "cm1") -> float:
     """Spoof/bonafide score of one utterance's speaker-feature map."""
-    diffs = difference_sequence(s)
-    net = Cm1Net(cfg, prefix)
-    emb, _ = net.forward(params, diffs[None, :, :])
+    values = s.values if isinstance(s, SpeakerFeatureMap) else s
+    emb = cm1_embed(values[None, :, :], params, cfg, prefix)
     return score_from_embedding(emb[0], params[f"{prefix}.cls.w"])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import DataError
-from .frontend import FeatureMap
+from .frontend import FRAME_RATE, FeatureMap
 from .layers import (AttentiveStatsPool, ChannelNorm, Conv1d, Gru, Linear,
                      SERes2Block, init_layers, relu)
 
@@ -153,16 +153,22 @@ class FrontendNet:
         return self.backward_concat(params, cat_cache, dcat, grads)
 
 
-def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint,
-                    source_utt: str = "") -> SpeakerFeatureMap:
-    """Run the frozen frontend on an FBank map, tapping the MFA output."""
-    if f.values.shape[1] != cfg.n_mels:
+def tap_features(x: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
+    """Run the frozen frontend on equal-length FBank maps x (B, T, n_mels),
+    tapping the MFA output -> (B, T, D)."""
+    if x.shape[2] != cfg.n_mels:
         raise DataError(
-            f"feature map has {f.values.shape[1]} channels, encoder expects {cfg.n_mels}")
+            f"feature map has {x.shape[2]} channels, encoder expects {cfg.n_mels}")
     net = FrontendNet(cfg)
     ckpt.require(net.tensor_names(net.concat_layers() + [net.mfa_conv]))
-    x = f.values[None, :, :].astype(np.float32)
-    feats, _ = net.forward_features(ckpt.tensors, x)
+    feats, _ = net.forward_features(ckpt.tensors, x.astype(np.float32))
+    return feats
+
+
+def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint,
+                    source_utt: str = "") -> SpeakerFeatureMap:
+    """Run the frozen frontend on one FBank map, tapping the MFA output."""
+    feats = tap_features(f.values[None, :, :], cfg, ckpt)
     return SpeakerFeatureMap(values=feats[0], source_utt=source_utt)
 
 
@@ -222,7 +228,7 @@ def count_parameters(desc: ModelDescription) -> int:
 
 
 def estimate_flops(desc: ModelDescription, input_duration: float,
-                   frames_per_second: float = 100.0) -> int:
+                   frames_per_second: float = FRAME_RATE) -> int:
     """Multiply-accumulate FLOP estimate (2 * MACs) for the given duration.
 
     Sums conv/linear/recurrent layers; element-wise work is ignored.

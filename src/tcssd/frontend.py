@@ -28,6 +28,9 @@ N_MELS = 80
 MEL_FMIN = 20.0
 MEL_FMAX = 7600.0
 LOG_FLOOR = 1e-6
+# Frames per second at the 10 ms hop; cached maps with no audio provenance
+# (hop 0, e.g. simulated trajectories) are taken to run at this rate too.
+FRAME_RATE = SAMPLE_RATE / FRAME_HOP
 
 FEATURE_MAGIC = b"TCSSD-FEA"
 FEATURE_VERSION = 1
@@ -216,10 +219,9 @@ def spec_augment(f: FeatureMap, policy: AugmentPolicy, seed: int) -> FeatureMap:
 
 
 def frames_per_second(f: FeatureMap) -> float:
-    # Cached maps with no audio provenance (hop 0) are treated as 10 ms frames.
     if f.frame_hop > 0:
         return SAMPLE_RATE / f.frame_hop
-    return 100.0
+    return FRAME_RATE
 
 
 def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,

@@ -20,14 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x, out=None):
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) otherwise, with e^-|x| computed once for both branches.
+    ``out`` receives the result when given."""
+    e = np.exp(-np.abs(x))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def relu(x):
@@ -478,25 +476,30 @@ class Gru:
             a_ih = inp @ w_ih.T + b_ih  # (B, T, 3H)
             h = np.zeros((b, h_dim), dtype=inp.dtype)
             h_prev_seq = np.empty((b, t, h_dim), dtype=inp.dtype)
-            z_seq = np.empty_like(h_prev_seq)
-            r_seq = np.empty_like(h_prev_seq)
+            zr_seq = np.empty((b, t, 2 * h_dim), dtype=inp.dtype)
+            z_seq = zr_seq[:, :, :h_dim]
+            r_seq = zr_seq[:, :, h_dim:]
             n_seq = np.empty_like(h_prev_seq)
             h_seq = np.empty_like(h_prev_seq)
-            u_zr = w_hh[:2 * h_dim]
-            u_n = w_hh[2 * h_dim:]
+            u_zr_t = w_hh[:2 * h_dim].T
+            u_n_t = w_hh[2 * h_dim:].T
             b_hzr = b_hh[:2 * h_dim]
             b_hn = b_hh[2 * h_dim:]
+            a_zr = np.empty((b, 2 * h_dim), dtype=inp.dtype)
+            # Both time loops write into preallocated slices but keep the
+            # operation order of the gate equations, so results are
+            # bit-identical to the plain step; toy training is chaotic
+            # enough that one ulp per step changes the trained weights.
             for ti in range(t):
                 h_prev_seq[:, ti] = h
-                a_zr = h @ u_zr.T + b_hzr
-                z = sigmoid(a_ih[:, ti, :h_dim] + a_zr[:, :h_dim])
-                r = sigmoid(a_ih[:, ti, h_dim:2 * h_dim] + a_zr[:, h_dim:])
-                rh = r * h
-                n = np.tanh(a_ih[:, ti, 2 * h_dim:] + rh @ u_n.T + b_hn)
+                np.matmul(h, u_zr_t, out=a_zr)
+                a_zr += b_hzr
+                a_zr += a_ih[:, ti, :2 * h_dim]
+                zr = sigmoid(a_zr, out=zr_seq[:, ti])
+                z = zr[:, :h_dim]
+                rh = zr[:, h_dim:] * h
+                n = np.tanh(a_ih[:, ti, 2 * h_dim:] + rh @ u_n_t + b_hn, out=n_seq[:, ti])
                 h = (1.0 - z) * n + z * h
-                z_seq[:, ti] = z
-                r_seq[:, ti] = r
-                n_seq[:, ti] = n
                 h_seq[:, ti] = h
             caches.append((inp, h_prev_seq, z_seq, r_seq, n_seq))
             inp = h_seq
@@ -522,27 +525,27 @@ class Gru:
                 r = r_seq[:, ti]
                 n = n_seq[:, ti]
                 h_prev = h_prev_seq[:, ti]
+                da_z = da_seq[:, ti, :h_dim]
+                da_r = da_seq[:, ti, h_dim:2 * h_dim]
+                da_n = da_seq[:, ti, 2 * h_dim:]
                 dz = dh * (h_prev - n)
                 dn = dh * (1.0 - z)
                 dh_prev = dh * z
-                da_n = dn * (1.0 - n * n)
+                np.multiply(dn, 1.0 - n * n, out=da_n)
                 drh = da_n @ u_n
-                da_r = (drh * h_prev) * r * (1.0 - r)
+                np.multiply((drh * h_prev) * r, 1.0 - r, out=da_r)
                 dh_prev += drh * r
-                da_z = dz * z * (1.0 - z)
+                np.multiply(dz * z, 1.0 - z, out=da_z)
                 dh_prev += da_z @ u_z + da_r @ u_r
-                da_seq[:, ti, :h_dim] = da_z
-                da_seq[:, ti, h_dim:2 * h_dim] = da_r
-                da_seq[:, ti, 2 * h_dim:] = da_n
                 carry = dh_prev
-            rh_seq = r_seq * h_prev_seq
+            # Weight gradients as one GEMM each over all B*T frames.
+            da2 = da_seq.reshape(b * t, 3 * h_dim)
+            h_prev2 = h_prev_seq.reshape(b * t, h_dim)
+            rh2 = (r_seq * h_prev_seq).reshape(b * t, h_dim)
             accumulate_grad(grads, f"{self.name}.l{l}.w_ih",
-                            np.einsum("btg,bti->gi", da_seq, inp))
-            dw_hh = np.concatenate([
-                np.einsum("btg,bth->gh", da_seq[:, :, :h_dim], h_prev_seq),
-                np.einsum("btg,bth->gh", da_seq[:, :, h_dim:2 * h_dim], h_prev_seq),
-                np.einsum("btg,bth->gh", da_seq[:, :, 2 * h_dim:], rh_seq),
-            ], axis=0)
+                            da2.T @ inp.reshape(b * t, -1))
+            dw_hh = np.concatenate([da2[:, :2 * h_dim].T @ h_prev2,
+                                    da2[:, 2 * h_dim:].T @ rh2], axis=0)
             accumulate_grad(grads, f"{self.name}.l{l}.w_hh", dw_hh)
             dbias = da_seq.sum(axis=(0, 1))
             accumulate_grad(grads, f"{self.name}.l{l}.b_ih", dbias)

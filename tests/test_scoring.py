@@ -9,10 +9,10 @@ from tcssd.cm_temporal import Cm1Config
 from tcssd.encoder import toy_encoder_config
 from tcssd.errors import DataError
 from tcssd.frontend import FeatureMap, save_feature_map
-from tcssd.scoring import (ScoreEntry, ScoreSet, TrialRecord, compute_eer,
-                           eer_from_arrays, fuse_scores, parse_protocol,
-                           read_scores, score_trials, serialize_protocol,
-                           write_scores)
+from tcssd.scoring import (DEFAULT_SCORE_BATCH, ScoreEntry, ScoreSet,
+                           TrialRecord, compute_eer, eer_from_arrays,
+                           fuse_scores, parse_protocol, read_scores,
+                           score_trials, serialize_protocol, write_scores)
 from tcssd.training import build_checkpoint
 
 
@@ -281,3 +281,53 @@ def test_score_trials_cm2(sim_eval_dir):
     out = score_trials("cm2", records, tmp, ckpt)
     assert len(out.entries) == len(records)
     assert all(np.isfinite(e.score) for e in out.entries)
+
+
+@pytest.fixture(scope="module")
+def mixed_eval_dir(tmp_path_factory):
+    """Tap-point maps of 3 lengths and FBank maps of 2 lengths, interleaved
+    in the protocol so that equal-length groups are not contiguous."""
+    tmp = tmp_path_factory.mktemp("mixed")
+    lanes = []
+    for n_frames in (60, 45, 30):
+        labeled = simulate_trajectories(SimConfig(dim=24, n_frames=n_frames,
+                                                  seed=n_frames), 2)
+        lanes.append([(f"T{n_frames}_{smap.source_utt}", smap.values, key)
+                      for smap, key in labeled])
+    rng = np.random.default_rng(9)
+    for n_frames in (40, 25):
+        lanes.append([(f"F{n_frames}_{i}", rng.standard_normal((n_frames, 80)),
+                       ("bonafide", "spoof")[i % 2]) for i in range(3)])
+    records = []
+    for row in range(max(len(lane) for lane in lanes)):
+        for lane in lanes:
+            if row < len(lane):
+                utt, values, key = lane[row]
+                save_feature_map(FeatureMap(values=values.astype(np.float32)),
+                                 tmp / f"{utt}.fea")
+                attack = "-" if key == "bonafide" else "SIM01"
+                records.append(TrialRecord("SPK", utt, attack, key))
+    enc = toy_encoder_config()
+    ckpt = build_checkpoint(enc, Cm1Config(input_dim=enc.mfa_dim, hidden=8,
+                                           fc1_out=8, fc2_out=8), seed=3)
+    return tmp, records, ckpt
+
+
+@pytest.mark.parametrize("cm_id", ["cm1", "cm2"])
+def test_score_trials_mixed_lengths_batch_contract(mixed_eval_dir, tmp_path, cm_id):
+    """Any batch size: protocol order, scores within 1e-6 of one-at-a-time
+    scoring, and byte-identical score files from two calls."""
+    tmp, records, ckpt = mixed_eval_dir
+    runs = {bs: score_trials(cm_id, records, tmp, ckpt, batch_size=bs)
+            for bs in (1, 3, DEFAULT_SCORE_BATCH)}
+    ref = np.array([e.score for e in runs[1].entries])
+    assert np.all(np.isfinite(ref)) and np.ptp(ref) > 0
+    for bs, out in runs.items():
+        assert [(e.utt_id, e.key) for e in out.entries] == \
+            [(r.utt_id, r.key) for r in records]
+        got = np.array([e.score for e in out.entries])
+        assert np.abs(got - ref).max() < 1e-6, bs
+        paths = [tmp_path / f"{bs}_{i}.tsv" for i in range(2)]
+        write_scores(out, paths[0])
+        write_scores(score_trials(cm_id, records, tmp, ckpt, batch_size=bs), paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
