@@ -27,11 +27,6 @@ class Checkpoint:
     frozen_names: set[str] = field(default_factory=set)
     config: dict = field(default_factory=dict)
 
-    def clone(self) -> "Checkpoint":
-        return Checkpoint(tensors={k: v.copy() for k, v in self.tensors.items()},
-                          frozen_names=set(self.frozen_names),
-                          config=json.loads(json.dumps(self.config)))
-
     def require(self, names) -> None:
         missing = [n for n in names if n not in self.tensors]
         if missing:

@@ -277,4 +277,6 @@ def load_feature_map(path) -> FeatureMap:
         raise DataError(
             f"feature cache size mismatch in {path}: {len(blob)} bytes, expected {expected}")
     values = np.frombuffer(blob[hdr_len:], dtype="<f4").reshape(t, m).copy()
+    if not np.isfinite(values).all():
+        raise DataError(f"non-finite values in feature file: {path}")
     return FeatureMap(values=values, frame_hop=hop, frame_len=frame_len, n_fft=n_fft)

@@ -39,6 +39,12 @@ def accumulate_grad(grads: dict, name: str, value: np.ndarray) -> None:
         grads[name] = value.copy()
 
 
+def _time_mean(x):
+    """Mean of (B, T, C) over time as one GEMM -> (B, 1, C); BLAS takes the
+    row sum, where a strided reduction over a narrow channel axis is slow."""
+    return np.full((1, x.shape[1]), 1.0 / x.shape[1], dtype=x.dtype) @ x
+
+
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
                    dtype=np.float32) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -115,40 +121,54 @@ class Conv1d:
             rng, (self.out_ch, self.in_ch, self.kernel), fan_in, self.out_ch, dtype)
         params[f"{self.name}.b"] = np.zeros(self.out_ch, dtype=dtype)
 
-    def _im2col(self, x):
-        b, t, _ = x.shape
-        if self.pad:
-            xp = np.zeros((b, t + 2 * self.pad, self.in_ch), dtype=x.dtype)
-            xp[:, self.pad:self.pad + t, :] = x
-        else:
-            xp = x
-        taps = [xp[:, j * self.dilation:j * self.dilation + t, :] for j in range(self.kernel)]
-        return np.stack(taps, axis=2)  # (B, T, K, Cin)
+    def _side_taps(self, t):
+        """(tap, shift, lo, hi) for every non-centre tap that reaches the
+        sequence: output frames [lo, hi) read input frames [lo+shift,
+        hi+shift).  A tap lying wholly in the zero padding (t <= |shift|)
+        is left out."""
+        taps = []
+        for j in range(self.kernel):
+            shift = j * self.dilation - self.pad
+            lo, hi = max(0, -shift), min(t, t - shift)
+            if shift and lo < hi:
+                taps.append((j, shift, lo, hi))
+        return taps
+
+    def _tap_weights(self, params):
+        """(K, Cout, Cin) with one contiguous matrix per tap, so every tap
+        GEMM goes to BLAS; a view of the weight when K=1."""
+        return np.ascontiguousarray(params[f"{self.name}.w"].transpose(2, 0, 1))
 
     def forward(self, params, x):
-        w = params[f"{self.name}.w"]
-        b = params[f"{self.name}.b"]
-        cols = self._im2col(x)
-        bsz, t = x.shape[0], x.shape[1]
-        w_flat = w.transpose(0, 2, 1).reshape(self.out_ch, -1)  # (Cout, K*Cin)
-        y = cols.reshape(bsz, t, -1) @ w_flat.T + b
-        return y, (cols, x.shape)
+        # One GEMM per tap over all B*T frames, added into y shifted by the
+        # tap's offset; zero padding is implicit and no im2col copy is made.
+        w_taps = self._tap_weights(params)
+        bsz, t, _ = x.shape
+        x2 = x.reshape(bsz * t, self.in_ch)
+        y = (x2 @ w_taps[self.kernel // 2].T).reshape(bsz, t, self.out_ch)
+        y += params[f"{self.name}.b"]
+        for j, shift, lo, hi in self._side_taps(t):
+            yj = (x2 @ w_taps[j].T).reshape(bsz, t, self.out_ch)
+            y[:, lo:hi] += yj[:, lo + shift:hi + shift]
+        return y, x
 
     def backward(self, params, cache, dy, grads):
-        cols, x_shape = cache
-        b, t, _ = x_shape
-        w = params[f"{self.name}.w"]
-        w_flat = w.transpose(0, 2, 1).reshape(self.out_ch, -1)
-        cols_flat = cols.reshape(b, t, -1)
-        dw_flat = np.einsum("bto,btk->ok", dy, cols_flat)
-        dw = dw_flat.reshape(self.out_ch, self.kernel, self.in_ch).transpose(0, 2, 1)
+        x = cache
+        w_taps = self._tap_weights(params)
+        bsz, t, _ = x.shape
+        centre = self.kernel // 2
+        dy2 = dy.reshape(bsz * t, self.out_ch)
+        dw = np.zeros((self.out_ch, self.in_ch, self.kernel), dtype=w_taps.dtype)
+        dw[:, :, centre] = dy2.T @ x.reshape(bsz * t, self.in_ch)
+        dx = (dy2 @ w_taps[centre]).reshape(bsz, t, self.in_ch)
+        for j, shift, lo, hi in self._side_taps(t):
+            dw[:, :, j] = (dy[:, lo:hi].reshape(-1, self.out_ch).T
+                           @ x[:, lo + shift:hi + shift].reshape(-1, self.in_ch))
+            dxj = (dy2 @ w_taps[j]).reshape(bsz, t, self.in_ch)
+            dx[:, lo + shift:hi + shift] += dxj[:, lo:hi]
         accumulate_grad(grads, f"{self.name}.w", dw)
         accumulate_grad(grads, f"{self.name}.b", dy.sum(axis=(0, 1)))
-        dcols = (dy @ w_flat).reshape(b, t, self.kernel, self.in_ch)
-        dxp = np.zeros((b, t + 2 * self.pad, self.in_ch), dtype=dy.dtype)
-        for j in range(self.kernel):
-            dxp[:, j * self.dilation:j * self.dilation + t, :] += dcols[:, :, j, :]
-        return dxp[:, self.pad:self.pad + t, :]
+        return dx
 
     def flops(self, n_frames: int) -> int:
         if n_frames <= 0:
@@ -180,10 +200,9 @@ class ChannelNorm:
     def forward(self, params, x):
         g = params[f"{self.name}.g"]
         b = params[f"{self.name}.b"]
-        mu = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        istd = 1.0 / np.sqrt(var + np.asarray(self.EPS, dtype=x.dtype))
-        xhat = (x - mu) * istd
+        xc = x - _time_mean(x)
+        istd = 1.0 / np.sqrt(_time_mean(xc * xc) + np.asarray(self.EPS, dtype=x.dtype))
+        xhat = xc * istd
         return g * xhat + b, (xhat, istd)
 
     def backward(self, params, cache, dy, grads):
@@ -192,8 +211,7 @@ class ChannelNorm:
         accumulate_grad(grads, f"{self.name}.g", (dy * xhat).sum(axis=(0, 1)))
         accumulate_grad(grads, f"{self.name}.b", dy.sum(axis=(0, 1)))
         dxh = dy * g
-        return istd * (dxh - dxh.mean(axis=1, keepdims=True)
-                       - xhat * (dxh * xhat).mean(axis=1, keepdims=True))
+        return istd * (dxh - _time_mean(dxh) - xhat * _time_mean(dxh * xhat))
 
     def flops(self, n_frames: int) -> int:
         return 0
@@ -217,7 +235,7 @@ class SEGate:
         self.fc2.init(params, rng, dtype)
 
     def forward(self, params, x):
-        s = x.mean(axis=1)
+        s = _time_mean(x)[:, 0]
         z_pre, c1 = self.fc1.forward(params, s)
         z = relu(z_pre)
         g_pre, c2 = self.fc2.forward(params, z)

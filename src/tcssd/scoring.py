@@ -105,12 +105,22 @@ def serialize_protocol(records, path) -> None:
 
 
 def write_scores(scores: ScoreSet, path, header_lines=()) -> None:
-    """Write tab-separated ``utt_id<TAB>score`` lines, '#' headers first."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for e in scores.entries:
-            fh.write(f"{e.utt_id}\t{e.score:.17g}\n")
+    """Write tab-separated ``utt_id<TAB>score`` lines, '#' headers first.
+
+    The lines go to a temporary sibling that replaces ``path`` only once
+    complete, so an interrupted write leaves any previous file intact.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for line in header_lines:
+                fh.write(f"# {line}\n")
+            for e in scores.entries:
+                fh.write(f"{e.utt_id}\t{e.score:.17g}\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only after a failed write
+            os.remove(tmp)
 
 
 def read_scores(path, records=None, system_id: str = "") -> ScoreSet:

@@ -67,3 +67,33 @@ def brute_force_eer(bonafide, spoof):
         if best is None or diff < best[0]:
             best = (diff, (far + frr) / 2.0, t)
     return best[1], best[2]
+
+
+def assert_directional_grads_close(loss_fn, params, analytic, names, rng,
+                                   n_dirs=3, eps=1e-6, rtol=1e-6, atol=1e-7):
+    """Check analytic gradients along random unit directions v per tensor.
+
+    Compares <analytic, v> with (L(p + eps v) - L(p - eps v)) / (2 eps):
+    two loss evaluations per direction instead of two per element, for
+    graphs too large to sweep element by element.  A unit-norm step moves
+    each pre-activation by ~eps, so ReLU kinks are almost never crossed.
+    Passes when the error is within atol + rtol * ||analytic||; atol
+    absorbs finite-difference noise on zero gradients.
+    """
+    for name in names:
+        base = params[name]
+        for _ in range(n_dirs):
+            v = rng.standard_normal(base.shape)
+            v /= np.linalg.norm(v)
+            old = base.copy()
+            base[...] = old + eps * v
+            lp = loss_fn()
+            base[...] = old - eps * v
+            lm = loss_fn()
+            base[...] = old
+            num = (lp - lm) / (2 * eps)
+            ana = float((analytic[name] * v).sum())
+            scale = np.linalg.norm(analytic[name])
+            assert abs(ana - num) <= atol + rtol * scale, (
+                f"{name}: directional {ana:.6e} vs numeric {num:.6e} "
+                f"(gradient norm {scale:.3e})")

@@ -1,8 +1,9 @@
-"""Speaker encoder: shapes, pooling, accounting, checkpoint I/O."""
+"""Speaker encoder: shapes, gradients, pooling, accounting, checkpoint I/O."""
 
 import numpy as np
 import pytest
 
+from helpers import assert_directional_grads_close
 from tcssd.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from tcssd.encoder import (ClassWeights, EncoderConfig, FrontendNet,
                            ModelDescription, SpeakerFeatureMap, attentive_stats,
@@ -23,6 +24,32 @@ def make_toy_checkpoint(seed=0):
 
 def random_fbank(rng, t=198):
     return FeatureMap(values=rng.standard_normal((t, 80)).astype(np.float32))
+
+
+def test_frontend_concat_gradients_match_finite_differences():
+    """Stem, Res2 blocks and SE gates: every tensor and the input gradient
+    of ``backward_concat`` against central differences along random
+    directions, in float64 (an element-wise sweep would take ~40 s)."""
+    net = FrontendNet(toy_encoder_config())
+    layers = net.concat_layers()
+    params = init_layers(layers, np.random.default_rng(11), dtype=np.float64)
+    rng = np.random.default_rng(12)
+    names = net.tensor_names(layers)
+    for name in names:  # move norms, biases and gates off their init values
+        if params[name].ndim == 1:
+            params[name] = params[name] + 0.5 * rng.standard_normal(params[name].shape)
+    params["x"] = rng.standard_normal((2, 9, net.cfg.n_mels))
+    r = rng.standard_normal((2, 9, net.cfg.n_blocks * net.cfg.channels))
+    cat, cache = net.forward_concat(params, params["x"])
+    grads = {}
+    grads["x"] = net.backward_concat(params, cache, r, grads)
+    assert sorted(grads) == sorted(names + ["x"])
+
+    def loss_fn():
+        return float((net.forward_concat(params, params["x"])[0] * r).sum())
+
+    assert_directional_grads_close(loss_fn, params, grads, names + ["x"],
+                                   np.random.default_rng(13))
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,16 @@ def test_cache_truncated_rejected(tmp_path):
         load_feature_map(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cache_non_finite_rejected_naming_file(tmp_path, bad):
+    values = np.ones((10, 8), dtype=np.float32)
+    values[3, 5] = bad
+    path = tmp_path / "utt7.fea"
+    save_feature_map(FeatureMap(values=values), path)
+    with pytest.raises(DataError, match=r"non-finite values in feature file: .*utt7\.fea"):
+        load_feature_map(path)
+
+
 def test_cache_bad_magic_rejected(tmp_path):
     path = tmp_path / "x.fea"
     path.write_bytes(b"NOTAFEAFILE" + b"\x00" * 64)

@@ -1,9 +1,12 @@
-"""Layer primitives: bit-level contracts of the fused GRU hot path."""
+"""Layer primitives: bit-level contracts of the fused GRU hot path, and
+direct-formula oracles plus finite-difference gradients for the frontend's
+convolution and normalization."""
 
 import numpy as np
 import pytest
 
-from tcssd.layers import Gru, sigmoid
+from helpers import assert_grads_close
+from tcssd.layers import ChannelNorm, Conv1d, Gru, sigmoid
 
 
 def masked_sigmoid(x):
@@ -95,3 +98,65 @@ def test_gru_time_loop_bit_identical_to_reference(b, t):
         x, *(params[f"g.l0.{k}"] for k in ("w_ih", "w_hh", "b_ih", "b_hh")), dh_seq)
     assert np.array_equal(h_seq, want_h)
     assert np.array_equal(dx, want_dx)
+
+
+def reference_conv(x, w, b, dilation):
+    """Oracle: same-padded dilated conv as a direct loop over output frames
+    and taps; a tap that falls outside [0, T) reads zeros."""
+    bsz, t, _ = x.shape
+    kernel = w.shape[2]
+    pad = dilation * (kernel - 1) // 2
+    y = np.tile(b, (bsz, t, 1))
+    for ti in range(t):
+        for j in range(kernel):
+            src = ti + j * dilation - pad
+            if 0 <= src < t:
+                y[:, ti] += x[:, src] @ w[:, :, j].T
+    return y
+
+
+# T=1 and T=3 are shorter than the receptive field: at T=3, dilation 4 both
+# side taps lie wholly in the padding.
+@pytest.mark.parametrize("kernel,dilation,t", [
+    (1, 1, 9), (1, 1, 1), (3, 2, 9), (3, 2, 3), (3, 2, 1), (3, 4, 9), (3, 4, 3),
+    (3, 4, 1), (5, 1, 9), (5, 1, 3), (5, 1, 1)])
+def test_conv1d_matches_direct_loop_and_finite_differences(kernel, dilation, t):
+    conv = Conv1d("c", 3, 4, kernel, dilation)
+    rng = np.random.default_rng(kernel * 100 + dilation * 10 + t)
+    params = {}
+    conv.init(params, rng, dtype=np.float64)
+    params["c.b"] = rng.standard_normal(4)
+    params["x"] = rng.standard_normal((2, t, 3))
+    r = rng.standard_normal((2, t, 4))
+    y, cache = conv.forward(params, params["x"])
+    want = reference_conv(params["x"], params["c.w"], params["c.b"], dilation)
+    np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+    grads = {}
+    grads["x"] = conv.backward(params, cache, r, grads)
+
+    def loss_fn():
+        return float((conv.forward(params, params["x"])[0] * r).sum())
+
+    assert_grads_close(loss_fn, params, grads, ["c.w", "c.b", "x"], rtol=1e-7)
+
+
+@pytest.mark.parametrize("t", [1, 3, 9])
+def test_channel_norm_matches_textbook_formula_and_finite_differences(t):
+    norm = ChannelNorm("n", 5)
+    rng = np.random.default_rng(t)
+    params = {"n.g": rng.standard_normal(5), "n.b": rng.standard_normal(5),
+              "x": 2.0 * rng.standard_normal((2, t, 5)) + 1.0}
+    x = params["x"]
+    mu = x.sum(axis=1, keepdims=True) / t
+    var = ((x - mu) ** 2).sum(axis=1, keepdims=True) / t
+    want = params["n.g"] * (x - mu) / np.sqrt(var + ChannelNorm.EPS) + params["n.b"]
+    y, cache = norm.forward(params, x)
+    np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+    r = rng.standard_normal((2, t, 5))
+    grads = {}
+    grads["x"] = norm.backward(params, cache, r, grads)
+
+    def loss_fn():
+        return float((norm.forward(params, params["x"])[0] * r).sum())
+
+    assert_grads_close(loss_fn, params, grads, ["n.g", "n.b", "x"], rtol=1e-6)

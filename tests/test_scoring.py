@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_eer
+from tcssd import scoring
 from tcssd.analysis import SimConfig, simulate_trajectories
 from tcssd.cm_temporal import Cm1Config
 from tcssd.encoder import toy_encoder_config
@@ -222,6 +223,43 @@ def test_score_file_round_trip(tmp_path):
     back = read_scores(path, records=records)
     assert [e.score for e in back.entries] == [0.123456789012345, -1.5]
     assert [e.key for e in back.entries] == ["bonafide", "spoof"]
+
+
+def test_score_file_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.tsv"
+    write_scores(_score_set([("u1", 1.0, "bonafide")]), path)
+    before = path.read_bytes()
+
+    class FailingFile:
+        """Writes through to the real file, then fails on the third line."""
+
+        def __init__(self, fh):
+            self.fh, self.lines = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.lines += 1
+            if self.lines == 3:
+                raise OSError("disk full")
+            self.fh.write(text)
+
+    monkeypatch.setattr(scoring, "open",
+                        lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
+    entries = [(f"u{i}", float(i), "bonafide") for i in range(5)]
+    with pytest.raises(OSError, match="disk full"):
+        write_scores(_score_set(entries), path, header_lines=["prov test"])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.tsv"]
+    monkeypatch.undo()
+    write_scores(_score_set(entries), path, header_lines=["prov test"])
+    assert path.read_text() == "# prov test\n" + "".join(
+        f"u{i}\t{float(i):.17g}\n" for i in range(5))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.tsv"]
 
 
 def test_score_file_missing_utt_rejected(tmp_path):
