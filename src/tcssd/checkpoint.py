@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +35,17 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write the checkpoint directory ``path``, replacing any previous one.
+
+    Both files go to the temporary sibling ``<path>.tmp``, which is moved
+    into place only once complete (any previous directory is moved aside to
+    ``<path>.old`` first, then removed), so an interrupted save never leaves
+    a manifest beside weights it does not describe.
+    """
     unknown_frozen = ckpt.frozen_names - set(ckpt.tensors)
     if unknown_frozen:
         raise CheckpointError(
             f"frozen names not in manifest: {', '.join(sorted(unknown_frozen))}")
-    os.makedirs(path, exist_ok=True)
     entries = []
     offset = 0
     blobs = []
@@ -57,11 +64,23 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "config": ckpt.config,
         "tensors": entries,
     }
-    with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(path, WEIGHTS_NAME), "wb") as fh:
-        fh.write(b"".join(blobs))
+    path = os.fspath(path)
+    tmp, old = f"{path}.tmp", f"{path}.old"
+    shutil.rmtree(tmp, ignore_errors=True)  # left by an interrupted save
+    os.makedirs(tmp)
+    try:
+        with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with open(os.path.join(tmp, WEIGHTS_NAME), "wb") as fh:
+            fh.write(b"".join(blobs))
+        if os.path.exists(path):
+            shutil.rmtree(old, ignore_errors=True)
+            os.rename(path, old)
+        os.rename(tmp, path)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)  # only after a failed write
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(path) -> Checkpoint:

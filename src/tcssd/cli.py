@@ -17,23 +17,25 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (SimConfig, pca_project, simulate_trajectories,
-                       tc_similarity_matrix, tc_similarity_matrix_features,
-                       tc_statistic, write_projection, write_similarity_matrix)
+from .analysis import (pca_project, simulate_trajectories, tc_similarity_matrix,
+                       tc_similarity_matrix_features, tc_statistic,
+                       write_projection, write_similarity_matrix)
 from .checkpoint import load_checkpoint
 from .config import (PRESETS, RunConfig, apply_flat_overrides, config_hash,
                      parse_config_file)
-from .encoder import (count_parameters, describe_cm1, describe_cm2,
-                      describe_frontend, encode_features, estimate_flops,
-                      pool_embedding)
+from .cm_distribution import describe_cm2
+from .cm_temporal import describe_cm1
+from .encoder import (count_parameters, describe_frontend, estimate_flops,
+                      pool_embedding, tap_features)
 from .errors import TcssdError
 from .frontend import (FeatureMap, compute_fbank, load_feature_map,
                        load_waveform, save_feature_map, save_waveform,
                        trim_silence)
-from .scoring import (DEFAULT_SCORE_BATCH, compute_eer, fuse_scores,
-                      parse_protocol, read_scores, score_trials,
-                      serialize_protocol, write_scores)
-from .training import LABEL_BONAFIDE, LABEL_SPOOF, TrainItem, train
+from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
+                      fuse_scores, load_trial_map, parse_protocol, read_scores,
+                      score_trials, serialize_protocol, write_scores)
+from .training import (LABEL_BONAFIDE, LABEL_SPOOF, TrainItem,
+                       checkpoint_configs, train)
 
 # Reference figures reported for the full-scale systems (trainable
 # parameters and FLOPs); the gate-arithmetic counts differ, see the note.
@@ -261,7 +263,6 @@ def _cmd_analyze_tc(args, cfg):
         if args.ckpt is None:
             raise TcssdError("--wav analysis needs --ckpt for the encoder")
         ckpt = load_checkpoint(args.ckpt)
-        from .scoring import checkpoint_configs
         enc_cfg, _ = checkpoint_configs(ckpt)
         m = tc_similarity_matrix(load_waveform(args.wav), k=args.k,
                                  seg_dur=args.seg_dur, seed=cfg.seed,
@@ -279,17 +280,13 @@ def _cmd_analyze_tc(args, cfg):
 def _cmd_analyze_dist(args, cfg):
     records = parse_protocol(args.protocol)
     ckpt = load_checkpoint(args.ckpt)
-    from .scoring import checkpoint_configs
     enc_cfg, _ = checkpoint_configs(ckpt)
     embeddings = []
     for r in records:
-        f = load_feature_map(os.path.join(args.features, f"{r.utt_id}.fea"))
-        if f.n_channels == enc_cfg.n_mels and enc_cfg.n_mels != enc_cfg.mfa_dim:
-            s = encode_features(f, enc_cfg, ckpt, source_utt=r.utt_id)
-            emb = pool_embedding(s, ckpt.tensors)
-        else:
-            emb = pool_embedding(f.values, ckpt.tensors)
-        embeddings.append(emb)
+        kind, values = load_trial_map(args.features, r, enc_cfg)
+        if kind == "fbank":
+            values = tap_features(values[None], enc_cfg, ckpt)[0]
+        embeddings.append(pool_embedding(values, ckpt.tensors))
     coords = pca_project(np.stack(embeddings), out_dim=2)
     write_projection([r.utt_id for r in records], coords,
                      [r.key for r in records], args.out,
@@ -302,7 +299,6 @@ def _cmd_simulate(args, cfg):
     labeled = simulate_trajectories(cfg.sim, args.n_per_class)
     fea_dir = os.path.join(args.out, "features")
     os.makedirs(fea_dir, exist_ok=True)
-    from .scoring import TrialRecord
     records = []
     for smap, key in labeled:
         f = FeatureMap(values=smap.values, frame_hop=0, frame_len=0, n_fft=0)
@@ -318,13 +314,8 @@ def _cmd_simulate(args, cfg):
 
 
 def _param_report(cfg) -> list[str]:
-    descs = {
-        "cm1": describe_cm1(cfg.encoder, hidden=cfg.cm1.hidden,
-                            fc1_out=cfg.cm1.fc1_out, fc2_out=cfg.cm1.fc2_out,
-                            n_layers=cfg.cm1.n_layers),
-        "cm2": describe_cm2(cfg.encoder),
-    }
-    counts = {name: count_parameters(d) for name, d in descs.items()}
+    counts = {"cm1": count_parameters(describe_cm1(cfg.cm1)),
+              "cm2": count_parameters(describe_cm2(cfg.encoder))}
     counts["fusion"] = counts["cm1"] + counts["cm2"]
     lines = []
     for name in ("cm1", "cm2", "fusion"):
@@ -346,14 +337,9 @@ def _cmd_count_params(args, cfg):
 
 
 def _cmd_flops(args, cfg):
-    frontend = describe_frontend(cfg.encoder)
-    cm1 = describe_cm1(cfg.encoder, hidden=cfg.cm1.hidden,
-                       fc1_out=cfg.cm1.fc1_out, fc2_out=cfg.cm1.fc2_out,
-                       n_layers=cfg.cm1.n_layers)
-    cm2 = describe_cm2(cfg.encoder)
-    fe = estimate_flops(frontend, args.duration)
-    f1 = estimate_flops(cm1, args.duration)
-    f2 = estimate_flops(cm2, args.duration)
+    fe = estimate_flops(describe_frontend(cfg.encoder), args.duration)
+    f1 = estimate_flops(describe_cm1(cfg.cm1), args.duration)
+    f2 = estimate_flops(describe_cm2(cfg.encoder), args.duration)
     for line in _provenance(args, cfg):
         print(f"# {line}")
     print(f"duration: {args.duration} s")

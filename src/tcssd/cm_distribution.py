@@ -11,40 +11,37 @@ from __future__ import annotations
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .cm_temporal import score_from_embedding
-from .encoder import EncoderConfig, FrontendNet, SpeakerFeatureMap
+from .cm_temporal import score_embeddings
+from .encoder import (EncoderConfig, FrontendNet, ModelDescription,
+                      SpeakerFeatureMap, encoder_head)
 from .errors import DataError
-from .layers import AttentiveStatsPool, Linear
+from .layers import relu, tensor_names
 
 
 class Cm2Net:
-    """Trainable tail of CM2; parameters live under ``cm2.*``.
+    """Retrained encoder head of CM2; parameters live under ``cm2.*``.
 
-    The tail consumes per-frame speaker features (the MFA tap output).  In
-    the audio lane those come from the frozen frontend through CM2's own
-    MFA conv; maps that are already at the tap point (e.g. simulated
-    trajectories) enter directly at the pooling stage.
+    In the audio lane the frozen frontend's concat passes through CM2's own
+    MFA conv to the tap point; maps that are already at the tap point (e.g.
+    simulated trajectories) enter directly at the pooling stage.
     """
 
-    def __init__(self, cfg: EncoderConfig, prefix: str = "cm2"):
+    def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
-        self.prefix = prefix
-        self.pool = AttentiveStatsPool(f"{prefix}.pool", cfg.mfa_dim, cfg.att_dim)
-        self.proj = Linear(f"{prefix}.proj", 2 * cfg.mfa_dim, cfg.embed_dim)
+        self.mfa_conv, self.pool, self.proj, self.cls = encoder_head(cfg, "cm2")
 
-    def mfa_layers(self):
-        from .layers import Conv1d
-        return [Conv1d(f"{self.prefix}.mfa.conv",
-                       self.cfg.n_blocks * self.cfg.channels,
-                       self.cfg.mfa_dim, kernel=1)]
+    def layers(self):
+        return [self.mfa_conv, self.pool, self.proj, self.cls]
 
-    def tail_layers(self):
-        return [self.pool, self.proj]
+    def forward_mfa(self, params, cat):
+        """Frozen-frontend concat (B, T, 3C) -> tap-point features (B, T, D)."""
+        pre, c_mfa = self.mfa_conv.forward(params, cat)
+        return relu(pre), (pre, c_mfa)
 
-    def tensor_names(self, with_mfa: bool = True):
-        layers = (self.mfa_layers() if with_mfa else []) + self.tail_layers()
-        names = [n for layer in layers for n, _ in layer.param_specs()]
-        return names + [f"{self.prefix}.cls.w"]
+    def backward_mfa(self, params, cache, dfeats, grads):
+        """Gradients of the MFA conv; the frozen concat below needs none."""
+        pre, c_mfa = cache
+        self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
 
     def forward_tail(self, params, feats):
         """feats: (B, T, D) at the tap point -> (embeddings, cache)."""
@@ -56,6 +53,11 @@ class Cm2Net:
         c_pool, c_proj = cache
         dstats = self.proj.backward(params, c_proj, demb, grads)
         return self.pool.backward(params, c_pool, dstats, grads)
+
+
+def describe_cm2(cfg: EncoderConfig) -> ModelDescription:
+    """Trainable layers of the distribution countermeasure (post-concat)."""
+    return ModelDescription("cm2", Cm2Net(cfg).layers())
 
 
 def cm2_embed_tap(x: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
@@ -75,33 +77,22 @@ def cm2_embed_fbank(x: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint) -> np.n
             f"feature map has {x.shape[2]} channels, encoder expects {cfg.n_mels}")
     frontend = FrontendNet(cfg)
     net = Cm2Net(cfg)
-    ckpt.require(frontend.tensor_names(frontend.concat_layers()))
-    ckpt.require(net.tensor_names(with_mfa=True))
-    feats, _ = frontend.forward_features(ckpt.tensors, x.astype(np.float32),
-                                         mfa_prefix="cm2")
+    ckpt.require(tensor_names(frontend.concat_layers() + net.layers()))
+    cat, _ = frontend.forward_concat(ckpt.tensors, x.astype(np.float32))
+    feats, _ = net.forward_mfa(ckpt.tensors, cat)
     emb, _ = net.forward_tail(ckpt.tensors, feats)
     return emb
 
 
-def cm2_embed_features(s: SpeakerFeatureMap | np.ndarray, params: dict,
-                       cfg: EncoderConfig) -> np.ndarray:
-    """Embed one map already at the tap point through CM2's pooling tail."""
-    values = s.values if isinstance(s, SpeakerFeatureMap) else s
-    if values.ndim != 2:
-        raise DataError("embedding needs a T x D matrix with T >= 1")
-    return cm2_embed_tap(values[None, :, :], params, cfg)[0]
-
-
-def cm2_embed(f, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
-    """Full audio lane for one FBank map."""
-    return cm2_embed_fbank(f.values[None, :, :], cfg, ckpt)[0]
-
-
 def cm2_score(f, cfg: EncoderConfig, ckpt: Checkpoint) -> float:
-    """Spoof/bonafide score from the embedding's class cosines."""
-    return score_from_embedding(cm2_embed(f, cfg, ckpt), ckpt.tensors["cm2.cls.w"])
+    """Spoof/bonafide score of one FBank map from the embedding's class cosines."""
+    emb = cm2_embed_fbank(f.values[None, :, :], cfg, ckpt)
+    return float(score_embeddings(emb, ckpt.tensors["cm2.cls.w"])[0])
 
 
 def cm2_score_features(s: SpeakerFeatureMap | np.ndarray, params: dict,
                        cfg: EncoderConfig) -> float:
-    return score_from_embedding(cm2_embed_features(s, params, cfg), params["cm2.cls.w"])
+    """Score of one map already at the tap point."""
+    values = s.values if isinstance(s, SpeakerFeatureMap) else s
+    emb = cm2_embed_tap(values[None, :, :], params, cfg)
+    return float(score_embeddings(emb, params["cm2.cls.w"])[0])

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import SpeakerFeatureMap
+from .encoder import ModelDescription, SpeakerFeatureMap
 from .errors import DataError
-from .layers import Gru, Linear, relu
+from .layers import ClassWeights, Gru, Linear, relu
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,16 @@ def toy_cm1_config(input_dim: int = 24) -> Cm1Config:
 class Cm1Net:
     """CM1 layer graph; parameters live under ``cm1.*``."""
 
-    def __init__(self, cfg: Cm1Config, prefix: str = "cm1"):
+    def __init__(self, cfg: Cm1Config):
         self.cfg = cfg
-        self.prefix = prefix
-        self.gru = Gru(f"{prefix}.gru", cfg.input_dim, cfg.hidden, cfg.n_layers,
+        self.gru = Gru("cm1.gru", cfg.input_dim, cfg.hidden, cfg.n_layers,
                        input_gain=cfg.input_gain, carry_bias=cfg.carry_bias)
-        self.fc1 = Linear(f"{prefix}.fc1", cfg.hidden, cfg.fc1_out)
-        self.fc2 = Linear(f"{prefix}.fc2", cfg.fc1_out, cfg.fc2_out)
+        self.fc1 = Linear("cm1.fc1", cfg.hidden, cfg.fc1_out)
+        self.fc2 = Linear("cm1.fc2", cfg.fc1_out, cfg.fc2_out)
+        self.cls = ClassWeights("cm1.cls", 2, cfg.fc2_out)
 
     def layers(self):
-        return [self.gru, self.fc1, self.fc2]
-
-    def tensor_names(self):
-        names = [n for layer in self.layers() for n, _ in layer.param_specs()]
-        return names + [f"{self.prefix}.cls.w"]
+        return [self.gru, self.fc1, self.fc2, self.cls]
 
     def forward(self, params, diffs):
         """diffs: (B, T-1, D) difference sequences -> (embeddings, cache)."""
@@ -81,22 +77,18 @@ class Cm1Net:
         return self.gru.backward(params, gru_cache, dh_seq, grads)
 
 
+def describe_cm1(cfg: Cm1Config) -> ModelDescription:
+    """Trainable layers of the temporal-consistency countermeasure."""
+    return ModelDescription("cm1", Cm1Net(cfg).layers())
+
+
 def difference_sequence(s: SpeakerFeatureMap | np.ndarray) -> np.ndarray:
-    """First-order differences along time: row k = s[k+1] - s[k]."""
+    """First-order differences along time, the CM1 input: row k = s[k+1] - s[k]
+    of a (T, D) map, or of each map in a (B, T, D) batch."""
     values = s.values if isinstance(s, SpeakerFeatureMap) else s
-    if values.shape[0] < 2:
-        raise DataError(f"need at least 2 frames to difference, got {values.shape[0]}")
-    return np.diff(values, axis=0)
-
-
-def gru_forward(diffs: np.ndarray, params: dict, cfg: Cm1Config,
-                prefix: str = "cm1") -> np.ndarray:
-    """Final hidden state of the stacked recurrence for one sequence."""
-    if diffs.ndim != 2 or diffs.shape[0] < 1:
-        raise DataError("difference sequence must be a non-empty (T-1) x D matrix")
-    gru = Gru(f"{prefix}.gru", cfg.input_dim, cfg.hidden, cfg.n_layers)
-    h_seq, _ = gru.forward(params, diffs[None, :, :])
-    return h_seq[0, -1]
+    if values.shape[-2] < 2:
+        raise DataError(f"need at least 2 frames to difference, got {values.shape[-2]}")
+    return np.diff(values, axis=-2)
 
 
 def score_embeddings(emb: np.ndarray, class_w: np.ndarray) -> np.ndarray:
@@ -117,23 +109,14 @@ def score_embeddings(emb: np.ndarray, class_w: np.ndarray) -> np.ndarray:
     return cos[:, 0] - cos[:, 1]
 
 
-def score_from_embedding(emb: np.ndarray, class_w: np.ndarray) -> float:
-    """``score_embeddings`` of a single embedding vector."""
-    return float(score_embeddings(emb[None, :], class_w)[0])
-
-
-def cm1_embed(x: np.ndarray, params: dict, cfg: Cm1Config,
-              prefix: str = "cm1") -> np.ndarray:
+def cm1_embed(x: np.ndarray, params: dict, cfg: Cm1Config) -> np.ndarray:
     """Embeddings (B, E) of equal-length speaker-feature maps x (B, T, D)."""
-    if x.shape[1] < 2:
-        raise DataError(f"need at least 2 frames to difference, got {x.shape[1]}")
-    emb, _ = Cm1Net(cfg, prefix).forward(params, np.diff(x, axis=1))
+    emb, _ = Cm1Net(cfg).forward(params, difference_sequence(x))
     return emb
 
 
-def cm1_score(s: SpeakerFeatureMap | np.ndarray, params: dict, cfg: Cm1Config,
-              prefix: str = "cm1") -> float:
+def cm1_score(s: SpeakerFeatureMap | np.ndarray, params: dict, cfg: Cm1Config) -> float:
     """Spoof/bonafide score of one utterance's speaker-feature map."""
     values = s.values if isinstance(s, SpeakerFeatureMap) else s
-    emb = cm1_embed(values[None, :, :], params, cfg, prefix)
-    return score_from_embedding(emb[0], params[f"{prefix}.cls.w"])
+    emb = cm1_embed(values[None, :, :], params, cfg)
+    return float(score_embeddings(emb, params["cm1.cls.w"])[0])

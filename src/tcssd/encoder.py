@@ -6,7 +6,9 @@ Res2 blocks at dilations 2/3/4, channel-wise concatenation of the block
 outputs, and a 1x1 conv + ReLU down to the feature width D.  That conv output
 is the tap point both countermeasures consume.  Utterance embeddings come
 from attentive statistics pooling (weighted mean and std) plus a linear
-projection.
+projection.  A cached map is either an FBank (n_mels channels) or already at
+the tap point (mfa_dim channels); ``feature_kind`` is the one rule that
+tells them apart.
 
 Also houses parameter and FLOP accounting over model descriptions (lists of
 layer objects), used by the reporting CLI and the closed-form unit tests.
@@ -21,8 +23,8 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .errors import DataError
 from .frontend import FRAME_RATE, FeatureMap
-from .layers import (AttentiveStatsPool, ChannelNorm, Conv1d, Gru, Linear,
-                     SERes2Block, init_layers, relu)
+from .layers import (AttentiveStatsPool, ChannelNorm, ClassWeights, Conv1d,
+                     Linear, SERes2Block, relu, tensor_names)
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,8 @@ class EncoderConfig:
             raise DataError("need one dilation per block")
         if self.channels % self.res2_scale != 0:
             raise DataError("channels must be divisible by res2_scale")
+        if self.n_mels == self.mfa_dim:
+            raise DataError("n_mels == mfa_dim makes feature kinds ambiguous")
 
     @property
     def se_bottleneck(self) -> int:
@@ -70,36 +74,52 @@ class SpeakerFeatureMap:
         return self.values.shape[1]
 
 
-class FrontendNet:
-    """Layer graph of the frontend; parameters live under ``frontend.*``."""
+def feature_kind(n_channels: int, cfg: EncoderConfig, utt_id: str) -> str:
+    """"fbank" for an n_mels-channel map, "speaker" for one already at the
+    MFA tap (mfa_dim channels); any other width is a DataError."""
+    if n_channels == cfg.n_mels:
+        return "fbank"
+    if n_channels == cfg.mfa_dim:
+        return "speaker"
+    raise DataError(
+        f"{utt_id}: {n_channels} channels match neither n_mels "
+        f"({cfg.n_mels}) nor mfa_dim ({cfg.mfa_dim})")
 
-    def __init__(self, cfg: EncoderConfig, prefix: str = "frontend"):
+
+def encoder_head(cfg: EncoderConfig, namespace: str):
+    """The layers above the MFA concat: 1x1 MFA conv, attentive pooling,
+    projection and 2-class rows, under ``namespace``.  The frontend owns
+    one set; CM2 owns a retrained copy."""
+    return (Conv1d(f"{namespace}.mfa.conv", cfg.n_blocks * cfg.channels,
+                   cfg.mfa_dim, kernel=1),
+            AttentiveStatsPool(f"{namespace}.pool", cfg.mfa_dim, cfg.att_dim),
+            Linear(f"{namespace}.proj", 2 * cfg.mfa_dim, cfg.embed_dim),
+            ClassWeights(f"{namespace}.cls", 2, cfg.embed_dim))
+
+
+class FrontendNet:
+    """Layer graph of the frontend; parameters live under ``frontend.*``.
+
+    The class rows serve only the toy frontend's own training.
+    """
+
+    def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
-        self.prefix = prefix
         c = cfg.channels
-        self.stem_conv = Conv1d(f"{prefix}.stem.conv", cfg.n_mels, c, kernel=5)
-        self.stem_norm = ChannelNorm(f"{prefix}.stem.norm", c)
+        self.stem_conv = Conv1d("frontend.stem.conv", cfg.n_mels, c, kernel=5)
+        self.stem_norm = ChannelNorm("frontend.stem.norm", c)
         self.blocks = [
-            SERes2Block(f"{prefix}.block{i + 1}", c, kernel=3, dilation=d,
+            SERes2Block(f"frontend.block{i + 1}", c, kernel=3, dilation=d,
                         scale=cfg.res2_scale, se_bottleneck=cfg.se_bottleneck)
             for i, d in enumerate(cfg.dilations)
         ]
-        self.mfa_conv = Conv1d(f"{prefix}.mfa.conv", cfg.n_blocks * c, cfg.mfa_dim, kernel=1)
-        self.pool = AttentiveStatsPool(f"{prefix}.pool", cfg.mfa_dim, cfg.att_dim)
-        self.proj = Linear(f"{prefix}.proj", 2 * cfg.mfa_dim, cfg.embed_dim)
+        self.mfa_conv, self.pool, self.proj, self.cls = encoder_head(cfg, "frontend")
 
     def concat_layers(self):
         return [self.stem_conv, self.stem_norm] + self.blocks
 
-    def all_layers(self):
-        return self.concat_layers() + [self.mfa_conv, self.pool, self.proj]
-
-    def tensor_names(self, layers=None):
-        layers = self.all_layers() if layers is None else layers
-        return [name for layer in layers for name, _ in layer.param_specs()]
-
-    def init(self, rng, params=None, dtype=np.float32):
-        return init_layers(self.all_layers(), rng, params, dtype)
+    def layers(self):
+        return self.concat_layers() + [self.mfa_conv, self.pool, self.proj, self.cls]
 
     def forward_concat(self, params, x):
         """Stem + blocks + channel concat: (B, T, n_mels) -> (B, T, 3C)."""
@@ -127,29 +147,15 @@ class FrontendNet:
         dh = dr * (h > 0)
         return self.stem_conv.backward(params, c_stem, dh, grads)
 
-    def forward_features(self, params, x, mfa_prefix=None):
-        """Full frontend to the MFA tap: (B, T, n_mels) -> (B, T, D).
-
-        ``mfa_prefix`` substitutes another parameter namespace for the 1x1
-        MFA conv (the distribution countermeasure retrains its own copy).
-        """
+    def forward_features(self, params, x):
+        """Full frontend to the MFA tap: (B, T, n_mels) -> (B, T, D)."""
         cat, cat_cache = self.forward_concat(params, x)
-        conv = self.mfa_conv if mfa_prefix is None else Conv1d(
-            f"{mfa_prefix}.mfa.conv", self.cfg.n_blocks * self.cfg.channels,
-            self.cfg.mfa_dim, kernel=1)
-        pre, c_mfa = conv.forward(params, cat)
-        feats = relu(pre)
-        return feats, (cat_cache, conv, pre, c_mfa)
+        pre, c_mfa = self.mfa_conv.forward(params, cat)
+        return relu(pre), (cat_cache, pre, c_mfa)
 
-    def backward_features(self, params, cache, dfeats, grads,
-                          through_frontend: bool = True):
-        """Backward of ``forward_features``; optionally stop at the MFA conv
-        (the layers below it are frozen for both countermeasures)."""
-        cat_cache, conv, pre, c_mfa = cache
-        dpre = dfeats * (pre > 0)
-        dcat = conv.backward(params, c_mfa, dpre, grads)
-        if not through_frontend:
-            return None
+    def backward_features(self, params, cache, dfeats, grads):
+        cat_cache, pre, c_mfa = cache
+        dcat = self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
         return self.backward_concat(params, cat_cache, dcat, grads)
 
 
@@ -160,7 +166,7 @@ def tap_features(x: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndar
         raise DataError(
             f"feature map has {x.shape[2]} channels, encoder expects {cfg.n_mels}")
     net = FrontendNet(cfg)
-    ckpt.require(net.tensor_names(net.concat_layers() + [net.mfa_conv]))
+    ckpt.require(tensor_names(net.concat_layers() + [net.mfa_conv]))
     feats, _ = net.forward_features(ckpt.tensors, x.astype(np.float32))
     return feats
 
@@ -172,24 +178,16 @@ def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint,
     return SpeakerFeatureMap(values=feats[0], source_utt=source_utt)
 
 
-def attentive_stats(values: np.ndarray, params: dict, prefix: str = "frontend"):
-    """(mu, sigma, alpha) of attentive statistics pooling over one utterance."""
-    pool = AttentiveStatsPool(f"{prefix}.pool", values.shape[1],
-                              params[f"{prefix}.pool.att.fc1.w"].shape[0])
-    mu, sigma, alpha = pool.attention_weights(params, values[None, :, :])
-    return mu[0], sigma[0], alpha[0]
-
-
-def pool_embedding(s: SpeakerFeatureMap | np.ndarray, params: dict,
-                   prefix: str = "frontend") -> np.ndarray:
-    """Attentive mean/std pooling + linear projection -> embedding vector."""
+def pool_embedding(s: SpeakerFeatureMap | np.ndarray, params: dict) -> np.ndarray:
+    """The frontend's attentive mean/std pooling + linear projection of one
+    T x D map -> embedding vector."""
     values = s.values if isinstance(s, SpeakerFeatureMap) else s
     if values.ndim != 2 or values.shape[0] < 1:
         raise DataError("pooling needs a T x D matrix with T >= 1")
-    att_dim = params[f"{prefix}.pool.att.fc1.w"].shape[0]
-    pool = AttentiveStatsPool(f"{prefix}.pool", values.shape[1], att_dim)
-    proj = Linear(f"{prefix}.proj", 2 * values.shape[1],
-                  params[f"{prefix}.proj.w"].shape[0])
+    att_dim = params["frontend.pool.att.fc1.w"].shape[0]
+    pool = AttentiveStatsPool("frontend.pool", values.shape[1], att_dim)
+    proj = Linear("frontend.proj", 2 * values.shape[1],
+                  params["frontend.proj.w"].shape[0])
     stats, _ = pool.forward(params, values[None, :, :])
     emb, _ = proj.forward(params, stats)
     return emb[0]
@@ -210,19 +208,16 @@ class ModelDescription:
     def _trainable(self, layer) -> bool:
         return not any(layer.name.startswith(p) for p in self.frozen_layer_prefixes)
 
-    def tensor_shapes(self, trainable_only: bool = True):
-        out = []
-        for layer in self.layers:
-            if trainable_only and not self._trainable(layer):
-                continue
-            out.extend(layer.param_specs())
-        return out
+    def tensor_shapes(self):
+        """(name, shape) of every trainable tensor."""
+        return [spec for layer in self.layers if self._trainable(layer)
+                for spec in layer.param_specs()]
 
 
 def count_parameters(desc: ModelDescription) -> int:
     """Exact trainable scalar count; frozen tensors are excluded."""
     total = 0
-    for _, shape in desc.tensor_shapes(trainable_only=True):
+    for _, shape in desc.tensor_shapes():
         total += int(np.prod(shape, dtype=np.int64)) if shape else 1
     return total
 
@@ -238,55 +233,7 @@ def estimate_flops(desc: ModelDescription, input_duration: float,
 
 
 def describe_frontend(cfg: EncoderConfig) -> ModelDescription:
+    """The speaker encoder, without the class rows of toy-frontend training."""
     net = FrontendNet(cfg)
-    return ModelDescription(name="frontend", layers=net.all_layers())
-
-
-def describe_cm1(cfg: EncoderConfig, hidden: int = 1536, fc1_out: int = 512,
-                 fc2_out: int = 192, n_layers: int = 2) -> ModelDescription:
-    """Trainable layers of the temporal-consistency countermeasure."""
-    layers = [
-        Gru("cm1.gru", cfg.mfa_dim, hidden, n_layers=n_layers),
-        Linear("cm1.fc1", hidden, fc1_out),
-        Linear("cm1.fc2", fc1_out, fc2_out),
-        ClassWeights("cm1.cls", 2, fc2_out),
-    ]
-    return ModelDescription(name="cm1", layers=layers)
-
-
-def describe_cm2(cfg: EncoderConfig) -> ModelDescription:
-    """Trainable layers of the distribution countermeasure (post-MFA)."""
-    layers = [
-        Conv1d("cm2.mfa.conv", cfg.n_blocks * cfg.channels, cfg.mfa_dim, kernel=1),
-        AttentiveStatsPool("cm2.pool", cfg.mfa_dim, cfg.att_dim),
-        Linear("cm2.proj", 2 * cfg.mfa_dim, cfg.embed_dim),
-        ClassWeights("cm2.cls", 2, cfg.embed_dim),
-    ]
-    return ModelDescription(name="cm2", layers=layers)
-
-
-class ClassWeights:
-    """Unit-norm class rows for margin-softmax scoring (n_classes x dim)."""
-
-    def __init__(self, name: str, n_classes: int, dim: int):
-        self.name = name
-        self.n_classes = n_classes
-        self.dim = dim
-
-    def param_specs(self):
-        return [(f"{self.name}.w", (self.n_classes, self.dim))]
-
-    def init(self, params, rng, dtype=np.float32):
-        from .layers import glorot_uniform
-        w = glorot_uniform(rng, (self.n_classes, self.dim), self.dim,
-                           self.n_classes, dtype)
-        if self.n_classes == 2:
-            # Antipodal start: random 2-row init can collapse the margin
-            # loss's rotational degeneracy into nearly parallel rows.
-            w[1] = -w[0]
-        params[f"{self.name}.w"] = w
-
-    def flops(self, n_frames: int) -> int:
-        if n_frames <= 0:
-            return 0
-        return 2 * self.n_classes * self.dim
+    return ModelDescription("frontend", [layer for layer in net.layers()
+                                         if layer is not net.cls])

@@ -424,13 +424,6 @@ class AttentiveStatsPool:
     def flops(self, n_frames: int) -> int:
         return self.fc1.flops(n_frames) + self.fc2.flops(n_frames)
 
-    def attention_weights(self, params, x):
-        """Forward pass returning (mu, sigma, alpha) without the concat."""
-        out, cache = self.forward(params, x)
-        alpha = cache[4]
-        d = self.in_dim
-        return out[:, :d], out[:, d:], alpha
-
 
 class Gru:
     """Stacked gated recurrent layers.
@@ -580,6 +573,32 @@ class Gru:
         return total
 
 
+class ClassWeights:
+    """Unit-norm class rows for margin-softmax scoring (n_classes x dim)."""
+
+    def __init__(self, name: str, n_classes: int, dim: int):
+        self.name = name
+        self.n_classes = n_classes
+        self.dim = dim
+
+    def param_specs(self):
+        return [(f"{self.name}.w", (self.n_classes, self.dim))]
+
+    def init(self, params, rng, dtype=np.float32):
+        w = glorot_uniform(rng, (self.n_classes, self.dim), self.dim,
+                           self.n_classes, dtype)
+        if self.n_classes == 2:
+            # Antipodal start: random 2-row init can collapse the margin
+            # loss's rotational degeneracy into nearly parallel rows.
+            w[1] = -w[0]
+        params[f"{self.name}.w"] = w
+
+    def flops(self, n_frames: int) -> int:
+        if n_frames <= 0:
+            return 0
+        return 2 * self.n_classes * self.dim
+
+
 def init_layers(layers, rng, params=None, dtype=np.float32):
     """Initialize a list of layers into one parameter dict (in list order)."""
     if params is None:
@@ -587,3 +606,8 @@ def init_layers(layers, rng, params=None, dtype=np.float32):
     for layer in layers:
         layer.init(params, rng, dtype)
     return params
+
+
+def tensor_names(layers) -> list[str]:
+    """Parameter names of a list of layers, in list order."""
+    return [name for layer in layers for name, _ in layer.param_specs()]

@@ -15,10 +15,11 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .cm_distribution import cm2_embed_fbank, cm2_embed_tap
-from .cm_temporal import Cm1Config, cm1_embed, score_embeddings
-from .encoder import EncoderConfig, tap_features
+from .cm_temporal import cm1_embed, score_embeddings
+from .encoder import EncoderConfig, feature_kind, tap_features
 from .errors import DataError
 from .frontend import load_feature_map
+from .training import checkpoint_configs
 
 KEY_BONAFIDE = "bonafide"
 KEY_SPOOF = "spoof"
@@ -227,40 +228,13 @@ def fuse_scores(a: ScoreSet, b: ScoreSet, w: float = 0.5,
                     system_id=f"fuse({a.system_id},{b.system_id},w={w})")
 
 
-def encoder_config_from_dict(d: dict) -> EncoderConfig:
-    d = dict(d)
-    if "dilations" in d:
-        d["dilations"] = tuple(d["dilations"])
-    return EncoderConfig(**d)
-
-
-def cm1_config_from_dict(d: dict) -> Cm1Config:
-    return Cm1Config(**d)
-
-
-def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
-    try:
-        enc = encoder_config_from_dict(ckpt.config["encoder"])
-        cm1 = cm1_config_from_dict(ckpt.config["cm1"])
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"checkpoint config incomplete: {exc}") from None
-    return enc, cm1
-
-
-def _load_trial_map(feature_dir, r: TrialRecord, enc_cfg: EncoderConfig):
+def load_trial_map(feature_dir, r: TrialRecord, enc_cfg: EncoderConfig):
     """(feature kind, T x M values) of one trial's cached map."""
     path = os.path.join(feature_dir, f"{r.utt_id}.fea")
     if not os.path.exists(path):
         raise DataError(f"missing feature for utterance {r.utt_id}: {path}")
-    f = load_feature_map(path)
-    m = f.n_channels
-    if m == enc_cfg.n_mels and enc_cfg.n_mels != enc_cfg.mfa_dim:
-        return "fbank", f.values
-    if m == enc_cfg.mfa_dim:
-        return "speaker", f.values
-    raise DataError(
-        f"{r.utt_id}: {m} channels match neither n_mels "
-        f"({enc_cfg.n_mels}) nor mfa_dim ({enc_cfg.mfa_dim})")
+    values = load_feature_map(path).values
+    return feature_kind(values.shape[1], enc_cfg, r.utt_id), values
 
 
 def score_trials(cm_id: str, records, feature_dir, ckpt: Checkpoint,
@@ -283,7 +257,7 @@ def score_trials(cm_id: str, records, feature_dir, ckpt: Checkpoint,
     params = ckpt.tensors
     groups: dict[tuple[str, int], list[tuple[int, np.ndarray]]] = {}
     for i, r in enumerate(records):
-        kind, values = _load_trial_map(feature_dir, r, enc_cfg)
+        kind, values = load_trial_map(feature_dir, r, enc_cfg)
         groups.setdefault((kind, values.shape[0]), []).append((i, values))
 
     def embed(kind, x):

@@ -10,17 +10,17 @@ masks all derive from one seeded generator consumed in a fixed order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .checkpoint import Checkpoint, save_checkpoint
 from .cm_distribution import Cm2Net
-from .cm_temporal import Cm1Config, Cm1Net
-from .encoder import ClassWeights, EncoderConfig, FrontendNet
+from .cm_temporal import Cm1Config, Cm1Net, difference_sequence
+from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
 from .frontend import AugmentPolicy, FeatureMap, random_crop, spec_augment
-from .layers import init_layers
+from .layers import init_layers, tensor_names
 
 LABEL_BONAFIDE = 0
 LABEL_SPOOF = 1
@@ -184,28 +184,16 @@ def build_checkpoint(enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
                      init_from: Checkpoint | None = None) -> Checkpoint:
     """Fresh full checkpoint: frontend, CM1 head, CM2 head (copied tail).
 
-    The CM2 tail (MFA conv, pooling, projection, class rows) starts as a
-    copy of the frontend's own tail, mirroring retraining from pretrained
+    Every CM2 tensor (MFA conv, pooling, projection, class rows) starts as a
+    copy of its ``frontend.*`` twin, mirroring retraining from pretrained
     weights.  Tensors present in ``init_from`` take precedence.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    frontend = FrontendNet(enc_cfg)
-    frontend.init(rng, params)
-    ClassWeights("frontend.cls", 2, enc_cfg.embed_dim).init(params, rng)
-    cm1 = Cm1Net(cm1_cfg)
-    init_layers(cm1.layers(), rng, params)
-    ClassWeights("cm1.cls", 2, cm1_cfg.fc2_out).init(params, rng)
-    for src, dst in [("frontend.mfa.conv.w", "cm2.mfa.conv.w"),
-                     ("frontend.mfa.conv.b", "cm2.mfa.conv.b"),
-                     ("frontend.pool.att.fc1.w", "cm2.pool.att.fc1.w"),
-                     ("frontend.pool.att.fc1.b", "cm2.pool.att.fc1.b"),
-                     ("frontend.pool.att.fc2.w", "cm2.pool.att.fc2.w"),
-                     ("frontend.pool.att.fc2.b", "cm2.pool.att.fc2.b"),
-                     ("frontend.proj.w", "cm2.proj.w"),
-                     ("frontend.proj.b", "cm2.proj.b"),
-                     ("frontend.cls.w", "cm2.cls.w")]:
-        params[dst] = params[src].copy()
+    init_layers(FrontendNet(enc_cfg).layers(), rng, params)
+    init_layers(Cm1Net(cm1_cfg).layers(), rng, params)
+    for name in tensor_names(Cm2Net(enc_cfg).layers()):
+        params[name] = params["frontend." + name.removeprefix("cm2.")].copy()
     if init_from is not None:
         for name, tensor in init_from.tensors.items():
             if name in params and params[name].shape != tensor.shape:
@@ -213,27 +201,24 @@ def build_checkpoint(enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
                     f"init checkpoint tensor {name} has shape {tensor.shape}, "
                     f"expected {params[name].shape}")
             params[name] = tensor.copy()
-    config = {"encoder": _cfg_dict(enc_cfg), "cm1": _cfg_dict(cm1_cfg)}
+    config = {"encoder": config_dict(enc_cfg), "cm1": config_dict(cm1_cfg)}
     return Checkpoint(tensors=params, frozen_names=set(), config=config)
 
 
-def _cfg_dict(cfg) -> dict:
-    from dataclasses import asdict
-    d = asdict(cfg)
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
+def config_dict(cfg) -> dict:
+    """A config dataclass as the JSON object a checkpoint stores."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
-def _feature_kind(item: TrainItem, enc_cfg: EncoderConfig) -> str:
-    m = item.features.n_channels
-    if enc_cfg.n_mels == enc_cfg.mfa_dim:
-        raise DataError("n_mels == mfa_dim makes feature kinds ambiguous")
-    if m == enc_cfg.n_mels:
-        return "fbank"
-    if m == enc_cfg.mfa_dim:
-        return "speaker"
-    raise DataError(
-        f"{item.utt_id}: {m} channels match neither n_mels ({enc_cfg.n_mels}) "
-        f"nor mfa_dim ({enc_cfg.mfa_dim})")
+def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
+    """The encoder and CM1 configs a checkpoint was built with."""
+    try:
+        enc = dict(ckpt.config["encoder"])
+        if "dilations" in enc:
+            enc["dilations"] = tuple(enc["dilations"])
+        return EncoderConfig(**enc), Cm1Config(**ckpt.config["cm1"])
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"checkpoint config incomplete: {exc}") from None
 
 
 def _wrap_pad(values: np.ndarray, length: int) -> np.ndarray:
@@ -290,7 +275,7 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
     labels = np.array([it.label for it in items])
     if len(set(labels.tolist())) < 2:
         raise DataError("training manifest must contain both classes")
-    kinds = {_feature_kind(it, enc_cfg) for it in items}
+    kinds = {feature_kind(it.features.n_channels, enc_cfg, it.utt_id) for it in items}
     if len(kinds) > 1:
         raise DataError("training manifest mixes fbank and speaker feature kinds")
     kind = kinds.pop()
@@ -303,17 +288,10 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
     frontend = FrontendNet(enc_cfg)
     cm1 = Cm1Net(cm1_cfg)
     cm2 = Cm2Net(enc_cfg)
-    frontend_names = set(frontend.tensor_names()) | {"frontend.cls.w"}
-    if cm_id == "cm1":
-        trainable = set(cm1.tensor_names())
-        frozen = frontend_names
-    elif cm_id == "cm2":
-        trainable = set(cm2.tensor_names(with_mfa=True))
-        frozen = frontend_names
-    else:
-        trainable = set(frontend_names)
-        frozen = set()
-    ckpt.frozen_names = frozen
+    net = {"cm1": cm1, "cm2": cm2, "frontend-toy": frontend}[cm_id]
+    trainable = set(tensor_names(net.layers()))
+    ckpt.frozen_names = (set() if net is frontend
+                         else set(tensor_names(frontend.layers())))
 
     rng = np.random.default_rng(train_cfg.seed)
     sampler = _BalancedSampler(labels, rng)
@@ -342,26 +320,21 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
 
         grads: dict[str, np.ndarray] = {}
         if cm_id == "cm1":
-            if kind == "fbank":
-                feats, _ = frontend.forward_features(params, x)
-            else:
-                feats = x
-            diffs = np.diff(feats, axis=1)
-            emb, cache = cm1.forward(params, diffs)
+            feats = frontend.forward_features(params, x)[0] if kind == "fbank" else x
+            emb, cache = cm1.forward(params, difference_sequence(feats))
             loss, demb, dw = aam_softmax_loss(emb, y, params["cm1.cls.w"], aam_cfg)
             cm1.backward(params, cache, demb, grads)
             grads["cm1.cls.w"] = dw
         elif cm_id == "cm2":
+            feats, mfa_cache = x, None
             if kind == "fbank":
-                feats, fcache = frontend.forward_features(params, x, mfa_prefix="cm2")
-            else:
-                feats, fcache = x, None
+                cat, _ = frontend.forward_concat(params, x)
+                feats, mfa_cache = cm2.forward_mfa(params, cat)
             emb, cache = cm2.forward_tail(params, feats)
             loss, demb, dw = aam_softmax_loss(emb, y, params["cm2.cls.w"], aam_cfg)
             dfeats = cm2.backward_tail(params, cache, demb, grads)
-            if fcache is not None:
-                frontend.backward_features(params, fcache, dfeats, grads,
-                                           through_frontend=False)
+            if mfa_cache is not None:
+                cm2.backward_mfa(params, mfa_cache, dfeats, grads)
             grads["cm2.cls.w"] = dw
         else:  # frontend-toy
             feats, fcache = frontend.forward_features(params, x)
@@ -370,8 +343,7 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
             loss, demb, dw = aam_softmax_loss(emb, y, params["frontend.cls.w"], aam_cfg)
             dstats = frontend.proj.backward(params, c_proj, demb, grads)
             dfeats = frontend.pool.backward(params, c_pool, dstats, grads)
-            frontend.backward_features(params, fcache, dfeats, grads,
-                                       through_frontend=True)
+            frontend.backward_features(params, fcache, dfeats, grads)
             grads["frontend.cls.w"] = dw
 
         lr = lr_schedule(step, train_cfg)

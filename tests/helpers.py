@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from tcssd.cm_temporal import Cm1Net
+
 
 def numeric_grad(loss_fn, params, name, eps=1e-6):
     """Central finite differences of loss_fn w.r.t. params[name]."""
@@ -97,3 +99,9 @@ def assert_directional_grads_close(loss_fn, params, analytic, names, rng,
             assert abs(ana - num) <= atol + rtol * scale, (
                 f"{name}: directional {ana:.6e} vs numeric {num:.6e} "
                 f"(gradient norm {scale:.3e})")
+
+
+def gru_final_state(diffs, params, cfg):
+    """Final hidden state of CM1's recurrence over one (T-1) x D sequence."""
+    h_seq, _ = Cm1Net(cfg).gru.forward(params, diffs[None])
+    return h_seq[0, -1]

@@ -18,17 +18,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, rank_auc
+from helpers import assert_grads_close, gru_final_state, rank_auc
 from tcssd.analysis import (SimConfig, simulate_trajectories,
                             tc_similarity_matrix_features, tc_statistic)
 from tcssd.checkpoint import load_checkpoint
 from tcssd.cli import main
 from tcssd.cm_distribution import cm2_score_features
-from tcssd.cm_temporal import Cm1Config, Cm1Net, cm1_score, difference_sequence, gru_forward
+from tcssd.cm_temporal import Cm1Config, Cm1Net, cm1_score, describe_cm1, difference_sequence
 from tcssd.config import toy_config
-from tcssd.encoder import EncoderConfig, ModelDescription, count_parameters, describe_cm1, estimate_flops
+from tcssd.encoder import ModelDescription, count_parameters, estimate_flops
 from tcssd.frontend import Waveform, trim_boundaries, trim_silence
-from tcssd.layers import Gru, Linear, init_layers
+from tcssd.layers import Gru, Linear, init_layers, tensor_names
 from tcssd.scoring import compute_eer, eer_from_arrays, parse_protocol, read_scores
 from tcssd.training import AamConfig, aam_softmax_loss
 
@@ -202,7 +202,7 @@ def test_criterion_3_gru():
               "cm1.gru.l0.w_hh": np.ones((3, 1)),
               "cm1.gru.l0.b_ih": np.zeros(3),
               "cm1.gru.l0.b_hh": np.zeros(3)}
-    h1 = float(gru_forward(np.array([[1.0]]), params, cfg)[0])
+    h1 = float(gru_final_state(np.array([[1.0]]), params, cfg)[0])
     mp.mp.dps = 50
     oracle = float((1 - 1 / (1 + mp.e ** -1)) * mp.tanh(1))
     hand_ok = abs(h1 - oracle) < 1e-6
@@ -228,7 +228,7 @@ def test_criterion_3_gru():
     net.backward(params, cache, demb, grads)
     grads["cm1.cls.w"] = dw
     try:
-        assert_grads_close(loss_fn, params, grads, net.tensor_names(), rtol=1e-4)
+        assert_grads_close(loss_fn, params, grads, tensor_names(net.layers()), rtol=1e-4)
         grad_ok = True
     except AssertionError:
         grad_ok = False
@@ -248,7 +248,7 @@ def test_criterion_3_documented_constant():
               "cm1.gru.l0.w_hh": np.ones((3, 1)),
               "cm1.gru.l0.b_ih": np.zeros(3),
               "cm1.gru.l0.b_hh": np.zeros(3)}
-    h1 = float(gru_forward(np.array([[1.0]]), params, cfg)[0])
+    h1 = float(gru_final_state(np.array([[1.0]]), params, cfg)[0])
     assert abs(h1 - 0.204863) < 1e-6
 
 
@@ -359,7 +359,7 @@ def gate_arithmetic_cm1_params():
 
 def test_criterion_7_parameter_accounting():
     oracle = gate_arithmetic_cm1_params()
-    counted = count_parameters(describe_cm1(EncoderConfig()))
+    counted = count_parameters(describe_cm1(Cm1Config()))
     exact_ok = counted == oracle == 29215808
 
     unit_ok = (
@@ -381,7 +381,7 @@ def test_criterion_7_parameter_accounting():
                           "documented tensor shapes; gate arithmetic gives "
                           "29,215,808 (2x14,164,992 + 786,944 + 98,496 + 384)")
 def test_criterion_7_documented_total():
-    assert count_parameters(describe_cm1(EncoderConfig())) == 29250432
+    assert count_parameters(describe_cm1(Cm1Config())) == 29250432
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Command-line contract tests: exit codes, formats, determinism."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from tcssd.cli import main
-from tcssd.frontend import Waveform, load_feature_map, load_waveform, save_waveform
+from tcssd.frontend import (FeatureMap, Waveform, load_feature_map, load_waveform,
+                            save_feature_map, save_waveform)
 
 SUBCOMMANDS = ["extract", "trim", "train", "score", "fuse", "evaluate",
                "analyze-tc", "analyze-dist", "simulate", "count-params", "flops"]
@@ -117,6 +119,49 @@ def test_flops_report(capsys):
     assert "24.67" in out
 
 
+# Reports as printed at the two presets, without the '#' provenance lines.
+NOTE = ("note: gate arithmetic over the documented tensor shapes gives the exact "
+        "counts above; the published reference figures do not decompose over the "
+        "described architecture (about 3 M unaccounted for cm1) and are shown for "
+        "comparison only, not forced to agree.")
+PARAM_REPORTS = {
+    "toy": ("16,160", "3,017", "19,177", "11,849"),
+    "full": ("29,215,808", "5,507,393", "34,723,201", "14,059,713"),
+}
+FLOPS_REPORTS = {
+    "toy": ("7,635,456", "16,859,776", "8,720,256", "17,944,576"),
+    "full": ("10,121,613,312", "32,772,625,152", "14,055,056,128", "36,706,067,968"),
+}
+
+
+def report_lines(capsys):
+    return [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+
+
+@pytest.mark.parametrize("preset", ["toy", "full"])
+def test_count_params_stdout_pinned(preset, capsys):
+    cm1, cm2, fusion, frontend = PARAM_REPORTS[preset]
+    assert main(["count-params", "--preset", preset]) == 0
+    assert report_lines(capsys) == [
+        f"cm1 trainable parameters: {cm1} (reported reference: 32.37 M)",
+        f"cm2 trainable parameters: {cm2} (reported reference: 6.57 M)",
+        f"fusion trainable parameters: {fusion} (reported reference: 38.94 M)",
+        f"frontend parameters (frozen during countermeasure training): {frontend}",
+        NOTE]
+
+
+@pytest.mark.parametrize("preset", ["toy", "full"])
+def test_flops_stdout_pinned(preset, capsys):
+    fe, cm1, cm2, fusion = FLOPS_REPORTS[preset]
+    assert main(["flops", "--preset", preset]) == 0
+    assert report_lines(capsys) == [
+        "duration: 4.0 s",
+        f"frontend FLOPs: {fe}",
+        f"cm1 FLOPs (frontend + head): {cm1} (reported reference: 24.67 G)",
+        f"cm2 FLOPs (frozen part + retrained tail): {cm2} (reported reference: 8.51 G)",
+        f"fusion FLOPs: {fusion} (reported reference: 28.49 G)"]
+
+
 @pytest.fixture(scope="module")
 def tiny_pipeline(tmp_path_factory):
     """simulate -> train(5 steps) -> score for CLI contract checks."""
@@ -201,6 +246,35 @@ def test_missing_feature_exits_two(tiny_pipeline, tmp_path, capsys):
                "--out", str(tmp_path / "s.tsv")])
     assert rc == 2
     assert "missing feature" in capsys.readouterr().err
+
+
+def test_analyze_dist_mis_sized_map_exits_two_like_score(tiny_pipeline, tmp_path, capsys):
+    """A map matching neither n_mels nor mfa_dim: both commands name the
+    utterance and the widths in the same DataError."""
+    _, sim, ck, _ = tiny_pipeline
+    feats = tmp_path / "feats"
+    shutil.copytree(sim / "features", feats)
+    bad = sorted(feats.glob("*.fea"))[0]
+    save_feature_map(FeatureMap(values=np.zeros((50, 7), dtype=np.float32)), bad)
+    common = ["--protocol", str(sim / "protocol.txt"), "--features", str(feats),
+              "--ckpt", str(ck / "final")]
+    want = (f"{bad.stem}: 7 channels match neither n_mels (80) "
+            f"nor mfa_dim (24)\n")
+    assert main(["score", "--cm", "1", *common, "--out", str(tmp_path / "s.tsv")]) == 2
+    assert capsys.readouterr().err == f"tcssd score: {want}"
+    assert main(["analyze-dist", *common, "--out", str(tmp_path / "p.tsv")]) == 2
+    assert capsys.readouterr().err == f"tcssd analyze-dist: {want}"
+    assert not (tmp_path / "p.tsv").exists()
+
+
+def test_analyze_dist_missing_feature_exits_two(tiny_pipeline, tmp_path, capsys):
+    _, sim, ck, _ = tiny_pipeline
+    rc = main(["analyze-dist", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(tmp_path), "--ckpt", str(ck / "final"),
+               "--out", str(tmp_path / "p.tsv")])
+    assert rc == 2
+    assert "missing feature" in capsys.readouterr().err
+    assert not (tmp_path / "p.tsv").exists()
 
 
 def test_bad_device_rejected(capsys):

@@ -5,11 +5,12 @@ import pytest
 
 from helpers import assert_grads_close
 from tcssd.checkpoint import Checkpoint
-from tcssd.cm_distribution import (Cm2Net, cm2_embed, cm2_embed_features,
+from tcssd.cm_distribution import (Cm2Net, cm2_embed_fbank, cm2_embed_tap,
                                    cm2_score, cm2_score_features)
 from tcssd.cm_temporal import Cm1Config
-from tcssd.encoder import toy_encoder_config
+from tcssd.encoder import FrontendNet, toy_encoder_config
 from tcssd.frontend import FeatureMap
+from tcssd.layers import init_layers, tensor_names
 from tcssd.training import AamConfig, aam_softmax_loss, build_checkpoint
 
 
@@ -24,24 +25,24 @@ def test_cm2_embed_shape_from_fbank():
     cfg, ckpt = toy_checkpoint()
     f = FeatureMap(values=np.random.default_rng(0)
                    .standard_normal((198, 80)).astype(np.float32))
-    emb = cm2_embed(f, cfg, ckpt)
-    assert emb.shape == (cfg.embed_dim,)
+    emb = cm2_embed_fbank(f.values[None], cfg, ckpt)
+    assert emb.shape == (1, cfg.embed_dim)
 
 
 def test_cm2_embed_deterministic():
     cfg, ckpt = toy_checkpoint(1)
     f = FeatureMap(values=np.random.default_rng(1)
                    .standard_normal((50, 80)).astype(np.float32))
-    a = cm2_embed(f, cfg, ckpt)
-    b = cm2_embed(f, cfg, ckpt)
+    a = cm2_embed_fbank(f.values[None], cfg, ckpt)
+    b = cm2_embed_fbank(f.values[None], cfg, ckpt)
     assert np.array_equal(a, b)
 
 
 def test_cm2_embed_features_shape():
     cfg, ckpt = toy_checkpoint(2)
     s = np.random.default_rng(2).standard_normal((60, cfg.mfa_dim)).astype(np.float32)
-    emb = cm2_embed_features(s, ckpt.tensors, cfg)
-    assert emb.shape == (cfg.embed_dim,)
+    emb = cm2_embed_tap(s[None], ckpt.tensors, cfg)
+    assert emb.shape == (1, cfg.embed_dim)
 
 
 def test_cm2_score_equal_weights_zero():
@@ -63,8 +64,7 @@ def test_cm2_score_bounded():
 def test_cm2_tail_gradients_match_finite_differences():
     cfg = toy_encoder_config()
     net = Cm2Net(cfg)
-    from tcssd.layers import init_layers
-    params = init_layers(net.tail_layers(), np.random.default_rng(5), dtype=np.float64)
+    params = init_layers([net.pool, net.proj], np.random.default_rng(5), dtype=np.float64)
     rng = np.random.default_rng(6)
     params["cm2.cls.w"] = rng.standard_normal((2, cfg.embed_dim))
     x = rng.standard_normal((3, 7, cfg.mfa_dim))
@@ -87,33 +87,29 @@ def test_cm2_tail_gradients_match_finite_differences():
 def test_cm2_fbank_lane_gradients_including_mfa_conv():
     """Full audio-lane CM2 loss: gradients for the MFA conv and tail."""
     cfg = toy_encoder_config()
-    from tcssd.encoder import FrontendNet
-    from tcssd.layers import init_layers
     frontend = FrontendNet(cfg)
-    params = frontend.init(np.random.default_rng(7), dtype=np.float64)
+    params = init_layers(frontend.layers(), np.random.default_rng(7), dtype=np.float64)
     net = Cm2Net(cfg)
-    init_layers(net.mfa_layers() + net.tail_layers(),
-                np.random.default_rng(8), params, dtype=np.float64)
+    init_layers(net.layers(), np.random.default_rng(8), params, dtype=np.float64)
     rng = np.random.default_rng(9)
     params["cm2.cls.w"] = rng.standard_normal((2, cfg.embed_dim))
     x = rng.standard_normal((2, 9, cfg.n_mels))
     y = np.array([0, 1])
     aam = AamConfig()
+    cat, _ = frontend.forward_concat(params, x)
 
     def loss_fn():
-        feats, _ = frontend.forward_features(params, x, mfa_prefix="cm2")
-        emb, _ = net.forward_tail(params, feats)
+        emb, _ = net.forward_tail(params, net.forward_mfa(params, cat)[0])
         loss, _, _ = aam_softmax_loss(emb, y, params["cm2.cls.w"], aam)
         return loss
 
-    feats, fcache = frontend.forward_features(params, x, mfa_prefix="cm2")
+    feats, mfa_cache = net.forward_mfa(params, cat)
     emb, cache = net.forward_tail(params, feats)
     loss, demb, dw = aam_softmax_loss(emb, y, params["cm2.cls.w"], aam)
     grads = {}
     dfeats = net.backward_tail(params, cache, demb, grads)
-    frontend.backward_features(params, fcache, dfeats, grads,
-                               through_frontend=False)
+    net.backward_mfa(params, mfa_cache, dfeats, grads)
     grads["cm2.cls.w"] = dw
-    names = net.tensor_names(with_mfa=True)
+    names = tensor_names(net.layers())
     assert sorted(names) == sorted(grads)
     assert_grads_close(loss_fn, params, grads, names, rtol=1e-4)

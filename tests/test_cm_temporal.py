@@ -4,13 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close
+from helpers import assert_grads_close, gru_final_state
 from tcssd.cm_temporal import (Cm1Config, Cm1Net, cm1_score,
-                               difference_sequence, gru_forward,
-                               score_from_embedding)
+                               difference_sequence, score_embeddings)
 from tcssd.encoder import SpeakerFeatureMap
 from tcssd.errors import DataError
-from tcssd.layers import Gru, init_layers
+from tcssd.layers import Gru, init_layers, tensor_names
 from tcssd.training import AamConfig, aam_softmax_loss
 
 
@@ -69,7 +68,7 @@ def test_gru_zero_input_zero_params_fixed_point():
     cfg = Cm1Config(input_dim=3, hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
     params = {name: np.zeros(shape)
               for name, shape in Gru("cm1.gru", 3, 4, 2).param_specs()}
-    h = gru_forward(np.zeros((6, 3)), params, cfg)
+    h = gru_final_state(np.zeros((6, 3)), params, cfg)
     assert np.all(h == 0.0)
 
 
@@ -81,7 +80,7 @@ def test_gru_scalar_hand_case():
     by the update rule h1 = (1 - z) * n with h0 = 0.)
     """
     cfg = Cm1Config(input_dim=1, hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
-    h = gru_forward(np.array([[1.0]]), scalar_gru_params(), cfg)
+    h = gru_final_state(np.array([[1.0]]), scalar_gru_params(), cfg)
     mp.mp.dps = 50
     z = 1 / (1 + mp.e ** -1)
     want = float((1 - z) * mp.tanh(1))
@@ -97,7 +96,7 @@ def test_gru_scalar_hand_case():
                           "intermediates 0.268941 * 0.761594 give the same")
 def test_gru_scalar_hand_case_documented_constant():
     cfg = Cm1Config(input_dim=1, hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
-    h = gru_forward(np.array([[1.0]]), scalar_gru_params(), cfg)
+    h = gru_final_state(np.array([[1.0]]), scalar_gru_params(), cfg)
     assert abs(float(h[0]) - 0.204863) < 1e-6
 
 
@@ -150,7 +149,7 @@ def test_score_cosine_extremes():
     w[0, 0] = 2.0   # bonafide axis (renormalized internally)
     w[1, 1] = 3.0   # spoof axis
     e = np.array([5.0, 0.0, 0.0, 0.0])  # aligned with bonafide, orthogonal to spoof
-    assert abs(score_from_embedding(e, w) - 1.0) < 1e-12
+    assert abs(score_embeddings(e[None], w)[0] - 1.0) < 1e-12
 
 
 def test_score_offset_invariance():
@@ -197,6 +196,6 @@ def test_cm1_loss_gradients_match_finite_differences():
     grads = {}
     net.backward(params, cache, demb, grads)
     grads["cm1.cls.w"] = dw
-    names = net.tensor_names()
+    names = tensor_names(net.layers())
     assert sorted(names) == sorted(grads)
     assert_grads_close(loss_fn, params, grads, names, rtol=1e-4)

@@ -1,24 +1,27 @@
 """Speaker encoder: shapes, gradients, pooling, accounting, checkpoint I/O."""
 
+import os
+
 import numpy as np
 import pytest
 
 from helpers import assert_directional_grads_close
+from tcssd import checkpoint
 from tcssd.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from tcssd.encoder import (ClassWeights, EncoderConfig, FrontendNet,
-                           ModelDescription, SpeakerFeatureMap, attentive_stats,
-                           count_parameters, describe_cm1, describe_cm2,
+from tcssd.cm_temporal import Cm1Config, describe_cm1
+from tcssd.encoder import (EncoderConfig, FrontendNet, ModelDescription,
+                           SpeakerFeatureMap, count_parameters,
                            encode_features, estimate_flops, pool_embedding,
                            toy_encoder_config)
 from tcssd.errors import CheckpointError, DataError
 from tcssd.frontend import FeatureMap
-from tcssd.layers import AttentiveStatsPool, Conv1d, Gru, Linear, init_layers
+from tcssd.layers import (AttentiveStatsPool, ClassWeights, Conv1d, Gru, Linear,
+                          init_layers, tensor_names)
 
 
 def make_toy_checkpoint(seed=0):
     cfg = toy_encoder_config()
-    net = FrontendNet(cfg)
-    params = net.init(np.random.default_rng(seed))
+    params = init_layers(FrontendNet(cfg).layers(), np.random.default_rng(seed))
     return cfg, Checkpoint(tensors=params, frozen_names=set(), config={})
 
 
@@ -34,7 +37,7 @@ def test_frontend_concat_gradients_match_finite_differences():
     layers = net.concat_layers()
     params = init_layers(layers, np.random.default_rng(11), dtype=np.float64)
     rng = np.random.default_rng(12)
-    names = net.tensor_names(layers)
+    names = tensor_names(layers)
     for name in names:  # move norms, biases and gates off their init values
         if params[name].ndim == 1:
             params[name] = params[name] + 0.5 * rng.standard_normal(params[name].shape)
@@ -99,15 +102,14 @@ def test_full_scale_mfa_width_matches_recurrent_input():
     cfg = EncoderConfig()
     net = FrontendNet(cfg)
     assert net.mfa_conv.out_ch == 1536
-    desc = describe_cm1(cfg)
-    assert desc.layers[0].input_dim == 1536
+    desc = describe_cm1(Cm1Config())
+    assert desc.layers[0].input_dim == net.mfa_conv.out_ch
 
 
 def test_full_scale_forward_shape():
     # short input through the C=1024 encoder: T x 80 -> T x 1536
     cfg = EncoderConfig()
-    net = FrontendNet(cfg)
-    params = net.init(np.random.default_rng(0))
+    params = init_layers(FrontendNet(cfg).layers(), np.random.default_rng(0))
     ckpt = Checkpoint(tensors=params, frozen_names=set(), config={})
     f = FeatureMap(values=np.random.default_rng(1)
                    .standard_normal((6, 80)).astype(np.float32))
@@ -120,10 +122,20 @@ def test_full_scale_forward_shape():
 # Attentive pooling
 # ---------------------------------------------------------------------------
 
-def _pool_params(rng, dim=4, att=3, emb=5, prefix="frontend"):
-    layers = [AttentiveStatsPool(f"{prefix}.pool", dim, att),
-              Linear(f"{prefix}.proj", 2 * dim, emb)]
+def _pool_params(rng, dim=4, att=3, emb=5):
+    layers = [AttentiveStatsPool("frontend.pool", dim, att),
+              Linear("frontend.proj", 2 * dim, emb)]
     return init_layers(layers, rng, dtype=np.float64)
+
+
+def attentive_stats(values, params):
+    """(mu, sigma, alpha) of the pooling layer over one T x D map."""
+    d = values.shape[1]
+    pool = AttentiveStatsPool("frontend.pool", d,
+                              params["frontend.pool.att.fc1.w"].shape[0])
+    out, cache = pool.forward(params, values[None, :, :])
+    alpha = cache[4]
+    return out[0, :d], out[0, d:], alpha[0]
 
 
 def test_pool_constant_input_moments():
@@ -214,7 +226,7 @@ def test_count_excludes_frozen():
 
 def test_count_matches_declared_tensors():
     # self-consistency: count equals the sum over declared tensor shapes
-    desc = describe_cm1(EncoderConfig())
+    desc = describe_cm1(Cm1Config())
     total = sum(int(np.prod(shape)) for _, shape in desc.tensor_shapes())
     assert count_parameters(desc) == total
 
@@ -296,6 +308,38 @@ def test_checkpoint_save_is_byte_deterministic(tmp_path):
         (tmp_path / "b" / "weights.bin").read_bytes()
     assert (tmp_path / "a" / "manifest.json").read_bytes() == \
         (tmp_path / "b" / "manifest.json").read_bytes()
+
+
+def test_checkpoint_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    """A save that fails at the weights write leaves the previous checkpoint
+    loadable with its old bytes, and no temporary directory behind."""
+    path = tmp_path / "ck"
+    old = _random_checkpoint(np.random.default_rng(5))
+    save_checkpoint(old, path)
+    files = ("manifest.json", "weights.bin")
+    before = {name: (path / name).read_bytes() for name in files}
+    new = _random_checkpoint(np.random.default_rng(6))  # same shapes and sizes
+    new.config = {"encoder": {"channels": 32}}
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if os.path.basename(file) == "weights.bin":
+            raise OSError("disk full")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(new, path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+    assert {name: (path / name).read_bytes() for name in files} == before
+    back = load_checkpoint(path)
+    assert back.config == old.config
+    for name in old.tensors:
+        assert np.array_equal(back.tensors[name], old.tensors[name])
+    save_checkpoint(new, path)
+    assert load_checkpoint(path).config == new.config
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+    assert sorted(p.name for p in path.iterdir()) == sorted(files)
 
 
 def test_class_weights_antipodal_init():

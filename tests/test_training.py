@@ -5,11 +5,13 @@ import pytest
 
 from helpers import assert_grads_close
 from tcssd.analysis import SimConfig, simulate_trajectories
+from tcssd.cm_distribution import Cm2Net
 from tcssd.cm_temporal import Cm1Config
 from tcssd.config import toy_config
 from tcssd.encoder import toy_encoder_config
 from tcssd.errors import DataError, TrainingError
 from tcssd.frontend import FeatureMap
+from tcssd.layers import tensor_names
 from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
                             build_checkpoint, lr_schedule, train)
@@ -291,3 +293,17 @@ def test_train_cm2_on_fbank_kind_updates_mfa_conv():
     assert not np.array_equal(ckpt.tensors["cm2.mfa.conv.w"], before)
     for name in ckpt.frozen_names:
         assert np.array_equal(ckpt.tensors[name], init.tensors[name])
+
+
+def test_build_checkpoint_cm2_starts_as_frontend_copy():
+    enc, cm1, _, _ = tiny_run_cfg()
+    ckpt = build_checkpoint(enc, cm1, seed=3)
+    copied = [n for n in ckpt.tensors if n.startswith("cm2.")]
+    assert sorted(copied) == sorted(tensor_names(Cm2Net(enc).layers())) == sorted(
+        ["cm2.mfa.conv.w", "cm2.mfa.conv.b", "cm2.pool.att.fc1.w",
+         "cm2.pool.att.fc1.b", "cm2.pool.att.fc2.w", "cm2.pool.att.fc2.b",
+         "cm2.proj.w", "cm2.proj.b", "cm2.cls.w"])
+    for name in copied:
+        twin = ckpt.tensors["frontend." + name[len("cm2."):]]
+        assert ckpt.tensors[name] is not twin
+        assert ckpt.tensors[name].tobytes() == twin.tobytes()
