@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, SpeakerFeatureMap, encode_features, pool_embedding
+from .encoder import EncoderConfig, FrontendNet, SpeakerFeatureMap
 from .errors import DataError
-from .frontend import FRAME_RATE, Waveform, compute_fbank
+from .frontend import FRAME_RATE, N_MELS, Waveform, compute_fbank
+from .layers import tensor_names
 
 SEGMENT_FRAMES_DEFAULT = 50  # 0.5 s at 10 ms frames
 
@@ -67,11 +68,15 @@ def tc_similarity_matrix(w: Waveform, k: int = 8, seg_dur: float = 0.5,
     """Cosine matrix of k random 0.5 s segment embeddings, in time order.
 
     Segment starts are uniform over the utterance (overlap permitted) and
-    sorted ascending; each segment runs through FBank, the frozen encoder
-    and attentive pooling to get its embedding.
+    sorted ascending; each segment's FBank runs through ``FrontendNet.embed``
+    (the frozen encoder, attentive pooling and projection).
     """
     if k < 2:
         raise DataError("need at least 2 segments")
+    if cfg.n_mels != N_MELS:
+        raise DataError(f"encoder expects {cfg.n_mels} channels, FBank has {N_MELS}")
+    net = FrontendNet(cfg)
+    ckpt.require(tensor_names(net.embed_layers("fbank")))
     dur = len(w.samples) / w.sample_rate
     if dur < seg_dur:
         raise DataError(f"utterance ({dur:.3f} s) shorter than segment ({seg_dur} s)")
@@ -82,8 +87,8 @@ def tc_similarity_matrix(w: Waveform, k: int = 8, seg_dur: float = 0.5,
     for t0 in starts:
         i0 = int(round(t0 * w.sample_rate))
         seg = Waveform(samples=w.samples[i0:i0 + seg_len], sample_rate=w.sample_rate)
-        feats = encode_features(compute_fbank(seg), cfg, ckpt)
-        embeddings.append(pool_embedding(feats, ckpt.tensors))
+        emb, _ = net.embed(ckpt.tensors, compute_fbank(seg).values[None], "fbank")
+        embeddings.append(emb[0])
     return SimilarityMatrix(values=_cosine_matrix(embeddings), segment_times=starts)
 
 

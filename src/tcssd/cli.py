@@ -25,14 +25,14 @@ from .config import (PRESETS, RunConfig, apply_flat_overrides, config_hash,
                      parse_config_file)
 from .cm_distribution import describe_cm2
 from .cm_temporal import describe_cm1
-from .encoder import (count_parameters, describe_frontend, estimate_flops,
-                      pool_embedding, tap_features)
+from .encoder import (FrontendNet, count_parameters, describe_frontend,
+                      estimate_flops)
 from .errors import TcssdError
 from .frontend import (FeatureMap, compute_fbank, load_feature_map,
                        load_waveform, save_feature_map, save_waveform,
                        trim_silence)
 from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
-                      fuse_scores, load_trial_map, parse_protocol, read_scores,
+                      embed_trials, fuse_scores, parse_protocol, read_scores,
                       score_trials, serialize_protocol, write_scores)
 from .training import (LABEL_BONAFIDE, LABEL_SPOOF, TrainItem,
                        checkpoint_configs, train)
@@ -138,26 +138,20 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="inline config override (repeatable)")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--device", default="cpu", help="compute device (cpu only)")
     return common
 
 
 def _effective_config(args) -> RunConfig:
-    cfg = PRESETS[args.preset]()
-    if args.config:
-        cfg = apply_flat_overrides(cfg, parse_config_file(args.config))
-    inline = {}
+    """Preset < config file < --set, merged into one override."""
+    flat = parse_config_file(args.config) if args.config else {}
     for item in args.set:
         key, _, value = item.partition("=")
         if not value:
             raise TcssdError(f"--set expects KEY=VALUE, got '{item}'")
-        inline[key.strip()] = value.strip()
-    if inline:
-        cfg = apply_flat_overrides(cfg, inline)
+        flat[key.strip()] = value.strip()
+    cfg = apply_flat_overrides(PRESETS[args.preset](), flat)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    if args.device != "cpu":
-        raise TcssdError(f"unsupported device '{args.device}': cpu only")
     return cfg
 
 
@@ -281,13 +275,11 @@ def _cmd_analyze_dist(args, cfg):
     records = parse_protocol(args.protocol)
     ckpt = load_checkpoint(args.ckpt)
     enc_cfg, _ = checkpoint_configs(ckpt)
-    embeddings = []
-    for r in records:
-        kind, values = load_trial_map(args.features, r, enc_cfg)
-        if kind == "fbank":
-            values = tap_features(values[None], enc_cfg, ckpt)[0]
-        embeddings.append(pool_embedding(values, ckpt.tensors))
-    coords = pca_project(np.stack(embeddings), out_dim=2)
+    embeddings = np.empty((len(records), enc_cfg.embed_dim))
+    for idx, emb in embed_trials(FrontendNet(enc_cfg), records, args.features,
+                                 ckpt, enc_cfg, batch_size=1):
+        embeddings[idx] = emb
+    coords = pca_project(embeddings, out_dim=2)
     write_projection([r.utt_id for r in records], coords,
                      [r.key for r in records], args.out,
                      header_lines=_provenance(args, cfg))

@@ -13,8 +13,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .cm_temporal import score_embeddings
 from .encoder import (EncoderConfig, FrontendNet, ModelDescription,
-                      SpeakerFeatureMap, encoder_head)
-from .errors import DataError
+                      SpeakerFeatureMap, encoder_head, feature_kind)
 from .layers import relu, tensor_names
 
 
@@ -28,20 +27,16 @@ class Cm2Net:
 
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
+        self.frontend = FrontendNet(cfg)
         self.mfa_conv, self.pool, self.proj, self.cls = encoder_head(cfg, "cm2")
 
     def layers(self):
         return [self.mfa_conv, self.pool, self.proj, self.cls]
 
-    def forward_mfa(self, params, cat):
-        """Frozen-frontend concat (B, T, 3C) -> tap-point features (B, T, D)."""
-        pre, c_mfa = self.mfa_conv.forward(params, cat)
-        return relu(pre), (pre, c_mfa)
-
-    def backward_mfa(self, params, cache, dfeats, grads):
-        """Gradients of the MFA conv; the frozen concat below needs none."""
-        pre, c_mfa = cache
-        self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
+    def embed_layers(self, kind):
+        """The layers ``embed`` reads for maps of ``kind``."""
+        lane = self.frontend.concat_layers() + [self.mfa_conv] if kind == "fbank" else []
+        return lane + [self.pool, self.proj]
 
     def forward_tail(self, params, feats):
         """feats: (B, T, D) at the tap point -> (embeddings, cache)."""
@@ -54,39 +49,38 @@ class Cm2Net:
         dstats = self.proj.backward(params, c_proj, demb, grads)
         return self.pool.backward(params, c_pool, dstats, grads)
 
+    def embed(self, params, x, kind):
+        """Equal-length maps x (B, T, M) of ``kind`` -> (embeddings (B, E),
+        cache); FBank maps pass the frozen concat and CM2's MFA conv."""
+        mfa_cache = None
+        if kind == "fbank":
+            cat, _ = self.frontend.forward_concat(params, x)
+            pre, c_mfa = self.mfa_conv.forward(params, cat)
+            x, mfa_cache = relu(pre), (pre, c_mfa)
+        emb, tail_cache = self.forward_tail(params, x)
+        return emb, (mfa_cache, tail_cache)
+
+    def backward_embed(self, params, cache, demb, grads):
+        """Gradients of CM2's own tensors; the frozen concat needs none."""
+        mfa_cache, tail_cache = cache
+        dfeats = self.backward_tail(params, tail_cache, demb, grads)
+        if mfa_cache is not None:
+            pre, c_mfa = mfa_cache
+            self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
+
 
 def describe_cm2(cfg: EncoderConfig) -> ModelDescription:
     """Trainable layers of the distribution countermeasure (post-concat)."""
     return ModelDescription("cm2", Cm2Net(cfg).layers())
 
 
-def cm2_embed_tap(x: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
-    """Embeddings (B, E) of equal-length maps x (B, T, D) already at the tap
-    point, through CM2's pooling tail."""
-    if x.shape[1] < 1:
-        raise DataError("embedding needs a T x D matrix with T >= 1")
-    emb, _ = Cm2Net(cfg).forward_tail(params, x)
-    return emb
-
-
-def cm2_embed_fbank(x: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
-    """Full audio lane on equal-length FBank maps x (B, T, n_mels): frozen
-    frontend concat -> CM2 MFA conv -> tail -> embeddings (B, E)."""
-    if x.shape[2] != cfg.n_mels:
-        raise DataError(
-            f"feature map has {x.shape[2]} channels, encoder expects {cfg.n_mels}")
-    frontend = FrontendNet(cfg)
-    net = Cm2Net(cfg)
-    ckpt.require(tensor_names(frontend.concat_layers() + net.layers()))
-    cat, _ = frontend.forward_concat(ckpt.tensors, x.astype(np.float32))
-    feats, _ = net.forward_mfa(ckpt.tensors, cat)
-    emb, _ = net.forward_tail(ckpt.tensors, feats)
-    return emb
-
-
 def cm2_score(f, cfg: EncoderConfig, ckpt: Checkpoint) -> float:
-    """Spoof/bonafide score of one FBank map from the embedding's class cosines."""
-    emb = cm2_embed_fbank(f.values[None, :, :], cfg, ckpt)
+    """Spoof/bonafide score of one FBank (or tap-point) map from the
+    embedding's class cosines."""
+    net = Cm2Net(cfg)
+    kind = feature_kind(f.values.shape[1], cfg, "feature map")
+    ckpt.require(tensor_names(net.embed_layers(kind) + [net.cls]))
+    emb, _ = net.embed(ckpt.tensors, f.values[None, :, :].astype(np.float32), kind)
     return float(score_embeddings(emb, ckpt.tensors["cm2.cls.w"])[0])
 
 
@@ -94,5 +88,5 @@ def cm2_score_features(s: SpeakerFeatureMap | np.ndarray, params: dict,
                        cfg: EncoderConfig) -> float:
     """Score of one map already at the tap point."""
     values = s.values if isinstance(s, SpeakerFeatureMap) else s
-    emb = cm2_embed_tap(values[None, :, :], params, cfg)
+    emb, _ = Cm2Net(cfg).embed(params, values[None, :, :], "speaker")
     return float(score_embeddings(emb, params["cm2.cls.w"])[0])

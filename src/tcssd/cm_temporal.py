@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import ModelDescription, SpeakerFeatureMap
+from .encoder import FrontendNet, ModelDescription, SpeakerFeatureMap
 from .errors import DataError
 from .layers import ClassWeights, Gru, Linear, relu
 
@@ -45,10 +45,12 @@ def toy_cm1_config(input_dim: int = 24) -> Cm1Config:
 
 
 class Cm1Net:
-    """CM1 layer graph; parameters live under ``cm1.*``."""
+    """CM1 layer graph; parameters live under ``cm1.*``.  FBank maps are
+    read through ``frontend``, the frozen speaker encoder, when given."""
 
-    def __init__(self, cfg: Cm1Config):
+    def __init__(self, cfg: Cm1Config, frontend: FrontendNet | None = None):
         self.cfg = cfg
+        self.frontend = frontend
         self.gru = Gru("cm1.gru", cfg.input_dim, cfg.hidden, cfg.n_layers,
                        input_gain=cfg.input_gain, carry_bias=cfg.carry_bias)
         self.fc1 = Linear("cm1.fc1", cfg.hidden, cfg.fc1_out)
@@ -57,6 +59,22 @@ class Cm1Net:
 
     def layers(self):
         return [self.gru, self.fc1, self.fc2, self.cls]
+
+    def embed_layers(self, kind):
+        """The layers ``embed`` reads for maps of ``kind``."""
+        own = [self.gru, self.fc1, self.fc2]
+        return self.frontend.feature_layers() + own if kind == "fbank" else own
+
+    def embed(self, params, x, kind):
+        """Equal-length maps x (B, T, M) of ``kind`` -> (embeddings (B, E),
+        cache), through the frozen frontend for FBank maps."""
+        if kind == "fbank":
+            x, _ = self.frontend.forward_features(params, x)
+        return self.forward(params, difference_sequence(x))
+
+    def backward_embed(self, params, cache, demb, grads):
+        """Gradients of CM1's own tensors; the frozen frontend needs none."""
+        self.backward(params, cache, demb, grads)
 
     def forward(self, params, diffs):
         """diffs: (B, T-1, D) difference sequences -> (embeddings, cache)."""
@@ -109,14 +127,8 @@ def score_embeddings(emb: np.ndarray, class_w: np.ndarray) -> np.ndarray:
     return cos[:, 0] - cos[:, 1]
 
 
-def cm1_embed(x: np.ndarray, params: dict, cfg: Cm1Config) -> np.ndarray:
-    """Embeddings (B, E) of equal-length speaker-feature maps x (B, T, D)."""
-    emb, _ = Cm1Net(cfg).forward(params, difference_sequence(x))
-    return emb
-
-
 def cm1_score(s: SpeakerFeatureMap | np.ndarray, params: dict, cfg: Cm1Config) -> float:
     """Spoof/bonafide score of one utterance's speaker-feature map."""
     values = s.values if isinstance(s, SpeakerFeatureMap) else s
-    emb = cm1_embed(values[None, :, :], params, cfg)
+    emb, _ = Cm1Net(cfg).embed(params, values[None, :, :], "speaker")
     return float(score_embeddings(emb, params["cm1.cls.w"])[0])

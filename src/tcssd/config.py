@@ -29,15 +29,17 @@ class RunConfig:
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
     sim: SimConfig = field(default_factory=SimConfig)
 
+    def __post_init__(self):
+        if self.cm1.input_dim != self.encoder.mfa_dim:
+            raise DataError(
+                f"cm1.input_dim ({self.cm1.input_dim}) must equal "
+                f"encoder.mfa_dim ({self.encoder.mfa_dim}), the tap width CM1 reads")
+
     def with_seed(self, seed: int) -> "RunConfig":
         """One seed drives the run: training and simulation inherit it."""
         return replace(self, seed=seed,
                        train=replace(self.train, seed=seed),
                        sim=replace(self.sim, seed=seed))
-
-
-def full_config() -> RunConfig:
-    return RunConfig()
 
 
 def toy_config() -> RunConfig:
@@ -46,7 +48,7 @@ def toy_config() -> RunConfig:
                      train=toy_train_config())
 
 
-PRESETS = {"full": full_config, "toy": toy_config}
+PRESETS = {"full": RunConfig, "toy": toy_config}
 
 _SECTIONS = ("encoder", "cm1", "train", "aam", "augment", "sim")
 

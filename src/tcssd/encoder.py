@@ -147,6 +147,14 @@ class FrontendNet:
         dh = dr * (h > 0)
         return self.stem_conv.backward(params, c_stem, dh, grads)
 
+    def feature_layers(self):
+        return self.concat_layers() + [self.mfa_conv]
+
+    def embed_layers(self, kind):
+        """The layers ``embed`` reads for maps of ``kind``."""
+        lane = self.feature_layers() if kind == "fbank" else []
+        return lane + [self.pool, self.proj]
+
     def forward_features(self, params, x):
         """Full frontend to the MFA tap: (B, T, n_mels) -> (B, T, D)."""
         cat, cat_cache = self.forward_concat(params, x)
@@ -158,39 +166,35 @@ class FrontendNet:
         dcat = self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
         return self.backward_concat(params, cat_cache, dcat, grads)
 
+    def embed(self, params, x, kind):
+        """Equal-length maps x (B, T, M) of ``kind`` -> (embeddings (B, E),
+        cache): FBank maps run to the MFA tap first, then attentive
+        pooling and the projection."""
+        fcache = None
+        if kind == "fbank":
+            x, fcache = self.forward_features(params, x)
+        stats, c_pool = self.pool.forward(params, x)
+        emb, c_proj = self.proj.forward(params, stats)
+        return emb, (fcache, c_pool, c_proj)
 
-def tap_features(x: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
-    """Run the frozen frontend on equal-length FBank maps x (B, T, n_mels),
-    tapping the MFA output -> (B, T, D)."""
-    if x.shape[2] != cfg.n_mels:
-        raise DataError(
-            f"feature map has {x.shape[2]} channels, encoder expects {cfg.n_mels}")
-    net = FrontendNet(cfg)
-    ckpt.require(tensor_names(net.concat_layers() + [net.mfa_conv]))
-    feats, _ = net.forward_features(ckpt.tensors, x.astype(np.float32))
-    return feats
+    def backward_embed(self, params, cache, demb, grads):
+        fcache, c_pool, c_proj = cache
+        dstats = self.proj.backward(params, c_proj, demb, grads)
+        dfeats = self.pool.backward(params, c_pool, dstats, grads)
+        if fcache is not None:
+            self.backward_features(params, fcache, dfeats, grads)
 
 
 def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint,
                     source_utt: str = "") -> SpeakerFeatureMap:
     """Run the frozen frontend on one FBank map, tapping the MFA output."""
-    feats = tap_features(f.values[None, :, :], cfg, ckpt)
+    if f.n_channels != cfg.n_mels:
+        raise DataError(
+            f"feature map has {f.n_channels} channels, encoder expects {cfg.n_mels}")
+    net = FrontendNet(cfg)
+    ckpt.require(tensor_names(net.feature_layers()))
+    feats, _ = net.forward_features(ckpt.tensors, f.values[None].astype(np.float32))
     return SpeakerFeatureMap(values=feats[0], source_utt=source_utt)
-
-
-def pool_embedding(s: SpeakerFeatureMap | np.ndarray, params: dict) -> np.ndarray:
-    """The frontend's attentive mean/std pooling + linear projection of one
-    T x D map -> embedding vector."""
-    values = s.values if isinstance(s, SpeakerFeatureMap) else s
-    if values.ndim != 2 or values.shape[0] < 1:
-        raise DataError("pooling needs a T x D matrix with T >= 1")
-    att_dim = params["frontend.pool.att.fc1.w"].shape[0]
-    pool = AttentiveStatsPool("frontend.pool", values.shape[1], att_dim)
-    proj = Linear("frontend.proj", 2 * values.shape[1],
-                  params["frontend.proj.w"].shape[0])
-    stats, _ = pool.forward(params, values[None, :, :])
-    emb, _ = proj.forward(params, stats)
-    return emb[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +203,19 @@ def pool_embedding(s: SpeakerFeatureMap | np.ndarray, params: dict) -> np.ndarra
 
 @dataclass
 class ModelDescription:
-    """Named list of layers with an optional set of frozen layer names."""
+    """Named list of layers; counts and FLOPs sum over them."""
 
     name: str
     layers: list = field(default_factory=list)
-    frozen_layer_prefixes: tuple[str, ...] = ()
-
-    def _trainable(self, layer) -> bool:
-        return not any(layer.name.startswith(p) for p in self.frozen_layer_prefixes)
 
     def tensor_shapes(self):
-        """(name, shape) of every trainable tensor."""
-        return [spec for layer in self.layers if self._trainable(layer)
-                for spec in layer.param_specs()]
+        """(name, shape) of every tensor of the layers."""
+        return [spec for layer in self.layers for spec in layer.param_specs()]
 
 
 def count_parameters(desc: ModelDescription) -> int:
-    """Exact trainable scalar count; frozen tensors are excluded."""
-    total = 0
-    for _, shape in desc.tensor_shapes():
-        total += int(np.prod(shape, dtype=np.int64)) if shape else 1
-    return total
+    """Exact scalar count over the described tensors."""
+    return sum(int(np.prod(shape, dtype=np.int64)) for _, shape in desc.tensor_shapes())
 
 
 def estimate_flops(desc: ModelDescription, input_duration: float,

@@ -272,6 +272,8 @@ def load_feature_map(path) -> FeatureMap:
         "<6I", blob[len(FEATURE_MAGIC):hdr_len])
     if version != FEATURE_VERSION:
         raise DataError(f"feature cache version mismatch in {path}: {version}")
+    if t == 0:
+        raise DataError(f"empty feature map: {path}")
     expected = hdr_len + 4 * t * m
     if len(blob) != expected:
         raise DataError(

@@ -217,7 +217,21 @@ class ChannelNorm:
         return 0
 
 
-class SEGate:
+class Composite:
+    """A layer built from sublayers, listed once by ``children()`` in
+    parameter (and init draw) order; specs, init and FLOPs are theirs."""
+
+    def param_specs(self):
+        return [spec for child in self.children() for spec in child.param_specs()]
+
+    def init(self, params, rng, dtype=np.float32):
+        init_layers(self.children(), rng, params, dtype)
+
+    def flops(self, n_frames: int) -> int:
+        return sum(child.flops(n_frames) for child in self.children())
+
+
+class SEGate(Composite):
     """Squeeze-excitation: rescale channels by a gate from the time-mean."""
 
     def __init__(self, name: str, channels: int, bottleneck: int):
@@ -227,12 +241,8 @@ class SEGate:
         self.fc1 = Linear(f"{name}.fc1", channels, bottleneck)
         self.fc2 = Linear(f"{name}.fc2", bottleneck, channels)
 
-    def param_specs(self):
-        return self.fc1.param_specs() + self.fc2.param_specs()
-
-    def init(self, params, rng, dtype=np.float32):
-        self.fc1.init(params, rng, dtype)
-        self.fc2.init(params, rng, dtype)
+    def children(self):
+        return [self.fc1, self.fc2]
 
     def forward(self, params, x):
         s = _time_mean(x)[:, 0]
@@ -261,7 +271,7 @@ class SEGate:
         return self.fc1.flops(1) + self.fc2.flops(1)
 
 
-class SERes2Block:
+class SERes2Block(Composite):
     """Dilated Res2-style block with squeeze-excitation and residual add.
 
     conv1x1 -> norm -> ReLU -> hierarchical grouped dilated convs (each
@@ -290,23 +300,9 @@ class SERes2Block:
         self.norm3 = ChannelNorm(f"{name}.norm3", channels)
         self.se = SEGate(f"{name}.se", channels, se_bottleneck)
 
-    def param_specs(self):
-        specs = self.conv1.param_specs() + self.norm1.param_specs()
-        for conv, norm in zip(self.convs, self.norms):
-            specs += conv.param_specs() + norm.param_specs()
-        specs += self.conv3.param_specs() + self.norm3.param_specs()
-        specs += self.se.param_specs()
-        return specs
-
-    def init(self, params, rng, dtype=np.float32):
-        self.conv1.init(params, rng, dtype)
-        self.norm1.init(params, rng, dtype)
-        for conv, norm in zip(self.convs, self.norms):
-            conv.init(params, rng, dtype)
-            norm.init(params, rng, dtype)
-        self.conv3.init(params, rng, dtype)
-        self.norm3.init(params, rng, dtype)
-        self.se.init(params, rng, dtype)
+    def children(self):
+        pairs = [layer for pair in zip(self.convs, self.norms) for layer in pair]
+        return [self.conv1, self.norm1, *pairs, self.conv3, self.norm3, self.se]
 
     def forward(self, params, x):
         h1, c1 = self.conv1.forward(params, x)
@@ -357,15 +353,8 @@ class SERes2Block:
         dh1 = self.norm1.backward(params, cn1, dn1, grads)
         return dy + self.conv1.backward(params, c1, dh1, grads)
 
-    def flops(self, n_frames: int) -> int:
-        total = self.conv1.flops(n_frames) + self.conv3.flops(n_frames)
-        for conv in self.convs:
-            total += conv.flops(n_frames)
-        total += self.se.flops(n_frames)
-        return total
 
-
-class AttentiveStatsPool:
+class AttentiveStatsPool(Composite):
     """Attention-weighted mean/std pooling over frames -> (B, 2*in_dim).
 
     Attention is a per-frame bottleneck: tanh(fc1) -> fc2 -> softmax over
@@ -382,12 +371,8 @@ class AttentiveStatsPool:
         self.fc1 = Linear(f"{name}.att.fc1", in_dim, att_dim, per_frame=True)
         self.fc2 = Linear(f"{name}.att.fc2", att_dim, 1, per_frame=True)
 
-    def param_specs(self):
-        return self.fc1.param_specs() + self.fc2.param_specs()
-
-    def init(self, params, rng, dtype=np.float32):
-        self.fc1.init(params, rng, dtype)
-        self.fc2.init(params, rng, dtype)
+    def children(self):
+        return [self.fc1, self.fc2]
 
     def forward(self, params, x):
         a_pre, c1 = self.fc1.forward(params, x)
@@ -420,9 +405,6 @@ class AttentiveStatsPool:
         da_pre = da * (1.0 - a * a)
         dx += self.fc1.backward(params, c1, da_pre, grads)
         return dx
-
-    def flops(self, n_frames: int) -> int:
-        return self.fc1.flops(n_frames) + self.fc2.flops(n_frames)
 
 
 class Gru:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .cm_distribution import cm2_embed_fbank, cm2_embed_tap
-from .cm_temporal import cm1_embed, score_embeddings
-from .encoder import EncoderConfig, feature_kind, tap_features
+from .cm_temporal import score_embeddings
+from .encoder import EncoderConfig, feature_kind
 from .errors import DataError
 from .frontend import load_feature_map
-from .training import checkpoint_configs
+from .layers import tensor_names
+from .training import checkpoint_configs, system_net
 
 KEY_BONAFIDE = "bonafide"
 KEY_SPOOF = "spoof"
@@ -228,23 +228,35 @@ def fuse_scores(a: ScoreSet, b: ScoreSet, w: float = 0.5,
                     system_id=f"fuse({a.system_id},{b.system_id},w={w})")
 
 
-def load_trial_map(feature_dir, r: TrialRecord, enc_cfg: EncoderConfig):
-    """(feature kind, T x M values) of one trial's cached map."""
-    path = os.path.join(feature_dir, f"{r.utt_id}.fea")
-    if not os.path.exists(path):
-        raise DataError(f"missing feature for utterance {r.utt_id}: {path}")
-    values = load_feature_map(path).values
-    return feature_kind(values.shape[1], enc_cfg, r.utt_id), values
+def embed_trials(net, records, feature_dir, ckpt: Checkpoint, enc_cfg: EncoderConfig,
+                 batch_size: int, also_read=()):
+    """Yield (trial indices, embeddings) for chunks of up to ``batch_size``
+    equal-length maps, one ``net.embed`` call each.
+
+    Every map is loaded and validated, and every tensor the chosen lanes
+    (and the layers ``also_read``) read is required, before any embedding.
+    Chunks group trials by (feature kind, frame count), first seen first.
+    """
+    groups: dict[tuple[str, int], list[tuple[int, np.ndarray]]] = {}
+    for i, r in enumerate(records):
+        values = load_feature_map(os.path.join(feature_dir, f"{r.utt_id}.fea")).values
+        kind = feature_kind(values.shape[1], enc_cfg, r.utt_id)
+        groups.setdefault((kind, values.shape[0]), []).append((i, values))
+    ckpt.require(tensor_names([*also_read, *(layer for kind, _ in groups
+                                             for layer in net.embed_layers(kind))]))
+    for (kind, _), members in groups.items():
+        for start in range(0, len(members), batch_size):
+            chunk = members[start:start + batch_size]
+            emb, _ = net.embed(ckpt.tensors, np.stack([v for _, v in chunk]), kind)
+            yield [i for i, _ in chunk], emb
 
 
 def score_trials(cm_id: str, records, feature_dir, ckpt: Checkpoint,
                  batch_size: int = DEFAULT_SCORE_BATCH) -> ScoreSet:
     """Score every trial from its cached features; full utterance, no crop.
 
-    Every map is loaded and validated first.  Trials are then grouped by
-    (feature kind, frame count) in first-seen order, so stacking needs no
-    padding, and each group is embedded in chunks of up to ``batch_size``
-    maps.  Entries come back in protocol order.  The chunking changes only
+    Each chunk from ``embed_trials`` is scored against the system's class
+    rows; entries come back in protocol order.  The chunking changes only
     floating-point summation order: scores agree within 1e-6 at any
     ``batch_size``, and a given ``batch_size`` gives byte-identical scores
     from run to run.
@@ -254,27 +266,11 @@ def score_trials(cm_id: str, records, feature_dir, ckpt: Checkpoint,
     if batch_size < 1:
         raise DataError("batch_size must be >= 1")
     enc_cfg, cm1_cfg = checkpoint_configs(ckpt)
-    params = ckpt.tensors
-    groups: dict[tuple[str, int], list[tuple[int, np.ndarray]]] = {}
-    for i, r in enumerate(records):
-        kind, values = load_trial_map(feature_dir, r, enc_cfg)
-        groups.setdefault((kind, values.shape[0]), []).append((i, values))
-
-    def embed(kind, x):
-        if cm_id == "cm1":
-            feats = tap_features(x, enc_cfg, ckpt) if kind == "fbank" else x
-            return cm1_embed(feats, params, cm1_cfg)
-        if kind == "fbank":
-            return cm2_embed_fbank(x, enc_cfg, ckpt)
-        return cm2_embed_tap(x, params, enc_cfg)
-
+    net = system_net(cm_id, enc_cfg, cm1_cfg)
     scores = np.empty(len(records))
-    for (kind, _), members in groups.items():
-        for start in range(0, len(members), batch_size):
-            chunk = members[start:start + batch_size]
-            emb = embed(kind, np.stack([values for _, values in chunk]))
-            scores[[i for i, _ in chunk]] = score_embeddings(
-                emb, params[f"{cm_id}.cls.w"])
+    for idx, emb in embed_trials(net, records, feature_dir, ckpt, enc_cfg,
+                                 batch_size, also_read=[net.cls]):
+        scores[idx] = score_embeddings(emb, ckpt.tensors[f"{net.cls.name}.w"])
     entries = [ScoreEntry(r.utt_id, float(score), r.key)
                for r, score in zip(records, scores)]
     return ScoreSet(entries=entries, system_id=cm_id)

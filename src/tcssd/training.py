@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, save_checkpoint
 from .cm_distribution import Cm2Net
-from .cm_temporal import Cm1Config, Cm1Net, difference_sequence
+from .cm_temporal import Cm1Config, Cm1Net
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
 from .frontend import AugmentPolicy, FeatureMap, random_crop, spec_augment
@@ -205,6 +205,18 @@ def build_checkpoint(enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
     return Checkpoint(tensors=params, frozen_names=set(), config=config)
 
 
+def system_net(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config):
+    """The net of system ``cm_id``; the countermeasures read FBank maps
+    through a frozen frontend of their own."""
+    if cm_id == "cm1":
+        return Cm1Net(cm1_cfg, FrontendNet(enc_cfg))
+    if cm_id == "cm2":
+        return Cm2Net(enc_cfg)
+    if cm_id == "frontend-toy":
+        return FrontendNet(enc_cfg)
+    raise DataError(f"unknown system '{cm_id}', expected one of {CM_IDS}")
+
+
 def config_dict(cfg) -> dict:
     """A config dataclass as the JSON object a checkpoint stores."""
     return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
@@ -268,8 +280,7 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
     and ``final`` when ``out_dir`` is given, along with the tab-separated
     ``train.log``.
     """
-    if cm_id not in CM_IDS:
-        raise DataError(f"unknown system '{cm_id}', expected one of {CM_IDS}")
+    net = system_net(cm_id, enc_cfg, cm1_cfg)
     if not items:
         raise DataError("empty training manifest")
     labels = np.array([it.label for it in items])
@@ -285,13 +296,10 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
     ckpt = build_checkpoint(enc_cfg, cm1_cfg, seed=train_cfg.seed,
                             init_from=init_ckpt)
     params = ckpt.tensors
-    frontend = FrontendNet(enc_cfg)
-    cm1 = Cm1Net(cm1_cfg)
-    cm2 = Cm2Net(enc_cfg)
-    net = {"cm1": cm1, "cm2": cm2, "frontend-toy": frontend}[cm_id]
     trainable = set(tensor_names(net.layers()))
-    ckpt.frozen_names = (set() if net is frontend
-                         else set(tensor_names(frontend.layers())))
+    ckpt.frozen_names = (set() if cm_id == "frontend-toy"
+                         else set(tensor_names(net.frontend.layers())))
+    cls_name = f"{net.cls.name}.w"
 
     rng = np.random.default_rng(train_cfg.seed)
     sampler = _BalancedSampler(labels, rng)
@@ -319,32 +327,10 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
         y = labels[idx]
 
         grads: dict[str, np.ndarray] = {}
-        if cm_id == "cm1":
-            feats = frontend.forward_features(params, x)[0] if kind == "fbank" else x
-            emb, cache = cm1.forward(params, difference_sequence(feats))
-            loss, demb, dw = aam_softmax_loss(emb, y, params["cm1.cls.w"], aam_cfg)
-            cm1.backward(params, cache, demb, grads)
-            grads["cm1.cls.w"] = dw
-        elif cm_id == "cm2":
-            feats, mfa_cache = x, None
-            if kind == "fbank":
-                cat, _ = frontend.forward_concat(params, x)
-                feats, mfa_cache = cm2.forward_mfa(params, cat)
-            emb, cache = cm2.forward_tail(params, feats)
-            loss, demb, dw = aam_softmax_loss(emb, y, params["cm2.cls.w"], aam_cfg)
-            dfeats = cm2.backward_tail(params, cache, demb, grads)
-            if mfa_cache is not None:
-                cm2.backward_mfa(params, mfa_cache, dfeats, grads)
-            grads["cm2.cls.w"] = dw
-        else:  # frontend-toy
-            feats, fcache = frontend.forward_features(params, x)
-            stats, c_pool = frontend.pool.forward(params, feats)
-            emb, c_proj = frontend.proj.forward(params, stats)
-            loss, demb, dw = aam_softmax_loss(emb, y, params["frontend.cls.w"], aam_cfg)
-            dstats = frontend.proj.backward(params, c_proj, demb, grads)
-            dfeats = frontend.pool.backward(params, c_pool, dstats, grads)
-            frontend.backward_features(params, fcache, dfeats, grads)
-            grads["frontend.cls.w"] = dw
+        emb, cache = net.embed(params, x, kind)
+        loss, demb, dw = aam_softmax_loss(emb, y, params[cls_name], aam_cfg)
+        net.backward_embed(params, cache, demb, grads)
+        grads[cls_name] = dw
 
         lr = lr_schedule(step, train_cfg)
         if not np.isfinite(loss):

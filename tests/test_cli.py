@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from tcssd.checkpoint import load_checkpoint, save_checkpoint
 from tcssd.cli import main
 from tcssd.frontend import (FeatureMap, Waveform, load_feature_map, load_waveform,
                             save_feature_map, save_waveform)
@@ -278,8 +279,47 @@ def test_analyze_dist_missing_feature_exits_two(tiny_pipeline, tmp_path, capsys)
 
 
 def test_bad_device_rejected(capsys):
-    rc = main(["count-params", "--device", "cuda"])
+    """There is no --device flag: any value is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["count-params", "--device", "cpu"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --device" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, tensor", [
+    (["score", "--cm", "1"], "cm1.fc1.w"),
+    (["score", "--cm", "2"], "cm2.proj.b"),
+    (["analyze-dist"], "frontend.proj.w"),
+])
+def test_missing_tensor_on_tap_point_maps_exits_two(tiny_pipeline, tmp_path, capsys,
+                                                    argv, tensor):
+    _, sim, ck, _ = tiny_pipeline
+    ckpt = load_checkpoint(ck / "final")
+    del ckpt.tensors[tensor]
+    ckpt.frozen_names.discard(tensor)
+    save_checkpoint(ckpt, tmp_path / "ck")
+    out = tmp_path / "out.tsv"
+    rc = main([*argv, "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
+               "--out", str(out)])
     assert rc == 2
+    assert tensor in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_cm1_input_dim_mismatch_exits_two(tmp_path, capsys):
+    """encoder.mfa_dim must equal cm1.input_dim, the width CM1's GRU reads."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--seed", "1",
+                 "--n-per-class", "2", "--set", "sim.dim=32"]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
+               "--steps", "1", "--set", "encoder.mfa_dim=32"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cm1.input_dim" in err and "encoder.mfa_dim" in err
+    assert not (tmp_path / "ck").exists()
 
 
 def test_config_file_and_inline_overrides(tmp_path):
@@ -337,7 +377,6 @@ def test_audio_lane_end_to_end(tmp_path, capsys):
     body = [l for l in scores.read_text().splitlines() if not l.startswith("#")]
     assert len(body) == 6
     # frontend carried over frozen from the toy-frontend checkpoint
-    from tcssd.checkpoint import load_checkpoint
     fe = load_checkpoint(fe_ck / "final")
     cm1 = load_checkpoint(cm1_ck / "final")
     assert np.array_equal(fe.tensors["frontend.stem.conv.w"],

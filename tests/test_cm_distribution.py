@@ -5,8 +5,7 @@ import pytest
 
 from helpers import assert_grads_close
 from tcssd.checkpoint import Checkpoint
-from tcssd.cm_distribution import (Cm2Net, cm2_embed_fbank, cm2_embed_tap,
-                                   cm2_score, cm2_score_features)
+from tcssd.cm_distribution import Cm2Net, cm2_score, cm2_score_features
 from tcssd.cm_temporal import Cm1Config
 from tcssd.encoder import FrontendNet, toy_encoder_config
 from tcssd.frontend import FeatureMap
@@ -25,7 +24,7 @@ def test_cm2_embed_shape_from_fbank():
     cfg, ckpt = toy_checkpoint()
     f = FeatureMap(values=np.random.default_rng(0)
                    .standard_normal((198, 80)).astype(np.float32))
-    emb = cm2_embed_fbank(f.values[None], cfg, ckpt)
+    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None], "fbank")
     assert emb.shape == (1, cfg.embed_dim)
 
 
@@ -33,15 +32,15 @@ def test_cm2_embed_deterministic():
     cfg, ckpt = toy_checkpoint(1)
     f = FeatureMap(values=np.random.default_rng(1)
                    .standard_normal((50, 80)).astype(np.float32))
-    a = cm2_embed_fbank(f.values[None], cfg, ckpt)
-    b = cm2_embed_fbank(f.values[None], cfg, ckpt)
+    a, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None], "fbank")
+    b, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None], "fbank")
     assert np.array_equal(a, b)
 
 
 def test_cm2_embed_features_shape():
     cfg, ckpt = toy_checkpoint(2)
     s = np.random.default_rng(2).standard_normal((60, cfg.mfa_dim)).astype(np.float32)
-    emb = cm2_embed_tap(s[None], ckpt.tensors, cfg)
+    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, s[None], "speaker")
     assert emb.shape == (1, cfg.embed_dim)
 
 
@@ -85,7 +84,8 @@ def test_cm2_tail_gradients_match_finite_differences():
 
 
 def test_cm2_fbank_lane_gradients_including_mfa_conv():
-    """Full audio-lane CM2 loss: gradients for the MFA conv and tail."""
+    """Full audio-lane CM2 loss through ``embed``/``backward_embed``:
+    gradients for the MFA conv and tail, none for the frozen concat."""
     cfg = toy_encoder_config()
     frontend = FrontendNet(cfg)
     params = init_layers(frontend.layers(), np.random.default_rng(7), dtype=np.float64)
@@ -96,19 +96,18 @@ def test_cm2_fbank_lane_gradients_including_mfa_conv():
     x = rng.standard_normal((2, 9, cfg.n_mels))
     y = np.array([0, 1])
     aam = AamConfig()
-    cat, _ = frontend.forward_concat(params, x)
+    cat, _ = frontend.forward_concat(params, x)  # frozen: computed once
 
     def loss_fn():
-        emb, _ = net.forward_tail(params, net.forward_mfa(params, cat)[0])
+        pre, _ = net.mfa_conv.forward(params, cat)
+        emb, _ = net.forward_tail(params, np.maximum(pre, 0))
         loss, _, _ = aam_softmax_loss(emb, y, params["cm2.cls.w"], aam)
         return loss
 
-    feats, mfa_cache = net.forward_mfa(params, cat)
-    emb, cache = net.forward_tail(params, feats)
+    emb, cache = net.embed(params, x, "fbank")
     loss, demb, dw = aam_softmax_loss(emb, y, params["cm2.cls.w"], aam)
     grads = {}
-    dfeats = net.backward_tail(params, cache, demb, grads)
-    net.backward_mfa(params, mfa_cache, dfeats, grads)
+    net.backward_embed(params, cache, demb, grads)
     grads["cm2.cls.w"] = dw
     names = tensor_names(net.layers())
     assert sorted(names) == sorted(grads)

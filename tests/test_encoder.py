@@ -8,10 +8,10 @@ import pytest
 from helpers import assert_directional_grads_close
 from tcssd import checkpoint
 from tcssd.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from tcssd.cm_distribution import describe_cm2
 from tcssd.cm_temporal import Cm1Config, describe_cm1
 from tcssd.encoder import (EncoderConfig, FrontendNet, ModelDescription,
-                           SpeakerFeatureMap, count_parameters,
-                           encode_features, estimate_flops, pool_embedding,
+                           count_parameters, encode_features, estimate_flops,
                            toy_encoder_config)
 from tcssd.errors import CheckpointError, DataError
 from tcssd.frontend import FeatureMap
@@ -53,6 +53,32 @@ def test_frontend_concat_gradients_match_finite_differences():
 
     assert_directional_grads_close(loss_fn, params, grads, names + ["x"],
                                    np.random.default_rng(13))
+
+
+def test_frontend_embed_gradients_match_finite_differences():
+    """The toy-frontend training path on FBank input: ``backward_embed``
+    through the projection, pooling, MFA tap and concat, for every tensor
+    ``embed`` reads, against central differences along random directions."""
+    net = FrontendNet(toy_encoder_config())
+    layers = net.embed_layers("fbank")
+    params = init_layers(layers, np.random.default_rng(21), dtype=np.float64)
+    rng = np.random.default_rng(22)
+    names = tensor_names(layers)
+    for name in names:  # move norms, biases and gates off their init values
+        if params[name].ndim == 1:
+            params[name] = params[name] + 0.5 * rng.standard_normal(params[name].shape)
+    x = rng.standard_normal((2, 9, net.cfg.n_mels))
+    r = rng.standard_normal((2, net.cfg.embed_dim))
+    emb, cache = net.embed(params, x, "fbank")
+    grads = {}
+    net.backward_embed(params, cache, r, grads)
+    assert sorted(grads) == sorted(names)
+
+    def loss_fn():
+        return float((net.embed(params, x, "fbank")[0] * r).sum())
+
+    assert_directional_grads_close(loss_fn, params, grads, names,
+                                   np.random.default_rng(23))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +217,12 @@ def test_pool_embedding_projects():
     rng = np.random.default_rng(4)
     params = _pool_params(rng)
     x = rng.standard_normal((6, 4))
-    emb = pool_embedding(SpeakerFeatureMap(values=x), params)
-    assert emb.shape == (5,)
+    net = FrontendNet(EncoderConfig(channels=16, mfa_dim=4, embed_dim=5, att_dim=3))
+    emb, _ = net.embed(params, x[None], "speaker")
+    assert emb.shape == (1, 5)
     stats = np.concatenate(attentive_stats(x, params)[:2])
     want = params["frontend.proj.w"] @ stats + params["frontend.proj.b"]
-    np.testing.assert_allclose(emb, want, atol=1e-12)
+    np.testing.assert_allclose(emb[0], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +244,15 @@ def test_count_empty_model():
 
 
 def test_count_excludes_frozen():
-    desc = ModelDescription(
-        name="m",
-        layers=[Linear("frozen.fc", 8, 4), Linear("live.fc", 8, 4)],
-        frozen_layer_prefixes=("frozen.",))
-    assert count_parameters(desc) == 8 * 4 + 4
+    """CM2's count holds its retrained head only, no frozen frontend tensor."""
+    c = toy_encoder_config()
+    desc = describe_cm2(c)
+    assert not [n for n, _ in desc.tensor_shapes() if n.startswith("frontend.")]
+    want = ((c.n_blocks * c.channels + 1) * c.mfa_dim     # MFA conv
+            + (c.mfa_dim + 1) * c.att_dim + c.att_dim + 1  # attention
+            + (2 * c.mfa_dim + 1) * c.embed_dim            # projection
+            + 2 * c.embed_dim)                             # class rows
+    assert count_parameters(desc) == want
 
 
 def test_count_matches_declared_tensors():

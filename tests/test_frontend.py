@@ -330,6 +330,14 @@ def test_cache_non_finite_rejected_naming_file(tmp_path, bad):
         load_feature_map(path)
 
 
+def test_cache_empty_map_rejected_naming_file(tmp_path):
+    """A zero-frame map has nothing to pool or difference; it stops at load."""
+    path = tmp_path / "utt8.fea"
+    save_feature_map(FeatureMap(values=np.zeros((0, 24), dtype=np.float32)), path)
+    with pytest.raises(DataError, match=r"empty feature map: .*utt8\.fea"):
+        load_feature_map(path)
+
+
 def test_cache_bad_magic_rejected(tmp_path):
     path = tmp_path / "x.fea"
     path.write_bytes(b"NOTAFEAFILE" + b"\x00" * 64)

@@ -14,7 +14,7 @@ from tcssd.frontend import FeatureMap
 from tcssd.layers import tensor_names
 from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
-                            build_checkpoint, lr_schedule, train)
+                            build_checkpoint, lr_schedule, system_net, train)
 
 
 def plain_softmax_ce(emb, labels, w, scale=1.0):
@@ -307,3 +307,26 @@ def test_build_checkpoint_cm2_starts_as_frontend_copy():
         twin = ckpt.tensors["frontend." + name[len("cm2."):]]
         assert ckpt.tensors[name] is not twin
         assert ckpt.tensors[name].tobytes() == twin.tobytes()
+
+
+@pytest.mark.parametrize("cm_id, kind", [
+    ("cm1", "fbank"), ("cm1", "speaker"), ("cm2", "fbank"), ("cm2", "speaker"),
+    ("frontend-toy", "fbank"),
+])
+def test_backward_embed_fills_exactly_own_trainable_grads(cm_id, kind):
+    """The net's own tensors get gradients (the class rows get theirs from
+    the loss); the frozen frontend of a countermeasure gets none."""
+    enc, cm1, _, _ = tiny_run_cfg()
+    net = system_net(cm_id, enc, cm1)
+    params = build_checkpoint(enc, cm1, seed=0).tensors
+    width = enc.n_mels if kind == "fbank" else enc.mfa_dim
+    x = np.random.default_rng(0).standard_normal((2, 12, width)).astype(np.float32)
+    emb, cache = net.embed(params, x, kind)
+    grads = {}
+    net.backward_embed(params, cache, np.ones_like(emb), grads)
+    want = set(tensor_names(net.layers())) - {f"{net.cls.name}.w"}
+    if (cm_id, kind) == ("cm2", "speaker"):  # tap-point maps skip CM2's MFA conv
+        want -= {"cm2.mfa.conv.w", "cm2.mfa.conv.b"}
+    assert set(grads) == want
+    if cm_id != "frontend-toy":
+        assert not [n for n in grads if n.startswith("frontend.")]
