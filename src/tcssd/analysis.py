@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, FrontendNet, SpeakerFeatureMap
+from .checkpoint import Checkpoint
+from .encoder import EncoderConfig, FrontendNet
 from .errors import DataError
-from .frontend import FRAME_RATE, N_MELS, Waveform, compute_fbank
+from .frontend import FRAME_RATE, N_MELS, FeatureMap, Waveform, compute_fbank
 from .layers import tensor_names
 
 SEGMENT_FRAMES_DEFAULT = 50  # 0.5 s at 10 ms frames
@@ -62,9 +63,9 @@ def _cosine_matrix(embeddings: list[np.ndarray]) -> np.ndarray:
     return m
 
 
-def tc_similarity_matrix(w: Waveform, k: int = 8, seg_dur: float = 0.5,
-                         seed: int = 0, cfg: EncoderConfig = None,
-                         ckpt=None) -> SimilarityMatrix:
+def tc_similarity_matrix(w: Waveform, cfg: EncoderConfig, ckpt: Checkpoint,
+                         k: int = 8, seg_dur: float = 0.5,
+                         seed: int = 0) -> SimilarityMatrix:
     """Cosine matrix of k random 0.5 s segment embeddings, in time order.
 
     Segment starts are uniform over the utterance (overlap permitted) and
@@ -92,15 +93,14 @@ def tc_similarity_matrix(w: Waveform, k: int = 8, seg_dur: float = 0.5,
     return SimilarityMatrix(values=_cosine_matrix(embeddings), segment_times=starts)
 
 
-def tc_similarity_matrix_features(s: SpeakerFeatureMap | np.ndarray, k: int = 8,
+def tc_similarity_matrix_features(values: np.ndarray, k: int = 8,
                                   seg_frames: int = SEGMENT_FRAMES_DEFAULT,
                                   seed: int = 0) -> SimilarityMatrix:
-    """Feature-map variant for maps already at the tap point.
+    """Feature-map variant for (T, D) maps already at the tap point.
 
     Segment embeddings are plain frame means of k random frame windows
     (sorted by start), which is all the simulator lane needs.
     """
-    values = s.values if isinstance(s, SpeakerFeatureMap) else s
     t = values.shape[0]
     if k < 2:
         raise DataError("need at least 2 segments")
@@ -151,8 +151,9 @@ def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int):
     Every utterance draws a base vector of norm ``base_scale``.  Spoof
     frames are base + iid noise; bonafide frames additionally accumulate a
     per-step Gaussian drift (a random walk), mimicking a speaker state that
-    changes over the utterance.  Returns a list of (SpeakerFeatureMap, key)
-    with key in {"bonafide", "spoof"}, bonafide first.
+    changes over the utterance.  Returns a list of (utt_id, FeatureMap,
+    key) with key in {"bonafide", "spoof"}, bonafide first; the maps carry
+    no audio provenance (frame_hop = frame_len = n_fft = 0).
     """
     rng = np.random.default_rng(cfg.seed)
     out = []
@@ -168,8 +169,8 @@ def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int):
             frames = frames + rng.normal(0.0, cfg.noise_sigma,
                                          size=(cfg.n_frames, cfg.dim))
             utt = f"SIM_{'T' if key == 'bonafide' else 'S'}_{i:06d}"
-            out.append((SpeakerFeatureMap(values=frames.astype(np.float32),
-                                          source_utt=utt), key))
+            out.append((utt, FeatureMap(values=frames.astype(np.float32),
+                                        frame_hop=0, frame_len=0, n_fft=0), key))
     return out
 
 

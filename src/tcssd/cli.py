@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,14 +24,13 @@ from .analysis import (pca_project, simulate_trajectories, tc_similarity_matrix,
 from .checkpoint import load_checkpoint
 from .config import (PRESETS, RunConfig, apply_flat_overrides, config_hash,
                      parse_config_file)
-from .cm_distribution import describe_cm2
-from .cm_temporal import describe_cm1
+from .cm_distribution import Cm2Net
+from .cm_temporal import Cm1Net
 from .encoder import (FrontendNet, count_parameters, describe_frontend,
                       estimate_flops)
 from .errors import TcssdError
-from .frontend import (FeatureMap, compute_fbank, load_feature_map,
-                       load_waveform, save_feature_map, save_waveform,
-                       trim_silence)
+from .frontend import (compute_fbank, load_feature_map, load_waveform,
+                       save_feature_map, save_waveform, trim_silence)
 from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
                       embed_trials, fuse_scores, parse_protocol, read_scores,
                       score_trials, serialize_protocol, write_scores)
@@ -60,22 +60,22 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tcssd", description=__doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name, help_text):
+    def add(name, help_text, handler):
         p = sub.add_parser(name, help=help_text,
                            parents=[_common_flags()], conflict_handler="resolve")
-        p.set_defaults(command=name)
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("extract", "compute FBank feature caches from WAV files")
+    p = add("extract", "compute FBank feature caches from WAV files", _cmd_extract)
     p.add_argument("--wav", nargs="+", required=True, help="input WAV file(s)")
     p.add_argument("--out", required=True, help="output feature directory")
 
-    p = add("trim", "remove leading/trailing silence from a WAV file")
+    p = add("trim", "remove leading/trailing silence from a WAV file", _cmd_trim)
     p.add_argument("--top-db", type=float, default=40.0)
     p.add_argument("input")
     p.add_argument("output")
 
-    p = add("train", "train a countermeasure or the toy frontend")
+    p = add("train", "train a countermeasure or the toy frontend", _cmd_train)
     p.add_argument("--cm", required=True, choices=["1", "2", "frontend-toy"])
     p.add_argument("--protocol", required=True)
     p.add_argument("--features", required=True, help="feature cache directory")
@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--init-ckpt", default=None)
     p.add_argument("--steps", type=int, default=None, help="override train.max_steps")
 
-    p = add("score", "score every trial of a protocol")
+    p = add("score", "score every trial of a protocol", _cmd_score)
     p.add_argument("--cm", required=True, choices=["1", "2"])
     p.add_argument("--protocol", required=True)
     p.add_argument("--features", required=True)
@@ -92,18 +92,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--batch-size", type=int, default=DEFAULT_SCORE_BATCH,
                    help="equal-length utterances embedded per batch")
 
-    p = add("fuse", "weighted score-level fusion of two score files")
+    p = add("fuse", "weighted score-level fusion of two score files", _cmd_fuse)
     p.add_argument("--a", dest="file_a", required=True)
     p.add_argument("--b", dest="file_b", required=True)
     p.add_argument("--w", type=float, default=0.5)
     p.add_argument("--normalize", choices=["none", "minmax", "znorm"], default="none")
     p.add_argument("--out", required=True)
 
-    p = add("evaluate", "equal error rate of a score file against a protocol")
+    p = add("evaluate", "equal error rate of a score file against a protocol",
+            _cmd_evaluate)
     p.add_argument("--scores", required=True)
     p.add_argument("--protocol", required=True)
 
-    p = add("analyze-tc", "intra-utterance similarity matrix of segment embeddings")
+    p = add("analyze-tc", "intra-utterance similarity matrix of segment embeddings",
+            _cmd_analyze_tc)
     p.add_argument("--wav", default=None)
     p.add_argument("--features", default=None, help="feature cache file")
     p.add_argument("--ckpt", default=None)
@@ -112,19 +114,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--seg-frames", type=int, default=50)
     p.add_argument("--out", required=True)
 
-    p = add("analyze-dist", "2-D projection of inter-utterance embeddings")
+    p = add("analyze-dist", "2-D projection of inter-utterance embeddings",
+            _cmd_analyze_dist)
     p.add_argument("--protocol", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("simulate", "generate labeled synthetic trajectories + protocol")
+    p = add("simulate", "generate labeled synthetic trajectories + protocol",
+            _cmd_simulate)
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-class", type=int, default=100)
 
-    p = add("count-params", "trainable-parameter report")
+    add("count-params", "trainable-parameter report", _cmd_count_params)
 
-    p = add("flops", "FLOP estimate report")
+    p = add("flops", "FLOP estimate report", _cmd_flops)
     p.add_argument("--duration", type=float, default=4.0,
                    help="input duration in seconds")
 
@@ -167,15 +171,19 @@ def _write_provenance_file(path, lines) -> None:
             fh.write(f"# {line}\n")
 
 
+def _print_provenance(args, cfg: RunConfig) -> None:
+    for line in _provenance(args, cfg):
+        print(f"# {line}")
+
+
 def _load_items(protocol_path, feature_dir):
-    records = parse_protocol(protocol_path)
     items = []
-    for r in records:
+    for r in parse_protocol(protocol_path):
         fea = os.path.join(feature_dir, f"{r.utt_id}.fea")
         label = LABEL_BONAFIDE if r.key == "bonafide" else LABEL_SPOOF
         items.append(TrainItem(utt_id=r.utt_id, label=label,
                                features=load_feature_map(fea)))
-    return records, items
+    return items
 
 
 def _cmd_extract(args, cfg):
@@ -197,18 +205,16 @@ def _cmd_trim(args, cfg):
     if trimmed.samples.size == 0:
         raise TcssdError(f"empty after trim: {args.input}")
     save_waveform(trimmed, args.output)
-    for line in _provenance(args, cfg):
-        print(f"# {line}")
+    _print_provenance(args, cfg)
     print(f"trimmed {args.input}: kept {trimmed.samples.size} of {w.samples.size} samples")
     return 0
 
 
 def _cmd_train(args, cfg):
     cm_id = {"1": "cm1", "2": "cm2"}.get(args.cm, args.cm)
-    _, items = _load_items(args.protocol, args.features)
+    items = _load_items(args.protocol, args.features)
     train_cfg = cfg.train
     if args.steps is not None:
-        from dataclasses import replace
         train_cfg = replace(train_cfg, max_steps=args.steps)
     init = load_checkpoint(args.init_ckpt) if args.init_ckpt else None
     ckpt, log = train(cm_id, items, cfg.encoder, cfg.cm1, train_cfg, cfg.aam,
@@ -232,8 +238,8 @@ def _cmd_score(args, cfg):
 
 
 def _cmd_fuse(args, cfg):
-    a = read_scores(args.file_a, system_id="a")
-    b = read_scores(args.file_b, system_id="b")
+    a = read_scores(args.file_a)
+    b = read_scores(args.file_b)
     fused = fuse_scores(a, b, w=args.w, normalize=args.normalize)
     write_scores(fused, args.out, header_lines=_provenance(args, cfg))
     print(f"fused {len(fused.entries)} score(s) -> {args.out}")
@@ -244,8 +250,7 @@ def _cmd_evaluate(args, cfg):
     records = parse_protocol(args.protocol)
     scores = read_scores(args.scores, records=records)
     result = compute_eer(scores)
-    for line in _provenance(args, cfg):
-        print(f"# {line}")
+    _print_provenance(args, cfg)
     print(f"EER={result.eer:.4f}@threshold={result.threshold:.6g}")
     return 0
 
@@ -258,9 +263,8 @@ def _cmd_analyze_tc(args, cfg):
             raise TcssdError("--wav analysis needs --ckpt for the encoder")
         ckpt = load_checkpoint(args.ckpt)
         enc_cfg, _ = checkpoint_configs(ckpt)
-        m = tc_similarity_matrix(load_waveform(args.wav), k=args.k,
-                                 seg_dur=args.seg_dur, seed=cfg.seed,
-                                 cfg=enc_cfg, ckpt=ckpt)
+        m = tc_similarity_matrix(load_waveform(args.wav), enc_cfg, ckpt, k=args.k,
+                                 seg_dur=args.seg_dur, seed=cfg.seed)
     else:
         f = load_feature_map(args.features)
         m = tc_similarity_matrix_features(f.values, k=args.k,
@@ -288,15 +292,13 @@ def _cmd_analyze_dist(args, cfg):
 
 
 def _cmd_simulate(args, cfg):
-    labeled = simulate_trajectories(cfg.sim, args.n_per_class)
     fea_dir = os.path.join(args.out, "features")
     os.makedirs(fea_dir, exist_ok=True)
     records = []
-    for smap, key in labeled:
-        f = FeatureMap(values=smap.values, frame_hop=0, frame_len=0, n_fft=0)
-        save_feature_map(f, os.path.join(fea_dir, f"{smap.source_utt}.fea"))
+    for utt, f, key in simulate_trajectories(cfg.sim, args.n_per_class):
+        save_feature_map(f, os.path.join(fea_dir, f"{utt}.fea"))
         attack = "-" if key == "bonafide" else "SIM01"
-        records.append(TrialRecord(speaker_id="SIMSPK", utt_id=smap.source_utt,
+        records.append(TrialRecord(speaker_id="SIMSPK", utt_id=utt,
                                    attack_id=attack, key=key))
     serialize_protocol(records, os.path.join(args.out, "protocol.txt"))
     _write_provenance_file(os.path.join(args.out, "provenance.txt"),
@@ -306,8 +308,8 @@ def _cmd_simulate(args, cfg):
 
 
 def _param_report(cfg) -> list[str]:
-    counts = {"cm1": count_parameters(describe_cm1(cfg.cm1)),
-              "cm2": count_parameters(describe_cm2(cfg.encoder))}
+    counts = {"cm1": count_parameters(Cm1Net(cfg.cm1).layers()),
+              "cm2": count_parameters(Cm2Net(cfg.encoder).layers())}
     counts["fusion"] = counts["cm1"] + counts["cm2"]
     lines = []
     for name in ("cm1", "cm2", "fusion"):
@@ -321,8 +323,7 @@ def _param_report(cfg) -> list[str]:
 
 
 def _cmd_count_params(args, cfg):
-    for line in _provenance(args, cfg):
-        print(f"# {line}")
+    _print_provenance(args, cfg)
     for line in _param_report(cfg):
         print(line)
     return 0
@@ -330,10 +331,9 @@ def _cmd_count_params(args, cfg):
 
 def _cmd_flops(args, cfg):
     fe = estimate_flops(describe_frontend(cfg.encoder), args.duration)
-    f1 = estimate_flops(describe_cm1(cfg.cm1), args.duration)
-    f2 = estimate_flops(describe_cm2(cfg.encoder), args.duration)
-    for line in _provenance(args, cfg):
-        print(f"# {line}")
+    f1 = estimate_flops(Cm1Net(cfg.cm1).layers(), args.duration)
+    f2 = estimate_flops(Cm2Net(cfg.encoder).layers(), args.duration)
+    _print_provenance(args, cfg)
     print(f"duration: {args.duration} s")
     print(f"frontend FLOPs: {fe:,}")
     print(f"cm1 FLOPs (frontend + head): {fe + f1:,} "
@@ -345,21 +345,6 @@ def _cmd_flops(args, cfg):
     return 0
 
 
-_HANDLERS = {
-    "extract": _cmd_extract,
-    "trim": _cmd_trim,
-    "train": _cmd_train,
-    "score": _cmd_score,
-    "fuse": _cmd_fuse,
-    "evaluate": _cmd_evaluate,
-    "analyze-tc": _cmd_analyze_tc,
-    "analyze-dist": _cmd_analyze_dist,
-    "simulate": _cmd_simulate,
-    "count-params": _cmd_count_params,
-    "flops": _cmd_flops,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -368,7 +353,7 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = _effective_config(args)
-        return _HANDLERS[args.command](args, cfg)
+        return args.handler(args, cfg)
     except TcssdError as exc:
         print(f"tcssd {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .cm_temporal import score_embeddings
-from .encoder import (EncoderConfig, FrontendNet, ModelDescription,
-                      SpeakerFeatureMap, encoder_head, feature_kind)
+from .encoder import EncoderConfig, FrontendNet, encoder_head, feature_kind
 from .layers import relu, tensor_names
 
 
@@ -69,11 +68,6 @@ class Cm2Net:
             self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
 
 
-def describe_cm2(cfg: EncoderConfig) -> ModelDescription:
-    """Trainable layers of the distribution countermeasure (post-concat)."""
-    return ModelDescription("cm2", Cm2Net(cfg).layers())
-
-
 def cm2_score(f, cfg: EncoderConfig, ckpt: Checkpoint) -> float:
     """Spoof/bonafide score of one FBank (or tap-point) map from the
     embedding's class cosines."""
@@ -84,9 +78,7 @@ def cm2_score(f, cfg: EncoderConfig, ckpt: Checkpoint) -> float:
     return float(score_embeddings(emb, ckpt.tensors["cm2.cls.w"])[0])
 
 
-def cm2_score_features(s: SpeakerFeatureMap | np.ndarray, params: dict,
-                       cfg: EncoderConfig) -> float:
-    """Score of one map already at the tap point."""
-    values = s.values if isinstance(s, SpeakerFeatureMap) else s
+def cm2_score_features(values: np.ndarray, params: dict, cfg: EncoderConfig) -> float:
+    """Score of one (T, D) map already at the tap point."""
     emb, _ = Cm2Net(cfg).embed(params, values[None, :, :], "speaker")
     return float(score_embeddings(emb, params["cm2.cls.w"])[0])

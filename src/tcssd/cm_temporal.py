@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import FrontendNet, ModelDescription, SpeakerFeatureMap
+from .encoder import EncoderConfig, FrontendNet
 from .errors import DataError
 from .layers import ClassWeights, Gru, Linear, relu
 
@@ -30,6 +30,14 @@ class Cm1Config:
     # layer's input-to-hidden weights and an additive carry-gate bias.
     input_gain: float = 1.0
     carry_bias: float = 0.0
+
+
+def check_input_width(cfg: Cm1Config, enc_cfg: EncoderConfig) -> None:
+    """CM1's GRU reads the encoder's MFA tap, so the widths must agree."""
+    if cfg.input_dim != enc_cfg.mfa_dim:
+        raise DataError(
+            f"cm1.input_dim ({cfg.input_dim}) must equal "
+            f"encoder.mfa_dim ({enc_cfg.mfa_dim}), the tap width CM1 reads")
 
 
 def toy_cm1_config(input_dim: int = 24) -> Cm1Config:
@@ -95,15 +103,9 @@ class Cm1Net:
         return self.gru.backward(params, gru_cache, dh_seq, grads)
 
 
-def describe_cm1(cfg: Cm1Config) -> ModelDescription:
-    """Trainable layers of the temporal-consistency countermeasure."""
-    return ModelDescription("cm1", Cm1Net(cfg).layers())
-
-
-def difference_sequence(s: SpeakerFeatureMap | np.ndarray) -> np.ndarray:
+def difference_sequence(values: np.ndarray) -> np.ndarray:
     """First-order differences along time, the CM1 input: row k = s[k+1] - s[k]
-    of a (T, D) map, or of each map in a (B, T, D) batch."""
-    values = s.values if isinstance(s, SpeakerFeatureMap) else s
+    of a (T, D) map s, or of each map in a (B, T, D) batch."""
     if values.shape[-2] < 2:
         raise DataError(f"need at least 2 frames to difference, got {values.shape[-2]}")
     return np.diff(values, axis=-2)
@@ -127,8 +129,7 @@ def score_embeddings(emb: np.ndarray, class_w: np.ndarray) -> np.ndarray:
     return cos[:, 0] - cos[:, 1]
 
 
-def cm1_score(s: SpeakerFeatureMap | np.ndarray, params: dict, cfg: Cm1Config) -> float:
-    """Spoof/bonafide score of one utterance's speaker-feature map."""
-    values = s.values if isinstance(s, SpeakerFeatureMap) else s
+def cm1_score(values: np.ndarray, params: dict, cfg: Cm1Config) -> float:
+    """Spoof/bonafide score of one utterance's (T, D) speaker-feature map."""
     emb, _ = Cm1Net(cfg).embed(params, values[None, :, :], "speaker")
     return float(score_embeddings(emb, params["cm1.cls.w"])[0])

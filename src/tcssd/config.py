@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from .analysis import SimConfig
-from .cm_temporal import Cm1Config, toy_cm1_config
+from .cm_temporal import Cm1Config, check_input_width, toy_cm1_config
 from .encoder import EncoderConfig, toy_encoder_config
 from .errors import DataError
 from .frontend import AugmentPolicy
@@ -30,10 +30,7 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self):
-        if self.cm1.input_dim != self.encoder.mfa_dim:
-            raise DataError(
-                f"cm1.input_dim ({self.cm1.input_dim}) must equal "
-                f"encoder.mfa_dim ({self.encoder.mfa_dim}), the tap width CM1 reads")
+        check_input_width(self.cm1, self.encoder)
 
     def with_seed(self, seed: int) -> "RunConfig":
         """One seed drives the run: training and simulation inherit it."""

@@ -10,13 +10,13 @@ projection.  A cached map is either an FBank (n_mels channels) or already at
 the tap point (mfa_dim channels); ``feature_kind`` is the one rule that
 tells them apart.
 
-Also houses parameter and FLOP accounting over model descriptions (lists of
-layer objects), used by the reporting CLI and the closed-form unit tests.
+Also houses parameter and FLOP accounting over plain layer lists (such as
+``net.layers()``), used by the reporting CLI and the closed-form unit tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,22 +56,6 @@ class EncoderConfig:
 def toy_encoder_config() -> EncoderConfig:
     """Desk-scale configuration used by the simulator pipeline and tests."""
     return EncoderConfig(channels=16, mfa_dim=24, embed_dim=32, att_dim=8)
-
-
-@dataclass
-class SpeakerFeatureMap:
-    """Per-frame speaker features (T x D) tapped at the encoder's MFA point."""
-
-    values: np.ndarray
-    source_utt: str = ""
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 def feature_kind(n_channels: int, cfg: EncoderConfig, utt_id: str) -> str:
@@ -185,51 +169,40 @@ class FrontendNet:
             self.backward_features(params, fcache, dfeats, grads)
 
 
-def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint,
-                    source_utt: str = "") -> SpeakerFeatureMap:
-    """Run the frozen frontend on one FBank map, tapping the MFA output."""
+def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
+    """Run the frozen frontend on one FBank map: its (T, mfa_dim) features
+    at the MFA tap."""
     if f.n_channels != cfg.n_mels:
         raise DataError(
             f"feature map has {f.n_channels} channels, encoder expects {cfg.n_mels}")
     net = FrontendNet(cfg)
     ckpt.require(tensor_names(net.feature_layers()))
     feats, _ = net.forward_features(ckpt.tensors, f.values[None].astype(np.float32))
-    return SpeakerFeatureMap(values=feats[0], source_utt=source_utt)
+    return feats[0]
 
 
 # ---------------------------------------------------------------------------
-# Parameter and FLOP accounting over model descriptions.
+# Parameter and FLOP accounting over layer lists.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ModelDescription:
-    """Named list of layers; counts and FLOPs sum over them."""
-
-    name: str
-    layers: list = field(default_factory=list)
-
-    def tensor_shapes(self):
-        """(name, shape) of every tensor of the layers."""
-        return [spec for layer in self.layers for spec in layer.param_specs()]
+def count_parameters(layers) -> int:
+    """Exact scalar count over the tensors of the layers."""
+    return sum(int(np.prod(shape, dtype=np.int64))
+               for layer in layers for _, shape in layer.param_specs())
 
 
-def count_parameters(desc: ModelDescription) -> int:
-    """Exact scalar count over the described tensors."""
-    return sum(int(np.prod(shape, dtype=np.int64)) for _, shape in desc.tensor_shapes())
-
-
-def estimate_flops(desc: ModelDescription, input_duration: float,
+def estimate_flops(layers, input_duration: float,
                    frames_per_second: float = FRAME_RATE) -> int:
     """Multiply-accumulate FLOP estimate (2 * MACs) for the given duration.
 
     Sums conv/linear/recurrent layers; element-wise work is ignored.
     """
     n_frames = int(round(input_duration * frames_per_second))
-    return sum(layer.flops(n_frames) for layer in desc.layers)
+    return sum(layer.flops(n_frames) for layer in layers)
 
 
-def describe_frontend(cfg: EncoderConfig) -> ModelDescription:
-    """The speaker encoder, without the class rows of toy-frontend training."""
+def describe_frontend(cfg: EncoderConfig) -> list:
+    """The speaker encoder's layers, without the class rows of toy-frontend
+    training."""
     net = FrontendNet(cfg)
-    return ModelDescription("frontend", [layer for layer in net.layers()
-                                         if layer is not net.cls])
+    return [layer for layer in net.layers() if layer is not net.cls]

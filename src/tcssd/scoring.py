@@ -46,7 +46,6 @@ class ScoreEntry:
 @dataclass
 class ScoreSet:
     entries: list[ScoreEntry]
-    system_id: str = ""
 
     def scores_by_key(self, key: str) -> np.ndarray:
         return np.array([e.score for e in self.entries if e.key == key], dtype=np.float64)
@@ -124,7 +123,7 @@ def write_scores(scores: ScoreSet, path, header_lines=()) -> None:
             os.remove(tmp)
 
 
-def read_scores(path, records=None, system_id: str = "") -> ScoreSet:
+def read_scores(path, records=None) -> ScoreSet:
     """Read a score file; trial records (when given) supply the keys."""
     try:
         with open(path) as fh:
@@ -151,7 +150,7 @@ def read_scores(path, records=None, system_id: str = "") -> ScoreSet:
         raw[utt] = score
     if records is None:
         entries = [ScoreEntry(u, s, "") for u, s in raw.items()]
-        return ScoreSet(entries=entries, system_id=system_id)
+        return ScoreSet(entries=entries)
     missing = [r.utt_id for r in records if r.utt_id not in raw]
     if missing:
         raise DataError(f"{path}: no score for utterance(s) {', '.join(missing[:5])}"
@@ -161,7 +160,7 @@ def read_scores(path, records=None, system_id: str = "") -> ScoreSet:
         raise DataError(f"{path}: scores for unknown utterance(s) "
                         f"{', '.join(sorted(extra)[:5])}")
     entries = [ScoreEntry(r.utt_id, raw[r.utt_id], r.key) for r in records]
-    return ScoreSet(entries=entries, system_id=system_id)
+    return ScoreSet(entries=entries)
 
 
 def eer_from_arrays(bonafide, spoof) -> EerResult:
@@ -224,8 +223,7 @@ def fuse_scores(a: ScoreSet, b: ScoreSet, w: float = 0.5,
         if other.key != e.key:
             raise DataError(f"key mismatch for {e.utt_id}: '{e.key}' vs '{other.key}'")
         entries.append(ScoreEntry(e.utt_id, float(s), e.key))
-    return ScoreSet(entries=entries,
-                    system_id=f"fuse({a.system_id},{b.system_id},w={w})")
+    return ScoreSet(entries=entries)
 
 
 def embed_trials(net, records, feature_dir, ckpt: Checkpoint, enc_cfg: EncoderConfig,
@@ -273,4 +271,4 @@ def score_trials(cm_id: str, records, feature_dir, ckpt: Checkpoint,
         scores[idx] = score_embeddings(emb, ckpt.tensors[f"{net.cls.name}.w"])
     entries = [ScoreEntry(r.utt_id, float(score), r.key)
                for r, score in zip(records, scores)]
-    return ScoreSet(entries=entries, system_id=cm_id)
+    return ScoreSet(entries=entries)

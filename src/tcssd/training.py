@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, save_checkpoint
 from .cm_distribution import Cm2Net
-from .cm_temporal import Cm1Config, Cm1Net
+from .cm_temporal import Cm1Config, Cm1Net, check_input_width
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
 from .frontend import AugmentPolicy, FeatureMap, random_crop, spec_augment
@@ -188,6 +188,7 @@ def build_checkpoint(enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
     copy of its ``frontend.*`` twin, mirroring retraining from pretrained
     weights.  Tensors present in ``init_from`` take precedence.
     """
+    check_input_width(cm1_cfg, enc_cfg)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     init_layers(FrontendNet(enc_cfg).layers(), rng, params)
@@ -228,9 +229,11 @@ def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
         enc = dict(ckpt.config["encoder"])
         if "dilations" in enc:
             enc["dilations"] = tuple(enc["dilations"])
-        return EncoderConfig(**enc), Cm1Config(**ckpt.config["cm1"])
+        enc_cfg, cm1_cfg = EncoderConfig(**enc), Cm1Config(**ckpt.config["cm1"])
     except (KeyError, TypeError) as exc:
         raise DataError(f"checkpoint config incomplete: {exc}") from None
+    check_input_width(cm1_cfg, enc_cfg)
+    return enc_cfg, cm1_cfg
 
 
 def _wrap_pad(values: np.ndarray, length: int) -> np.ndarray:

@@ -24,9 +24,9 @@ from tcssd.analysis import (SimConfig, simulate_trajectories,
 from tcssd.checkpoint import load_checkpoint
 from tcssd.cli import main
 from tcssd.cm_distribution import cm2_score_features
-from tcssd.cm_temporal import Cm1Config, Cm1Net, cm1_score, describe_cm1, difference_sequence
+from tcssd.cm_temporal import Cm1Config, Cm1Net, cm1_score, difference_sequence
 from tcssd.config import toy_config
-from tcssd.encoder import ModelDescription, count_parameters, estimate_flops
+from tcssd.encoder import count_parameters, estimate_flops
 from tcssd.frontend import Waveform, trim_boundaries, trim_silence
 from tcssd.layers import Gru, Linear, init_layers, tensor_names
 from tcssd.scoring import compute_eer, eer_from_arrays, parse_protocol, read_scores
@@ -322,10 +322,10 @@ def test_criterion_6_simulator_end_to_end(recipe):
     hard_noise = float(np.sqrt((sim.drift_sigma ** 2 + 2 * sim.noise_sigma ** 2) / 2.0))
     std_part = simulate_trajectories(replace(sim, seed=1000), 50)
     hard_part = simulate_trajectories(replace(sim, seed=2000, noise_sigma=hard_noise), 50)
-    bona = [s for s, k in std_part if k == "bonafide"] + \
-           [s for s, k in hard_part if k == "bonafide"]
-    spoof = [s for s, k in std_part if k == "spoof"] + \
-            [s for s, k in hard_part if k == "spoof"]
+    bona = [f.values for _, f, k in std_part if k == "bonafide"] + \
+           [f.values for _, f, k in hard_part if k == "bonafide"]
+    spoof = [f.values for _, f, k in std_part if k == "spoof"] + \
+            [f.values for _, f, k in hard_part if k == "spoof"]
     b1 = [cm1_score(s, ck1.tensors, cfg.cm1) for s in bona]
     s1 = [cm1_score(s, ck1.tensors, cfg.cm1) for s in spoof]
     b2 = [cm2_score_features(s, ck2.tensors, cfg.encoder) for s in bona]
@@ -359,14 +359,14 @@ def gate_arithmetic_cm1_params():
 
 def test_criterion_7_parameter_accounting():
     oracle = gate_arithmetic_cm1_params()
-    counted = count_parameters(describe_cm1(Cm1Config()))
+    counted = count_parameters(Cm1Net(Cm1Config()).layers())
     exact_ok = counted == oracle == 29215808
 
     unit_ok = (
-        count_parameters(ModelDescription("m", [Linear("m.fc", 1536, 512)])) == 786944
-        and count_parameters(ModelDescription("m", [Gru("m.g", 1536, 1536, 1)])) == 14164992
-        and count_parameters(ModelDescription("m", [])) == 0
-        and estimate_flops(ModelDescription("m", [Linear("m.fc", 1536, 512)]), 0.01) == 1572864
+        count_parameters([Linear("m.fc", 1536, 512)]) == 786944
+        and count_parameters([Gru("m.g", 1536, 1536, 1)]) == 14164992
+        and count_parameters([]) == 0
+        and estimate_flops([Linear("m.fc", 1536, 512)], 0.01) == 1572864
     )
     out = run_cli(["count-params", "--preset", "full"])
     report_ok = "29,215,808" in out and "32.37" in out and "not forced to agree" in out
@@ -381,7 +381,7 @@ def test_criterion_7_parameter_accounting():
                           "documented tensor shapes; gate arithmetic gives "
                           "29,215,808 (2x14,164,992 + 786,944 + 98,496 + 384)")
 def test_criterion_7_documented_total():
-    assert count_parameters(describe_cm1(Cm1Config())) == 29250432
+    assert count_parameters(Cm1Net(Cm1Config()).layers()) == 29250432
 
 
 # ---------------------------------------------------------------------------

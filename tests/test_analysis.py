@@ -76,13 +76,19 @@ def test_tc_matrix_too_short_utterance_rejected():
         tc_similarity_matrix(w, seg_dur=0.5, cfg=enc, ckpt=ckpt)
 
 
+def test_tc_matrix_needs_encoder_config_and_checkpoint():
+    w = Waveform(samples=np.zeros(16000))
+    with pytest.raises(TypeError, match="cfg.*ckpt"):
+        tc_similarity_matrix(w)
+
+
 def test_tc_matrix_separates_simulator_classes():
     cfg = SimConfig(seed=11)
     labeled = simulate_trajectories(cfg, 20)
     spoof_means, bona_means = [], []
     spoof_ranges, bona_ranges = [], []
-    for i, (smap, key) in enumerate(labeled):
-        m = tc_similarity_matrix_features(smap, seed=100 + i)
+    for i, (_, f, key) in enumerate(labeled):
+        m = tc_similarity_matrix_features(f.values, seed=100 + i)
         mean_od, range_od = tc_statistic(m)
         if key == "spoof":
             spoof_means.append(mean_od)
@@ -196,34 +202,34 @@ def test_sim_zero_drift_collapses_classes():
     cfg = SimConfig(drift_sigma=0.0, seed=1)
     labeled = simulate_trajectories(cfg, 5)
     # same generator for both classes: per-frame deviation scale matches
-    bona = np.concatenate([s.values - s.values.mean(0)
-                           for s, k in labeled if k == "bonafide"])
-    spoof = np.concatenate([s.values - s.values.mean(0)
-                            for s, k in labeled if k == "spoof"])
+    bona = np.concatenate([f.values - f.values.mean(0)
+                           for _, f, k in labeled if k == "bonafide"])
+    spoof = np.concatenate([f.values - f.values.mean(0)
+                            for _, f, k in labeled if k == "spoof"])
     assert abs(bona.std() - spoof.std()) < 0.01 * spoof.std() + 1e-3
 
 
 def test_sim_no_noise_no_drift_is_constant():
     cfg = SimConfig(drift_sigma=0.0, noise_sigma=0.0, seed=2)
-    for smap, key in simulate_trajectories(cfg, 3):
+    for _, f, key in simulate_trajectories(cfg, 3):
         if key == "spoof":
-            assert np.all(np.diff(smap.values, axis=0) == 0.0)
-        assert np.all(smap.values == smap.values[0])
+            assert np.all(np.diff(f.values, axis=0) == 0.0)
+        assert np.all(f.values == f.values[0])
 
 
 def test_sim_deterministic_given_seed():
     a = simulate_trajectories(SimConfig(seed=3), 4)
     b = simulate_trajectories(SimConfig(seed=3), 4)
-    for (sa, ka), (sb, kb) in zip(a, b):
-        assert ka == kb and sa.source_utt == sb.source_utt
-        assert np.array_equal(sa.values, sb.values)
+    for (ua, fa, ka), (ub, fb, kb) in zip(a, b):
+        assert ka == kb and ua == ub
+        assert np.array_equal(fa.values, fb.values)
 
 
 def test_sim_default_config_statistic_separation():
     labeled = simulate_trajectories(SimConfig(seed=12), 100)
     stats = {"bonafide": [], "spoof": []}
-    for i, (smap, key) in enumerate(labeled):
-        m = tc_similarity_matrix_features(smap, seed=i)
+    for i, (_, f, key) in enumerate(labeled):
+        m = tc_similarity_matrix_features(f.values, seed=i)
         stats[key].append(tc_statistic(m)[0])
     assert np.mean(stats["spoof"]) - np.mean(stats["bonafide"]) > 0
     auc = rank_auc(stats["spoof"], stats["bonafide"])
@@ -231,7 +237,7 @@ def test_sim_default_config_statistic_separation():
 
 
 def test_sim_base_norm():
-    for smap, key in simulate_trajectories(SimConfig(noise_sigma=0.0,
+    for _, f, key in simulate_trajectories(SimConfig(noise_sigma=0.0,
                                                      drift_sigma=0.0,
                                                      base_scale=2.5, seed=4), 3):
-        assert abs(np.linalg.norm(smap.values[0]) - 2.5) < 1e-5
+        assert abs(np.linalg.norm(f.values[0]) - 2.5) < 1e-5

@@ -1,5 +1,6 @@
 """Command-line contract tests: exit codes, formats, determinism."""
 
+import hashlib
 import os
 import shutil
 
@@ -8,8 +9,13 @@ import pytest
 
 from tcssd.checkpoint import load_checkpoint, save_checkpoint
 from tcssd.cli import main
+from tcssd.cm_temporal import Cm1Net, toy_cm1_config
+from tcssd.encoder import toy_encoder_config
+from tcssd.errors import DataError
 from tcssd.frontend import (FeatureMap, Waveform, load_feature_map, load_waveform,
                             save_feature_map, save_waveform)
+from tcssd.layers import init_layers
+from tcssd.training import build_checkpoint, config_dict
 
 SUBCOMMANDS = ["extract", "trim", "train", "score", "fuse", "evaluate",
                "analyze-tc", "analyze-dist", "simulate", "count-params", "flops"]
@@ -161,6 +167,28 @@ def test_flops_stdout_pinned(preset, capsys):
         f"cm1 FLOPs (frontend + head): {cm1} (reported reference: 24.67 G)",
         f"cm2 FLOPs (frozen part + retrained tail): {cm2} (reported reference: 8.51 G)",
         f"fusion FLOPs: {fusion} (reported reference: 28.49 G)"]
+
+
+# sha256 of `simulate --seed 7 --n-per-class 3` outputs, from the numpy
+# PCG64 draws of SimConfig's defaults.
+SIM_SHA256 = {
+    "protocol.txt": "8280a640c2ed6a5f9b8c370aaa3b34e3ec3d921347f74cb382d1326b2ac1576f",
+    "features/SIM_T_000000.fea": "50af8d0d8c1d1387b245901428fd4513cebfc038bece3714a202a5326346b1c3",
+    "features/SIM_T_000001.fea": "c0f480a2525bd547c9341c221d97e2c84c8c74f0995d4de31379c4676718884d",
+    "features/SIM_T_000002.fea": "cb98f4387b5d22c5d63238f857c8ef01ce4fa0c3a7108f6322654915971402c6",
+    "features/SIM_S_000000.fea": "3ae2ec0ed1841769c652fdf1e6f40928336c639aff5b7c2a5cab5c98cc6b870a",
+    "features/SIM_S_000001.fea": "02ee2170b460b1792004bf0eef42c5ec4ce49c98f848d0a3c47c7b2374d90840",
+    "features/SIM_S_000002.fea": "462f486ef476727b0219b0b1c7ce15e67af6b2980f8daec0de7dc3286ea20026",
+}
+
+
+def test_simulate_bytes_pinned(tmp_path, capsys):
+    assert main(["simulate", "--out", str(tmp_path), "--seed", "7",
+                 "--n-per-class", "3"]) == 0
+    written = {name for name in dir_snapshot(tmp_path) if name != "provenance.txt"}
+    assert written == set(SIM_SHA256)
+    for name, digest in SIM_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +348,27 @@ def test_train_cm1_input_dim_mismatch_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cm1.input_dim" in err and "encoder.mfa_dim" in err
     assert not (tmp_path / "ck").exists()
+
+
+def test_checkpoint_input_dim_mismatch_exits_two(tiny_pipeline, tmp_path, capsys):
+    """A checkpoint whose CM1 reads 32 channels from a 24-wide tap is
+    refused where it is built and where it is loaded."""
+    _, sim, _, _ = tiny_pipeline
+    enc, cm1 = toy_encoder_config(), toy_cm1_config(input_dim=32)
+    with pytest.raises(DataError, match="cm1.input_dim.*encoder.mfa_dim"):
+        build_checkpoint(enc, cm1, 0)
+    ckpt = build_checkpoint(enc, toy_cm1_config(enc.mfa_dim), 0)
+    init_layers(Cm1Net(cm1).layers(), np.random.default_rng(0), ckpt.tensors)
+    ckpt.config["cm1"] = config_dict(cm1)
+    save_checkpoint(ckpt, tmp_path / "ck")
+    out = tmp_path / "s.tsv"
+    rc = main(["score", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cm1.input_dim" in err and "encoder.mfa_dim" in err
+    assert not out.exists()
 
 
 def test_config_file_and_inline_overrides(tmp_path):

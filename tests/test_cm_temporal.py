@@ -7,7 +7,6 @@ import pytest
 from helpers import assert_grads_close, gru_final_state
 from tcssd.cm_temporal import (Cm1Config, Cm1Net, cm1_score,
                                difference_sequence, score_embeddings)
-from tcssd.encoder import SpeakerFeatureMap
 from tcssd.errors import DataError
 from tcssd.layers import Gru, init_layers, tensor_names
 from tcssd.training import AamConfig, aam_softmax_loss

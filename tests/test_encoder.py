@@ -8,11 +8,10 @@ import pytest
 from helpers import assert_directional_grads_close
 from tcssd import checkpoint
 from tcssd.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from tcssd.cm_distribution import describe_cm2
-from tcssd.cm_temporal import Cm1Config, describe_cm1
-from tcssd.encoder import (EncoderConfig, FrontendNet, ModelDescription,
-                           count_parameters, encode_features, estimate_flops,
-                           toy_encoder_config)
+from tcssd.cm_distribution import Cm2Net
+from tcssd.cm_temporal import Cm1Config, Cm1Net
+from tcssd.encoder import (EncoderConfig, FrontendNet, count_parameters,
+                           encode_features, estimate_flops, toy_encoder_config)
 from tcssd.errors import CheckpointError, DataError
 from tcssd.frontend import FeatureMap
 from tcssd.layers import (AttentiveStatsPool, ClassWeights, Conv1d, Gru, Linear,
@@ -89,7 +88,7 @@ def test_encode_shape_contract():
     cfg, ckpt = make_toy_checkpoint()
     f = random_fbank(np.random.default_rng(0))
     s = encode_features(f, cfg, ckpt)
-    assert s.values.shape == (198, cfg.mfa_dim)
+    assert s.shape == (198, cfg.mfa_dim)
 
 
 def test_encode_deterministic():
@@ -97,7 +96,7 @@ def test_encode_deterministic():
     f = random_fbank(np.random.default_rng(1))
     a = encode_features(f, cfg, ckpt)
     b = encode_features(f, cfg, ckpt)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_encode_preserves_frame_count():
@@ -106,7 +105,7 @@ def test_encode_preserves_frame_count():
     for _ in range(8):
         t = int(rng.integers(1, 120))
         s = encode_features(random_fbank(rng, t=t), cfg, ckpt)
-        assert s.values.shape[0] == t
+        assert s.shape[0] == t
 
 
 def test_encode_wrong_channels_rejected():
@@ -128,8 +127,7 @@ def test_full_scale_mfa_width_matches_recurrent_input():
     cfg = EncoderConfig()
     net = FrontendNet(cfg)
     assert net.mfa_conv.out_ch == 1536
-    desc = describe_cm1(Cm1Config())
-    assert desc.layers[0].input_dim == net.mfa_conv.out_ch
+    assert Cm1Net(Cm1Config()).layers()[0].input_dim == net.mfa_conv.out_ch
 
 
 def test_full_scale_forward_shape():
@@ -140,8 +138,8 @@ def test_full_scale_forward_shape():
     f = FeatureMap(values=np.random.default_rng(1)
                    .standard_normal((6, 80)).astype(np.float32))
     s = encode_features(f, cfg, ckpt)
-    assert s.values.shape == (6, 1536)
-    assert np.all(np.isfinite(s.values))
+    assert s.shape == (6, 1536)
+    assert np.all(np.isfinite(s))
 
 
 # ---------------------------------------------------------------------------
@@ -230,52 +228,49 @@ def test_pool_embedding_projects():
 # ---------------------------------------------------------------------------
 
 def test_count_single_linear():
-    desc = ModelDescription(name="m", layers=[Linear("m.fc", 1536, 512)])
-    assert count_parameters(desc) == 1536 * 512 + 512 == 786944
+    assert count_parameters([Linear("m.fc", 1536, 512)]) == 1536 * 512 + 512 == 786944
 
 
 def test_count_single_gru_layer():
-    desc = ModelDescription(name="m", layers=[Gru("m.gru", 1536, 1536, n_layers=1)])
-    assert count_parameters(desc) == 3 * ((1536 + 1536) * 1536 + 2 * 1536) == 14164992
+    layers = [Gru("m.gru", 1536, 1536, n_layers=1)]
+    assert count_parameters(layers) == 3 * ((1536 + 1536) * 1536 + 2 * 1536) == 14164992
 
 
 def test_count_empty_model():
-    assert count_parameters(ModelDescription(name="m", layers=[])) == 0
+    assert count_parameters([]) == 0
 
 
 def test_count_excludes_frozen():
     """CM2's count holds its retrained head only, no frozen frontend tensor."""
     c = toy_encoder_config()
-    desc = describe_cm2(c)
-    assert not [n for n, _ in desc.tensor_shapes() if n.startswith("frontend.")]
+    layers = Cm2Net(c).layers()
+    assert not [n for n in tensor_names(layers) if n.startswith("frontend.")]
     want = ((c.n_blocks * c.channels + 1) * c.mfa_dim     # MFA conv
             + (c.mfa_dim + 1) * c.att_dim + c.att_dim + 1  # attention
             + (2 * c.mfa_dim + 1) * c.embed_dim            # projection
             + 2 * c.embed_dim)                             # class rows
-    assert count_parameters(desc) == want
+    assert count_parameters(layers) == want
 
 
 def test_count_matches_declared_tensors():
     # self-consistency: count equals the sum over declared tensor shapes
-    desc = describe_cm1(Cm1Config())
-    total = sum(int(np.prod(shape)) for _, shape in desc.tensor_shapes())
-    assert count_parameters(desc) == total
+    layers = Cm1Net(Cm1Config()).layers()
+    total = sum(int(np.prod(shape)) for layer in layers
+                for _, shape in layer.param_specs())
+    assert count_parameters(layers) == total
 
 
 def test_flops_linear_one_frame():
-    desc = ModelDescription(name="m", layers=[Linear("m.fc", 1536, 512)])
-    assert estimate_flops(desc, 0.01) == 2 * 1536 * 512 == 1572864
+    assert estimate_flops([Linear("m.fc", 1536, 512)], 0.01) == 2 * 1536 * 512 == 1572864
 
 
 def test_flops_zero_duration():
-    desc = ModelDescription(name="m", layers=[Linear("m.fc", 1536, 512),
-                                              Conv1d("m.c", 4, 8, 3)])
-    assert estimate_flops(desc, 0.0) == 0
+    layers = [Linear("m.fc", 1536, 512), Conv1d("m.c", 4, 8, 3)]
+    assert estimate_flops(layers, 0.0) == 0
 
 
 def test_flops_toy_conv():
-    desc = ModelDescription(name="m", layers=[Conv1d("m.c", 4, 8, 3)])
-    assert estimate_flops(desc, 0.1) == 2 * 4 * 8 * 3 * 10 == 1920
+    assert estimate_flops([Conv1d("m.c", 4, 8, 3)], 0.1) == 2 * 4 * 8 * 3 * 10 == 1920
 
 
 # ---------------------------------------------------------------------------

@@ -145,9 +145,8 @@ def test_compute_eer_from_score_set():
 # Fusion
 # ---------------------------------------------------------------------------
 
-def _score_set(pairs, system="s"):
-    return ScoreSet(entries=[ScoreEntry(u, s, k) for u, s, k in pairs],
-                    system_id=system)
+def _score_set(pairs):
+    return ScoreSet(entries=[ScoreEntry(u, s, k) for u, s, k in pairs])
 
 
 def test_fuse_identical_sets_idempotent():
@@ -185,9 +184,9 @@ def test_fuse_complementary_systems_beat_both():
     # system A separates trials {1,2}, system B separates {3,4}
     keys = {"u1": "bonafide", "u2": "spoof", "u3": "bonafide", "u4": "spoof"}
     a = _score_set([("u1", 1.0, keys["u1"]), ("u2", -1.0, keys["u2"]),
-                    ("u3", 0.1, keys["u3"]), ("u4", 0.2, keys["u4"])], "A")
+                    ("u3", 0.1, keys["u3"]), ("u4", 0.2, keys["u4"])])
     b = _score_set([("u1", 0.2, keys["u1"]), ("u2", 0.1, keys["u2"]),
-                    ("u3", 1.0, keys["u3"]), ("u4", -1.0, keys["u4"])], "B")
+                    ("u3", 1.0, keys["u3"]), ("u4", -1.0, keys["u4"])])
     eer_a = compute_eer(a).eer
     eer_b = compute_eer(b).eer
     fused = fuse_scores(a, b, w=0.5)
@@ -281,12 +280,10 @@ def sim_eval_dir(tmp_path_factory):
     cfg = SimConfig(dim=24, n_frames=60, seed=5)
     labeled = simulate_trajectories(cfg, 3)
     records = []
-    for smap, key in labeled:
-        save_feature_map(FeatureMap(values=smap.values, frame_hop=0,
-                                    frame_len=0, n_fft=0),
-                         tmp / f"{smap.source_utt}.fea")
+    for utt, f, key in labeled:
+        save_feature_map(f, tmp / f"{utt}.fea")
         attack = "-" if key == "bonafide" else "SIM01"
-        records.append(TrialRecord("SIMSPK", smap.source_utt, attack, key))
+        records.append(TrialRecord("SIMSPK", utt, attack, key))
     enc = toy_encoder_config()
     ckpt = build_checkpoint(enc, Cm1Config(input_dim=enc.mfa_dim, hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
@@ -330,8 +327,8 @@ def mixed_eval_dir(tmp_path_factory):
     for n_frames in (60, 45, 30):
         labeled = simulate_trajectories(SimConfig(dim=24, n_frames=n_frames,
                                                   seed=n_frames), 2)
-        lanes.append([(f"T{n_frames}_{smap.source_utt}", smap.values, key)
-                      for smap, key in labeled])
+        lanes.append([(f"T{n_frames}_{utt}", f.values, key)
+                      for utt, f, key in labeled])
     rng = np.random.default_rng(9)
     for n_frames in (40, 25):
         lanes.append([(f"F{n_frames}_{i}", rng.standard_normal((n_frames, 80)),

@@ -10,7 +10,6 @@ from tcssd.cm_temporal import Cm1Config
 from tcssd.config import toy_config
 from tcssd.encoder import toy_encoder_config
 from tcssd.errors import DataError, TrainingError
-from tcssd.frontend import FeatureMap
 from tcssd.layers import tensor_names
 from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
@@ -177,11 +176,10 @@ def test_adam_skips_missing_grads():
 def sim_items(n_per_class=8, seed=0, dim=24, n_frames=40):
     data = simulate_trajectories(
         SimConfig(dim=dim, n_frames=n_frames, seed=seed), n_per_class)
-    return [TrainItem(utt_id=s.source_utt,
+    return [TrainItem(utt_id=utt,
                       label=LABEL_BONAFIDE if k == "bonafide" else LABEL_SPOOF,
-                      features=FeatureMap(values=s.values, frame_hop=0,
-                                          frame_len=0, n_fft=0))
-            for s, k in data]
+                      features=f)
+            for utt, f, k in data]
 
 
 def tiny_run_cfg(max_steps=10, **over):
