@@ -21,11 +21,11 @@ import numpy as np
 
 
 def sigmoid(x, out=None):
-    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
-    e^x / (1 + e^x) otherwise, with e^-|x| computed once for both branches.
-    ``out`` receives the result when given."""
-    e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    """Numerically stable logistic function e^min(x, 0) / (1 + e^-|x|), which
+    is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, bit for bit:
+    exp never sees a positive argument, and no branch is taken.  ``out``
+    receives the result when given."""
+    return np.divide(np.exp(np.minimum(x, 0)), 1.0 + np.exp(-np.abs(x)), out=out)
 
 
 def relu(x):
@@ -455,96 +455,134 @@ class Gru:
             for l in range(self.n_layers):
                 params[f"{self.name}.l{l}.b_hh"][:self.hidden] += dtype(self.carry_bias)
 
+    def _weights(self, params, l):
+        return [params[f"{self.name}.l{l}.{k}"] for k in ("w_ih", "w_hh", "b_ih", "b_hh")]
+
     def forward(self, params, x):
-        """x: (B, T, input_dim) -> (h_seq of last layer (B, T, H), cache)."""
+        """x: (B, T, input_dim) -> (h_seq of last layer (B, T, H), cache).
+
+        The time loops of forward and backward run time-major: every
+        per-step operand is a contiguous (B, H) block of an array allocated
+        once per layer, and each GEMM writes into a buffer.  They keep the
+        operation order of the gate equations, so results are bit-identical
+        to the plain step; toy training is chaotic enough that one ulp per
+        step changes the trained weights.  Each layer runs in its own call,
+        so its temporaries are freed before the next layer's are made.
+        """
         caches = []
         inp = x
         for l in range(self.n_layers):
-            h_dim = self.hidden
-            w_ih = params[f"{self.name}.l{l}.w_ih"]
-            w_hh = params[f"{self.name}.l{l}.w_hh"]
-            b_ih = params[f"{self.name}.l{l}.b_ih"]
-            b_hh = params[f"{self.name}.l{l}.b_hh"]
-            b, t, _ = inp.shape
-            a_ih = inp @ w_ih.T + b_ih  # (B, T, 3H)
-            h = np.zeros((b, h_dim), dtype=inp.dtype)
-            h_prev_seq = np.empty((b, t, h_dim), dtype=inp.dtype)
-            zr_seq = np.empty((b, t, 2 * h_dim), dtype=inp.dtype)
-            z_seq = zr_seq[:, :, :h_dim]
-            r_seq = zr_seq[:, :, h_dim:]
-            n_seq = np.empty_like(h_prev_seq)
-            h_seq = np.empty_like(h_prev_seq)
-            u_zr_t = w_hh[:2 * h_dim].T
-            u_n_t = w_hh[2 * h_dim:].T
-            b_hzr = b_hh[:2 * h_dim]
-            b_hn = b_hh[2 * h_dim:]
-            a_zr = np.empty((b, 2 * h_dim), dtype=inp.dtype)
-            # Both time loops write into preallocated slices but keep the
-            # operation order of the gate equations, so results are
-            # bit-identical to the plain step; toy training is chaotic
-            # enough that one ulp per step changes the trained weights.
-            for ti in range(t):
-                h_prev_seq[:, ti] = h
-                np.matmul(h, u_zr_t, out=a_zr)
-                a_zr += b_hzr
-                a_zr += a_ih[:, ti, :2 * h_dim]
-                zr = sigmoid(a_zr, out=zr_seq[:, ti])
-                z = zr[:, :h_dim]
-                rh = zr[:, h_dim:] * h
-                n = np.tanh(a_ih[:, ti, 2 * h_dim:] + rh @ u_n_t + b_hn, out=n_seq[:, ti])
-                h = (1.0 - z) * n + z * h
-                h_seq[:, ti] = h
-            caches.append((inp, h_prev_seq, z_seq, r_seq, n_seq))
-            inp = h_seq
+            inp, cache = self._forward_layer(params, l, inp)
+            caches.append(cache)
         return inp, caches
+
+    def _forward_layer(self, params, l, inp):
+        hd = self.hidden
+        w_ih, w_hh, b_ih, b_hh = self._weights(params, l)
+        b, t, _ = inp.shape
+        a_ih = inp @ w_ih.T + b_ih  # (B, T, 3H)
+        a_zr_in = np.ascontiguousarray(a_ih[:, :, :2 * hd].transpose(1, 0, 2))
+        a_n_in = np.ascontiguousarray(a_ih[:, :, 2 * hd:].transpose(1, 0, 2))
+        del a_ih
+        hs = np.zeros((t + 1, b, hd), dtype=inp.dtype)  # hs[ti] = h_ti
+        zr_seq = np.empty((t, 2, b, hd), dtype=inp.dtype)  # [z, r] per step
+        z_seq, r_seq = zr_seq[:, 0], zr_seq[:, 1]
+        n_seq = np.empty((t, b, hd), dtype=inp.dtype)
+        omz_seq = np.empty_like(n_seq)  # 1 - z, which backward reuses
+        u_zr_t = w_hh[:2 * hd].T
+        u_n_t = w_hh[2 * hd:].T
+        b_hzr = b_hh[:2 * hd]
+        b_hn = b_hh[2 * hd:]
+        a_zr = np.empty((b, 2 * hd), dtype=inp.dtype)
+        # a_zr's [z | r] columns as (B, 2, H), written to the step's [z, r].
+        a_zr3, zr_out = a_zr.reshape(b, 2, hd), zr_seq.transpose(0, 2, 1, 3)
+        a_n, rh, zh = np.empty((3, b, hd), dtype=inp.dtype)
+        for ti in range(t):
+            h = hs[ti]
+            np.dot(h, u_zr_t, out=a_zr)
+            a_zr += b_hzr
+            a_zr += a_zr_in[ti]
+            sigmoid(a_zr3, out=zr_out[ti])
+            np.multiply(r_seq[ti], h, out=rh)
+            np.dot(rh, u_n_t, out=a_n)
+            np.add(a_n_in[ti], a_n, out=a_n)
+            a_n += b_hn
+            n = np.tanh(a_n, out=n_seq[ti])
+            np.subtract(1.0, z_seq[ti], out=omz_seq[ti])
+            np.multiply(z_seq[ti], h, out=zh)
+            h_next = np.multiply(omz_seq[ti], n, out=hs[ti + 1])
+            h_next += zh
+        return hs[1:].transpose(1, 0, 2), (inp, hs, zr_seq, omz_seq, n_seq)
 
     def backward(self, params, caches, dh_seq, grads):
         """dh_seq: (B, T, H) external gradient on the last layer's outputs."""
         d_seq = dh_seq
         for l in reversed(range(self.n_layers)):
-            inp, h_prev_seq, z_seq, r_seq, n_seq = caches[l]
-            h_dim = self.hidden
-            w_ih = params[f"{self.name}.l{l}.w_ih"]
-            w_hh = params[f"{self.name}.l{l}.w_hh"]
-            u_z = w_hh[:h_dim]
-            u_r = w_hh[h_dim:2 * h_dim]
-            u_n = w_hh[2 * h_dim:]
-            b, t, _ = inp.shape
-            da_seq = np.empty((b, t, 3 * h_dim), dtype=inp.dtype)
-            carry = np.zeros((b, h_dim), dtype=inp.dtype)
-            for ti in reversed(range(t)):
-                dh = d_seq[:, ti] + carry
-                z = z_seq[:, ti]
-                r = r_seq[:, ti]
-                n = n_seq[:, ti]
-                h_prev = h_prev_seq[:, ti]
-                da_z = da_seq[:, ti, :h_dim]
-                da_r = da_seq[:, ti, h_dim:2 * h_dim]
-                da_n = da_seq[:, ti, 2 * h_dim:]
-                dz = dh * (h_prev - n)
-                dn = dh * (1.0 - z)
-                dh_prev = dh * z
-                np.multiply(dn, 1.0 - n * n, out=da_n)
-                drh = da_n @ u_n
-                np.multiply((drh * h_prev) * r, 1.0 - r, out=da_r)
-                dh_prev += drh * r
-                np.multiply(dz * z, 1.0 - z, out=da_z)
-                dh_prev += da_z @ u_z + da_r @ u_r
-                carry = dh_prev
-            # Weight gradients as one GEMM each over all B*T frames.
-            da2 = da_seq.reshape(b * t, 3 * h_dim)
-            h_prev2 = h_prev_seq.reshape(b * t, h_dim)
-            rh2 = (r_seq * h_prev_seq).reshape(b * t, h_dim)
-            accumulate_grad(grads, f"{self.name}.l{l}.w_ih",
-                            da2.T @ inp.reshape(b * t, -1))
-            dw_hh = np.concatenate([da2[:, :2 * h_dim].T @ h_prev2,
-                                    da2[:, 2 * h_dim:].T @ rh2], axis=0)
-            accumulate_grad(grads, f"{self.name}.l{l}.w_hh", dw_hh)
-            dbias = da_seq.sum(axis=(0, 1))
-            accumulate_grad(grads, f"{self.name}.l{l}.b_ih", dbias)
-            accumulate_grad(grads, f"{self.name}.l{l}.b_hh", dbias.copy())
-            d_seq = da_seq @ w_ih
+            d_seq = self._backward_layer(params, l, caches[l], d_seq, grads)
         return d_seq
+
+    def _backward_layer(self, params, l, cache, d_seq, grads):
+        hd = self.hidden
+        inp, hs, zr_seq = cache[:3]
+        w_ih, w_hh, _, _ = self._weights(params, l)
+        b, t, _ = inp.shape
+        # Back to (B, T, 3H): the GEMMs and the bias sum below see the same
+        # shapes and row order as with a batch-major loop.
+        da_seq = self._step_grads(cache, w_hh, d_seq).transpose(2, 1, 0, 3).reshape(
+            b, t, 3 * hd)
+        # Weight gradients as one GEMM each over all B*T frames.
+        da2 = da_seq.reshape(b * t, 3 * hd)
+        accumulate_grad(grads, f"{self.name}.l{l}.w_ih", da2.T @ inp.reshape(b * t, -1))
+        h_prev_seq = hs[:-1]
+        rh2 = (zr_seq[:, 1] * h_prev_seq).transpose(1, 0, 2).reshape(b * t, hd)
+        dw_zr = da2[:, :2 * hd].T @ h_prev_seq.transpose(1, 0, 2).reshape(b * t, hd)
+        accumulate_grad(grads, f"{self.name}.l{l}.w_hh",
+                        np.concatenate([dw_zr, da2[:, 2 * hd:].T @ rh2], axis=0))
+        dbias = da_seq.sum(axis=(0, 1))
+        accumulate_grad(grads, f"{self.name}.l{l}.b_ih", dbias)
+        accumulate_grad(grads, f"{self.name}.l{l}.b_hh", dbias.copy())
+        return da_seq @ w_ih
+
+    def _step_grads(self, cache, w_hh, d_seq):
+        """The reverse time loop -> pre-activation gradients (3, T, B, H),
+        blocks [z, r, n]."""
+        hd = self.hidden
+        _, hs, zr_seq, omz_seq, n_seq = cache
+        u_z, u_r, u_n = w_hh[:hd], w_hh[hd:2 * hd], w_hh[2 * hd:]
+        t, b, _ = n_seq.shape
+        h_prev_seq = hs[:-1]
+        z_seq, r_seq = zr_seq[:, 0], zr_seq[:, 1]
+        d_t = np.ascontiguousarray(d_seq.transpose(1, 0, 2))
+        # The step's element-wise factors of h_prev, n and r, for all steps
+        # at once: same bits, fewer calls inside the loop.
+        hmn_seq = h_prev_seq - n_seq
+        omn2_seq = 1.0 - n_seq * n_seq
+        omr_seq = 1.0 - r_seq
+        da = np.empty((3, t, b, hd), dtype=n_seq.dtype)
+        da_z_seq, da_r_seq, da_n_seq = da
+        carry = np.zeros((b, hd), dtype=n_seq.dtype)
+        dh, dz, dn, drh, tmp, tmp2 = np.empty((6, b, hd), dtype=n_seq.dtype)
+        for ti in reversed(range(t)):
+            z, r, omz = z_seq[ti], r_seq[ti], omz_seq[ti]
+            da_z, da_r, da_n = da_z_seq[ti], da_r_seq[ti], da_n_seq[ti]
+            np.add(d_t[ti], carry, out=dh)
+            np.multiply(dh, hmn_seq[ti], out=dz)
+            np.multiply(dh, omz, out=dn)
+            np.multiply(dh, z, out=carry)  # dh_prev
+            np.multiply(dn, omn2_seq[ti], out=da_n)
+            np.dot(da_n, u_n, out=drh)
+            np.multiply(drh, h_prev_seq[ti], out=tmp)
+            tmp *= r
+            np.multiply(tmp, omr_seq[ti], out=da_r)
+            np.multiply(drh, r, out=tmp)
+            carry += tmp
+            np.multiply(dz, z, out=tmp)
+            np.multiply(tmp, omz, out=da_z)
+            np.dot(da_z, u_z, out=tmp)
+            np.dot(da_r, u_r, out=tmp2)
+            tmp += tmp2
+            carry += tmp
+        return da
 
     def flops(self, n_frames: int) -> int:
         if n_frames <= 0:

@@ -9,7 +9,6 @@ bit-level determinism of the printed numbers.
 
 import contextlib
 import io
-import json
 import sys
 import time
 from dataclasses import replace
@@ -19,8 +18,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_grads_close, gru_final_state, rank_auc
-from tcssd.analysis import (SimConfig, simulate_trajectories,
-                            tc_similarity_matrix_features, tc_statistic)
+from tcssd.analysis import simulate_trajectories, tc_similarity_matrix_features, tc_statistic
 from tcssd.checkpoint import load_checkpoint
 from tcssd.cli import main
 from tcssd.cm_distribution import cm2_score_features
@@ -29,7 +27,7 @@ from tcssd.config import toy_config
 from tcssd.encoder import count_parameters, estimate_flops
 from tcssd.frontend import Waveform, trim_boundaries, trim_silence
 from tcssd.layers import Gru, Linear, init_layers, tensor_names
-from tcssd.scoring import compute_eer, eer_from_arrays, parse_protocol, read_scores
+from tcssd.scoring import eer_from_arrays, parse_protocol
 from tcssd.training import AamConfig, aam_softmax_loss
 
 

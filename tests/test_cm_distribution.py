@@ -1,10 +1,8 @@
 """CM2: embedding/scoring contracts and gradient checks."""
 
 import numpy as np
-import pytest
 
 from helpers import assert_grads_close
-from tcssd.checkpoint import Checkpoint
 from tcssd.cm_distribution import Cm2Net, cm2_score, cm2_score_features
 from tcssd.cm_temporal import Cm1Config
 from tcssd.encoder import FrontendNet, toy_encoder_config

@@ -100,6 +100,27 @@ def test_gru_time_loop_bit_identical_to_reference(b, t):
     assert np.array_equal(dx, want_dx)
 
 
+# (32, 199) is the toy CM1 width and sequence length the recipe trains on.
+@pytest.mark.parametrize("b,t,i_dim,h_dim", [
+    (1, 9, 6, 8), (5, 13, 6, 8), (32, 199, 24, 32), (3, 1, 6, 8)])
+def test_gru_two_layers_bit_identical_to_chained_reference(b, t, i_dim, h_dim):
+    gru = Gru("g", i_dim, h_dim, n_layers=2, input_gain=5.0, carry_bias=3.0)
+    rng = np.random.default_rng(b * 1000 + t)
+    params = {}
+    gru.init(params, rng)
+    x = (rng.standard_normal((b, t, i_dim)) * 0.5).astype(np.float32)
+    dh_seq = rng.standard_normal((b, t, h_dim)).astype(np.float32)
+    h_seq, caches = gru.forward(params, x)
+    dx = gru.backward(params, caches, dh_seq, {})
+    p0, p1 = ([params[f"g.l{l}.{k}"] for k in ("w_ih", "w_hh", "b_ih", "b_hh")]
+              for l in (0, 1))
+    h1, _ = reference_gru_layer(x, *p0, np.zeros((b, t, h_dim), np.float32))
+    want_h, dh1 = reference_gru_layer(h1, *p1, dh_seq)
+    _, want_dx = reference_gru_layer(x, *p0, dh1)
+    assert np.array_equal(h_seq, want_h)
+    assert np.array_equal(dx, want_dx)
+
+
 def reference_conv(x, w, b, dilation):
     """Oracle: same-padded dilated conv as a direct loop over output frames
     and taps; a tap that falls outside [0, T) reads zeros."""

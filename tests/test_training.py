@@ -6,9 +6,7 @@ import pytest
 from helpers import assert_grads_close
 from tcssd.analysis import SimConfig, simulate_trajectories
 from tcssd.cm_distribution import Cm2Net
-from tcssd.cm_temporal import Cm1Config
 from tcssd.config import toy_config
-from tcssd.encoder import toy_encoder_config
 from tcssd.errors import DataError, TrainingError
 from tcssd.layers import tensor_names
 from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
