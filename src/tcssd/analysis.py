@@ -18,6 +18,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .encoder import EncoderConfig, FrontendNet
 from .errors import DataError
+from .files import write_text
 from .frontend import FRAME_RATE, N_MELS, FeatureMap, Waveform, compute_fbank
 from .layers import tensor_names
 
@@ -176,18 +177,13 @@ def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int):
 
 def write_similarity_matrix(m: SimilarityMatrix, path, header_lines=()) -> None:
     """Text dump: '#' headers, K start times, then K rows of K cosines."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(" ".join(f"{t:.6f}" for t in m.segment_times) + "\n")
-        for row in m.values:
-            fh.write(" ".join(f"{v:.8f}" for v in row) + "\n")
+    rows = (" ".join(f"{v:.8f}" for v in row) for row in m.values)
+    write_text(path, [" ".join(f"{t:.6f}" for t in m.segment_times), *rows],
+               header_lines)
 
 
 def write_projection(utt_ids, coords, labels, path, header_lines=()) -> None:
     """Text dump: utt_id<TAB>x<TAB>y<TAB>label per embedding."""
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for utt, (x, y), label in zip(utt_ids, coords, labels):
-            fh.write(f"{utt}\t{x:.8f}\t{y:.8f}\t{label}\n")
+    write_text(path, (f"{utt}\t{x:.8f}\t{y:.8f}\t{label}"
+                      for utt, (x, y), label in zip(utt_ids, coords, labels)),
+               header_lines)

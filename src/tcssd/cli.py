@@ -29,6 +29,7 @@ from .cm_temporal import Cm1Net
 from .encoder import (FrontendNet, count_parameters, describe_frontend,
                       estimate_flops)
 from .errors import TcssdError
+from .files import write_text
 from .frontend import (compute_fbank, load_feature_map, load_waveform,
                        save_feature_map, save_waveform, trim_silence)
 from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
@@ -165,12 +166,6 @@ def _provenance(args, cfg: RunConfig) -> list[str]:
             f"seed={cfg.seed}"]
 
 
-def _write_provenance_file(path, lines) -> None:
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(f"# {line}\n")
-
-
 def _print_provenance(args, cfg: RunConfig) -> None:
     for line in _provenance(args, cfg):
         print(f"# {line}")
@@ -193,10 +188,8 @@ def _cmd_extract(args, cfg):
         f = compute_fbank(w)
         stem = os.path.splitext(os.path.basename(wav_path))[0]
         save_feature_map(f, os.path.join(args.out, f"{stem}.fea"))
-    _write_provenance_file(os.path.join(args.out, "provenance.txt"),
-                           _provenance(args, cfg))
+    write_text(os.path.join(args.out, "provenance.txt"), (), _provenance(args, cfg))
     print(f"extracted {len(args.wav)} feature map(s) to {args.out}")
-    return 0
 
 
 def _cmd_trim(args, cfg):
@@ -207,7 +200,6 @@ def _cmd_trim(args, cfg):
     save_waveform(trimmed, args.output)
     _print_provenance(args, cfg)
     print(f"trimmed {args.input}: kept {trimmed.samples.size} of {w.samples.size} samples")
-    return 0
 
 
 def _cmd_train(args, cfg):
@@ -219,11 +211,9 @@ def _cmd_train(args, cfg):
     init = load_checkpoint(args.init_ckpt) if args.init_ckpt else None
     ckpt, log = train(cm_id, items, cfg.encoder, cfg.cm1, train_cfg, cfg.aam,
                       augment=cfg.augment, out_dir=args.out, init_ckpt=init)
-    _write_provenance_file(os.path.join(args.out, "provenance.txt"),
-                           _provenance(args, cfg))
+    write_text(os.path.join(args.out, "provenance.txt"), (), _provenance(args, cfg))
     print(f"trained {cm_id}: {len(log)} steps, "
           f"final loss {log[-1].loss:.6g}, checkpoints in {args.out}")
-    return 0
 
 
 def _cmd_score(args, cfg):
@@ -234,7 +224,6 @@ def _cmd_score(args, cfg):
                           batch_size=args.batch_size)
     write_scores(scores, args.out, header_lines=_provenance(args, cfg))
     print(f"scored {len(scores.entries)} trial(s) with {cm_id} -> {args.out}")
-    return 0
 
 
 def _cmd_fuse(args, cfg):
@@ -243,7 +232,6 @@ def _cmd_fuse(args, cfg):
     fused = fuse_scores(a, b, w=args.w, normalize=args.normalize)
     write_scores(fused, args.out, header_lines=_provenance(args, cfg))
     print(f"fused {len(fused.entries)} score(s) -> {args.out}")
-    return 0
 
 
 def _cmd_evaluate(args, cfg):
@@ -252,7 +240,6 @@ def _cmd_evaluate(args, cfg):
     result = compute_eer(scores)
     _print_provenance(args, cfg)
     print(f"EER={result.eer:.4f}@threshold={result.threshold:.6g}")
-    return 0
 
 
 def _cmd_analyze_tc(args, cfg):
@@ -272,7 +259,6 @@ def _cmd_analyze_tc(args, cfg):
     mean_od, range_od = tc_statistic(m)
     write_similarity_matrix(m, args.out, header_lines=_provenance(args, cfg))
     print(f"tc_mean={mean_od:.6f} tc_range={range_od:.6f} -> {args.out}")
-    return 0
 
 
 def _cmd_analyze_dist(args, cfg):
@@ -288,7 +274,6 @@ def _cmd_analyze_dist(args, cfg):
                      [r.key for r in records], args.out,
                      header_lines=_provenance(args, cfg))
     print(f"projected {len(records)} embedding(s) -> {args.out}")
-    return 0
 
 
 def _cmd_simulate(args, cfg):
@@ -301,10 +286,8 @@ def _cmd_simulate(args, cfg):
         records.append(TrialRecord(speaker_id="SIMSPK", utt_id=utt,
                                    attack_id=attack, key=key))
     serialize_protocol(records, os.path.join(args.out, "protocol.txt"))
-    _write_provenance_file(os.path.join(args.out, "provenance.txt"),
-                           _provenance(args, cfg))
+    write_text(os.path.join(args.out, "provenance.txt"), (), _provenance(args, cfg))
     print(f"simulated {len(records)} utterance(s) -> {args.out}")
-    return 0
 
 
 def _param_report(cfg) -> list[str]:
@@ -326,7 +309,6 @@ def _cmd_count_params(args, cfg):
     _print_provenance(args, cfg)
     for line in _param_report(cfg):
         print(line)
-    return 0
 
 
 def _cmd_flops(args, cfg):
@@ -342,7 +324,6 @@ def _cmd_flops(args, cfg):
           f"(reported reference: {REPORTED_FLOPS['cm2']})")
     print(f"fusion FLOPs: {fe + f1 + f2:,} "
           f"(reported reference: {REPORTED_FLOPS['fusion']})")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -353,10 +334,11 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = _effective_config(args)
-        return args.handler(args, cfg)
+        args.handler(args, cfg)
     except TcssdError as exc:
         print(f"tcssd {args.command}: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

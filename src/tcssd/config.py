@@ -15,6 +15,7 @@ from .analysis import SimConfig
 from .cm_temporal import Cm1Config, check_input_width, toy_cm1_config
 from .encoder import EncoderConfig, toy_encoder_config
 from .errors import DataError
+from .files import read_lines
 from .frontend import AugmentPolicy
 from .training import AamConfig, TrainConfig, toy_train_config
 
@@ -51,19 +52,11 @@ _SECTIONS = ("encoder", "cm1", "train", "aam", "augment", "sim")
 
 
 def parse_config_file(path) -> dict[str, str]:
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        raise DataError(f"missing config file: {path}") from None
     flat = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
+    for lineno, text in read_lines(path, "config"):
+        if "=" not in text:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
+        key, _, value = text.partition("=")
         flat[key.strip()] = value.strip()
     return flat
 
@@ -79,8 +72,6 @@ def _coerce(value: str, target_type):
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a boolean: {value}")
-    if target_type is str:
-        return value
     # remaining case: tuple of ints (block dilations)
     return tuple(int(v) for v in value.replace(",", " ").split())
 
@@ -101,8 +92,7 @@ def apply_flat_overrides(cfg: RunConfig, flat: dict[str, str]) -> RunConfig:
             raise DataError(f"unknown config key '{key}'")
         current = getattr(sub, fname)
         try:
-            section_updates[section][fname] = _coerce(
-                value, type(current) if not isinstance(current, tuple) else tuple)
+            section_updates[section][fname] = _coerce(value, type(current))
         except ValueError as exc:
             raise DataError(f"bad value for '{key}': {exc}") from None
     new_sections = {s: replace(getattr(cfg, s), **updates) if updates

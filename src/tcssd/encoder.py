@@ -198,6 +198,8 @@ def estimate_flops(layers, input_duration: float,
     Sums conv/linear/recurrent layers; element-wise work is ignored.
     """
     n_frames = int(round(input_duration * frames_per_second))
+    if n_frames <= 0:
+        return 0
     return sum(layer.flops(n_frames) for layer in layers)
 
 

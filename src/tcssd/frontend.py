@@ -8,6 +8,7 @@ always comes from an explicit seed.
 
 from __future__ import annotations
 
+import io
 import struct
 import wave
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .files import write_bytes
 
 SAMPLE_RATE = 16000
 
@@ -97,11 +99,13 @@ def save_waveform(w: Waveform, path) -> None:
     """Write a waveform as 16 kHz mono PCM16 WAV (values clipped to [-1, 1])."""
     clipped = np.clip(w.samples, -1.0, 1.0)
     ints = np.round(clipped * 32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as wav:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
         wav.setframerate(w.sample_rate)
         wav.writeframes(ints.tobytes())
+    write_bytes(path, buf.getvalue())
 
 
 def trim_boundaries(w: Waveform, top_db: float = 40.0, frame_len: int = 2048,
@@ -254,9 +258,7 @@ def save_feature_map(f: FeatureMap, path) -> None:
     t, m = f.values.shape
     header = FEATURE_MAGIC + struct.pack(
         "<6I", FEATURE_VERSION, t, m, f.frame_hop, f.frame_len, f.n_fft)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f4").tobytes())
+    write_bytes(path, header + np.ascontiguousarray(f.values, dtype="<f4").tobytes())
 
 
 def load_feature_map(path) -> FeatureMap:

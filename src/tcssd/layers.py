@@ -9,6 +9,7 @@ also the checkpoint tensor namespace.  Every layer implements:
   * ``forward(params, x)`` -> (output, cache)
   * ``backward(params, cache, dy, grads)`` -> dx, accumulating into ``grads``
   * ``flops(n_frames)`` -> multiply-accumulate based FLOP estimate (2 * MACs)
+    for n_frames >= 1
 
 Sequence activations use the (batch, time, channels) layout.  Computations
 run in the dtype of the inputs/parameters: float32 for training, float64 in
@@ -88,8 +89,6 @@ class Linear:
         return dy @ w
 
     def flops(self, n_frames: int) -> int:
-        if n_frames <= 0:
-            return 0
         mult = n_frames if self.per_frame else 1
         return 2 * self.in_dim * self.out_dim * mult
 
@@ -171,8 +170,6 @@ class Conv1d:
         return dx
 
     def flops(self, n_frames: int) -> int:
-        if n_frames <= 0:
-            return 0
         return 2 * self.in_ch * self.out_ch * self.kernel * n_frames
 
 
@@ -266,8 +263,6 @@ class SEGate(Composite):
         return dx
 
     def flops(self, n_frames: int) -> int:
-        if n_frames <= 0:
-            return 0
         return self.fc1.flops(1) + self.fc2.flops(1)
 
 
@@ -585,8 +580,6 @@ class Gru:
         return da
 
     def flops(self, n_frames: int) -> int:
-        if n_frames <= 0:
-            return 0
         total = 0
         for i_dim, h in self._layer_dims():
             total += 2 * 3 * (i_dim * h + h * h) * n_frames
@@ -614,8 +607,6 @@ class ClassWeights:
         params[f"{self.name}.w"] = w
 
     def flops(self, n_frames: int) -> int:
-        if n_frames <= 0:
-            return 0
         return 2 * self.n_classes * self.dim
 
 

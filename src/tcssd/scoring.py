@@ -17,6 +17,7 @@ from .checkpoint import Checkpoint
 from .cm_temporal import score_embeddings
 from .encoder import EncoderConfig, feature_kind
 from .errors import DataError
+from .files import read_lines, write_text
 from .frontend import load_feature_map
 from .layers import tensor_names
 from .training import checkpoint_configs, system_net
@@ -68,18 +69,10 @@ def parse_protocol(path) -> list[TrialRecord]:
     Field 3 is ignored.  Blank lines and '#' comment lines are skipped.
     Bonafide trials must carry attack '-' and spoof trials must not.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        raise DataError(f"missing protocol file: {path}") from None
     records = []
     seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for lineno, text in read_lines(path, "protocol"):
+        fields = text.split()
         if len(fields) != 5:
             raise DataError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
         speaker, utt, _, attack, key = fields
@@ -99,43 +92,21 @@ def parse_protocol(path) -> list[TrialRecord]:
 
 
 def serialize_protocol(records, path) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(f"{r.speaker_id} {r.utt_id} - {r.attack_id} {r.key}\n")
+    write_text(path, (f"{r.speaker_id} {r.utt_id} - {r.attack_id} {r.key}"
+                      for r in records))
 
 
 def write_scores(scores: ScoreSet, path, header_lines=()) -> None:
-    """Write tab-separated ``utt_id<TAB>score`` lines, '#' headers first.
-
-    The lines go to a temporary sibling that replaces ``path`` only once
-    complete, so an interrupted write leaves any previous file intact.
-    """
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            for e in scores.entries:
-                fh.write(f"{e.utt_id}\t{e.score:.17g}\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # only after a failed write
-            os.remove(tmp)
+    """Write tab-separated ``utt_id<TAB>score`` lines, '#' headers first."""
+    write_text(path, (f"{e.utt_id}\t{e.score:.17g}" for e in scores.entries),
+               header_lines)
 
 
 def read_scores(path, records=None) -> ScoreSet:
     """Read a score file; trial records (when given) supply the keys."""
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        raise DataError(f"missing score file: {path}") from None
     raw: dict[str, float] = {}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for lineno, text in read_lines(path, "score"):
+        fields = text.split()
         if len(fields) != 2:
             raise DataError(f"{path}:{lineno}: expected 'utt_id<TAB>score'")
         utt, score_text = fields

@@ -19,6 +19,7 @@ from .cm_distribution import Cm2Net
 from .cm_temporal import Cm1Config, Cm1Net, check_input_width
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
+from .files import write_text
 from .frontend import AugmentPolicy, FeatureMap, random_crop, spec_augment
 from .layers import init_layers, tensor_names
 
@@ -348,7 +349,5 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
 
     if out_dir:
         save_checkpoint(ckpt, os.path.join(out_dir, "final"))
-        with open(os.path.join(out_dir, "train.log"), "w") as fh:
-            for entry in log:
-                fh.write(entry.line() + "\n")
+        write_text(os.path.join(out_dir, "train.log"), (e.line() for e in log))
     return ckpt, log

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from tcssd import files
 from tcssd.cm_temporal import Cm1Net
 
 
@@ -105,3 +106,26 @@ def gru_final_state(diffs, params, cfg):
     """Final hidden state of CM1's recurrence over one (T-1) x D sequence."""
     h_seq, _ = Cm1Net(cfg).gru.forward(params, diffs[None])
     return h_seq[0, -1]
+
+
+class HalfWriteFile:
+    """Writes half of each blob through to the real file, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+def fail_writes_halfway(monkeypatch):
+    """Make every write through ``tcssd.files`` stop halfway with OSError."""
+    monkeypatch.setattr(files, "open", lambda *a, **k: HalfWriteFile(open(*a, **k)),
+                        raising=False)

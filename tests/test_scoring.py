@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import brute_force_eer
-from tcssd import scoring
+from helpers import brute_force_eer, fail_writes_halfway
 from tcssd.analysis import SimConfig, simulate_trajectories
 from tcssd.cm_temporal import Cm1Config
 from tcssd.encoder import toy_encoder_config
@@ -229,26 +228,7 @@ def test_score_file_interrupted_write_keeps_previous_file(tmp_path, monkeypatch)
     write_scores(_score_set([("u1", 1.0, "bonafide")]), path)
     before = path.read_bytes()
 
-    class FailingFile:
-        """Writes through to the real file, then fails on the third line."""
-
-        def __init__(self, fh):
-            self.fh, self.lines = fh, 0
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            self.lines += 1
-            if self.lines == 3:
-                raise OSError("disk full")
-            self.fh.write(text)
-
-    monkeypatch.setattr(scoring, "open",
-                        lambda *a, **k: FailingFile(open(*a, **k)), raising=False)
+    fail_writes_halfway(monkeypatch)
     entries = [(f"u{i}", float(i), "bonafide") for i in range(5)]
     with pytest.raises(OSError, match="disk full"):
         write_scores(_score_set(entries), path, header_lines=["prov test"])
