@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError
+from .files import read_bytes
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -87,21 +88,14 @@ def load_checkpoint(path) -> Checkpoint:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     weights_path = os.path.join(path, WEIGHTS_NAME)
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise CheckpointError(f"missing manifest: {manifest_path}") from None
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(read_bytes(manifest_path, "manifest"))
+    except ValueError as exc:  # not JSON, or not in a JSON encoding
         raise CheckpointError(f"corrupt manifest {manifest_path}: {exc}") from None
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint version mismatch in {path}: {version} != {FORMAT_VERSION}")
-    try:
-        with open(weights_path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise CheckpointError(f"missing weights blob: {weights_path}") from None
+    blob = read_bytes(weights_path, "weights blob")
     n_floats = len(blob) // 4
     if len(blob) % 4 != 0:
         raise CheckpointError(f"weights blob in {path} is not a whole number of floats")

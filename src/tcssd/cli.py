@@ -291,7 +291,7 @@ def _cmd_simulate(args, cfg):
 
 
 def _param_report(cfg) -> list[str]:
-    counts = {"cm1": count_parameters(Cm1Net(cfg.cm1).layers()),
+    counts = {"cm1": count_parameters(Cm1Net(cfg.cm1, cfg.encoder).layers()),
               "cm2": count_parameters(Cm2Net(cfg.encoder).layers())}
     counts["fusion"] = counts["cm1"] + counts["cm2"]
     lines = []
@@ -313,7 +313,7 @@ def _cmd_count_params(args, cfg):
 
 def _cmd_flops(args, cfg):
     fe = estimate_flops(describe_frontend(cfg.encoder), args.duration)
-    f1 = estimate_flops(Cm1Net(cfg.cm1).layers(), args.duration)
+    f1 = estimate_flops(Cm1Net(cfg.cm1, cfg.encoder).layers(), args.duration)
     f2 = estimate_flops(Cm2Net(cfg.encoder).layers(), args.duration)
     _print_provenance(args, cfg)
     print(f"duration: {args.duration} s")

@@ -21,7 +21,6 @@ from .layers import ClassWeights, Gru, Linear, relu
 
 @dataclass(frozen=True)
 class Cm1Config:
-    input_dim: int = 1536
     hidden: int = 1536
     n_layers: int = 2
     fc1_out: int = 512
@@ -32,15 +31,7 @@ class Cm1Config:
     carry_bias: float = 0.0
 
 
-def check_input_width(cfg: Cm1Config, enc_cfg: EncoderConfig) -> None:
-    """CM1's GRU reads the encoder's MFA tap, so the widths must agree."""
-    if cfg.input_dim != enc_cfg.mfa_dim:
-        raise DataError(
-            f"cm1.input_dim ({cfg.input_dim}) must equal "
-            f"encoder.mfa_dim ({enc_cfg.mfa_dim}), the tap width CM1 reads")
-
-
-def toy_cm1_config(input_dim: int = 24) -> Cm1Config:
+def toy_cm1_config() -> Cm1Config:
     """Desk-scale head.
 
     Frame differences of simulated trajectories are tiny (~0.05), so the
@@ -48,18 +39,19 @@ def toy_cm1_config(input_dim: int = 24) -> Cm1Config:
     (bias +3, ~20-frame memory); otherwise a 200-step budget is spent
     learning to amplify and integrate before any discrimination happens.
     """
-    return Cm1Config(input_dim=input_dim, hidden=32, fc1_out=64, fc2_out=32,
-                     input_gain=5.0, carry_bias=3.0)
+    return Cm1Config(hidden=32, fc1_out=64, fc2_out=32, input_gain=5.0,
+                     carry_bias=3.0)
 
 
 class Cm1Net:
-    """CM1 layer graph; parameters live under ``cm1.*``.  FBank maps are
-    read through ``frontend``, the frozen speaker encoder, when given."""
+    """CM1 layer graph; parameters live under ``cm1.*``.  The GRU reads the
+    MFA tap of ``frontend``, the frozen speaker encoder, which also carries
+    FBank maps to that tap."""
 
-    def __init__(self, cfg: Cm1Config, frontend: FrontendNet | None = None):
+    def __init__(self, cfg: Cm1Config, enc_cfg: EncoderConfig):
         self.cfg = cfg
-        self.frontend = frontend
-        self.gru = Gru("cm1.gru", cfg.input_dim, cfg.hidden, cfg.n_layers,
+        self.frontend = FrontendNet(enc_cfg)
+        self.gru = Gru("cm1.gru", enc_cfg.mfa_dim, cfg.hidden, cfg.n_layers,
                        input_gain=cfg.input_gain, carry_bias=cfg.carry_bias)
         self.fc1 = Linear("cm1.fc1", cfg.hidden, cfg.fc1_out)
         self.fc2 = Linear("cm1.fc2", cfg.fc1_out, cfg.fc2_out)
@@ -129,7 +121,8 @@ def score_embeddings(emb: np.ndarray, class_w: np.ndarray) -> np.ndarray:
     return cos[:, 0] - cos[:, 1]
 
 
-def cm1_score(values: np.ndarray, params: dict, cfg: Cm1Config) -> float:
+def cm1_score(values: np.ndarray, params: dict, cfg: Cm1Config,
+              enc_cfg: EncoderConfig) -> float:
     """Spoof/bonafide score of one utterance's (T, D) speaker-feature map."""
-    emb, _ = Cm1Net(cfg).embed(params, values[None, :, :], "speaker")
+    emb, _ = Cm1Net(cfg, enc_cfg).embed(params, values[None, :, :], "speaker")
     return float(score_embeddings(emb, params["cm1.cls.w"])[0])

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from .analysis import SimConfig
-from .cm_temporal import Cm1Config, check_input_width, toy_cm1_config
+from .cm_temporal import Cm1Config, toy_cm1_config
 from .encoder import EncoderConfig, toy_encoder_config
 from .errors import DataError
 from .files import read_lines
@@ -30,9 +30,6 @@ class RunConfig:
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
     sim: SimConfig = field(default_factory=SimConfig)
 
-    def __post_init__(self):
-        check_input_width(self.cm1, self.encoder)
-
     def with_seed(self, seed: int) -> "RunConfig":
         """One seed drives the run: training and simulation inherit it."""
         return replace(self, seed=seed,
@@ -41,14 +38,13 @@ class RunConfig:
 
 
 def toy_config() -> RunConfig:
-    enc = toy_encoder_config()
-    return RunConfig(encoder=enc, cm1=toy_cm1_config(enc.mfa_dim),
+    return RunConfig(encoder=toy_encoder_config(), cm1=toy_cm1_config(),
                      train=toy_train_config())
 
 
 PRESETS = {"full": RunConfig, "toy": toy_config}
 
-_SECTIONS = ("encoder", "cm1", "train", "aam", "augment", "sim")
+_SECTIONS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "seed"]
 
 
 def parse_config_file(path) -> dict[str, str]:

@@ -31,7 +31,6 @@ from .layers import (AttentiveStatsPool, ChannelNorm, ClassWeights, Conv1d,
 class EncoderConfig:
     n_mels: int = 80
     channels: int = 1024
-    n_blocks: int = 3
     dilations: tuple[int, ...] = (2, 3, 4)
     res2_scale: int = 8
     mfa_dim: int = 1536
@@ -41,8 +40,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.mfa_dim <= 0:
             raise DataError("mfa_dim must be positive")
-        if len(self.dilations) != self.n_blocks:
-            raise DataError("need one dilation per block")
+        if not self.dilations:
+            raise DataError("need at least one block dilation")
         if self.channels % self.res2_scale != 0:
             raise DataError("channels must be divisible by res2_scale")
         if self.n_mels == self.mfa_dim:
@@ -74,7 +73,7 @@ def encoder_head(cfg: EncoderConfig, namespace: str):
     """The layers above the MFA concat: 1x1 MFA conv, attentive pooling,
     projection and 2-class rows, under ``namespace``.  The frontend owns
     one set; CM2 owns a retrained copy."""
-    return (Conv1d(f"{namespace}.mfa.conv", cfg.n_blocks * cfg.channels,
+    return (Conv1d(f"{namespace}.mfa.conv", len(cfg.dilations) * cfg.channels,
                    cfg.mfa_dim, kernel=1),
             AttentiveStatsPool(f"{namespace}.pool", cfg.mfa_dim, cfg.att_dim),
             Linear(f"{namespace}.proj", 2 * cfg.mfa_dim, cfg.embed_dim),

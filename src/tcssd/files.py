@@ -1,25 +1,42 @@
-"""Text framing and atomic replacement for every file the package writes.
+"""One reader for every input file, text framing, and atomic replacement
+for every file the package writes.
 
-Text inputs skip blank and ``#`` lines; text outputs put ``# `` headers
-first.  Every output goes to a ``<path>.tmp`` sibling that replaces
-``path`` only once complete, so an interrupted write leaves any previous
-file intact.  (Checkpoint directories swap on their own, in checkpoint.py.)
+An input that cannot be read, or text that is not UTF-8, is a one-line
+``DataError`` naming the file.  Text inputs skip blank and ``#`` lines;
+text outputs put ``# `` headers first.  Every output goes to a
+``<path>.tmp`` sibling that replaces ``path`` only once complete, so an
+interrupted write leaves any previous file intact.  (Checkpoint
+directories swap on their own, in checkpoint.py.)
 """
 
 from __future__ import annotations
 
+import io
 import os
 
 from .errors import DataError
 
 
-def read_lines(path, what: str) -> list[tuple[int, str]]:
-    """(line number, stripped text) for each non-blank, non-'#' line."""
+def read_bytes(path, what: str) -> bytes:
+    """The contents of ``path``; ``what`` names the file in errors."""
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
-        raise DataError(f"missing {what} file: {path}") from None
+        raise DataError(f"missing {what}: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def read_lines(path, what: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) for each non-blank, non-'#' line, with
+    universal newlines: LF, CR LF and CR each end a line."""
+    try:
+        text = read_bytes(path, f"{what} file").decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} file {path} is not UTF-8 text "
+                        f"(byte {exc.start})") from None
+    lines = io.StringIO(text, newline=None).readlines()
     return [(lineno, text) for lineno, line in enumerate(lines, start=1)
             if (text := line.strip()) and not text.startswith("#")]
 

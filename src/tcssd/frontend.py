@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .files import write_bytes
+from .files import read_bytes, write_bytes
 
 SAMPLE_RATE = 16000
 
@@ -77,9 +77,7 @@ class AugmentPolicy:
 def load_waveform(path) -> Waveform:
     """Read a 16 kHz mono PCM16 WAV file into a float waveform in [-1, 1]."""
     try:
-        wav = wave.open(str(path), "rb")
-    except FileNotFoundError:
-        raise DataError(f"missing file: {path}") from None
+        wav = wave.open(io.BytesIO(read_bytes(path, "file")), "rb")
     except (wave.Error, EOFError) as exc:
         raise DataError(f"unsupported encoding in {path}: {exc}") from None
     with wav:
@@ -262,11 +260,7 @@ def save_feature_map(f: FeatureMap, path) -> None:
 
 
 def load_feature_map(path) -> FeatureMap:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"missing feature file: {path}") from None
+    blob = read_bytes(path, "feature file")
     hdr_len = len(FEATURE_MAGIC) + 24
     if len(blob) < hdr_len or blob[:len(FEATURE_MAGIC)] != FEATURE_MAGIC:
         raise DataError(f"not a feature cache file: {path}")

@@ -7,7 +7,8 @@ also the checkpoint tensor namespace.  Every layer implements:
   * ``param_specs()``  -> list of (name, shape) pairs it owns
   * ``init(params, rng)`` -> create parameters (deterministic draw order)
   * ``forward(params, x)`` -> (output, cache)
-  * ``backward(params, cache, dy, grads)`` -> dx, accumulating into ``grads``
+  * ``backward(params, cache, dy, grads)`` -> dx, writing its tensors'
+    gradients into ``grads``
   * ``flops(n_frames)`` -> multiply-accumulate based FLOP estimate (2 * MACs)
     for n_frames >= 1
 
@@ -31,13 +32,6 @@ def sigmoid(x, out=None):
 
 def relu(x):
     return np.maximum(x, 0)
-
-
-def accumulate_grad(grads: dict, name: str, value: np.ndarray) -> None:
-    if name in grads:
-        grads[name] += value
-    else:
-        grads[name] = value.copy()
 
 
 def _time_mean(x):
@@ -84,8 +78,8 @@ class Linear:
         else:
             dw = dy.T @ x
             db = dy.sum(axis=0)
-        accumulate_grad(grads, f"{self.name}.w", dw)
-        accumulate_grad(grads, f"{self.name}.b", db)
+        grads[f"{self.name}.w"] = dw
+        grads[f"{self.name}.b"] = db
         return dy @ w
 
     def flops(self, n_frames: int) -> int:
@@ -165,8 +159,8 @@ class Conv1d:
                            @ x[:, lo + shift:hi + shift].reshape(-1, self.in_ch))
             dxj = (dy2 @ w_taps[j]).reshape(bsz, t, self.in_ch)
             dx[:, lo + shift:hi + shift] += dxj[:, lo:hi]
-        accumulate_grad(grads, f"{self.name}.w", dw)
-        accumulate_grad(grads, f"{self.name}.b", dy.sum(axis=(0, 1)))
+        grads[f"{self.name}.w"] = dw
+        grads[f"{self.name}.b"] = dy.sum(axis=(0, 1))
         return dx
 
     def flops(self, n_frames: int) -> int:
@@ -205,8 +199,8 @@ class ChannelNorm:
     def backward(self, params, cache, dy, grads):
         xhat, istd = cache
         g = params[f"{self.name}.g"]
-        accumulate_grad(grads, f"{self.name}.g", (dy * xhat).sum(axis=(0, 1)))
-        accumulate_grad(grads, f"{self.name}.b", dy.sum(axis=(0, 1)))
+        grads[f"{self.name}.g"] = (dy * xhat).sum(axis=(0, 1))
+        grads[f"{self.name}.b"] = dy.sum(axis=(0, 1))
         dxh = dy * g
         return istd * (dxh - _time_mean(dxh) - xhat * _time_mean(dxh * xhat))
 
@@ -527,15 +521,15 @@ class Gru:
             b, t, 3 * hd)
         # Weight gradients as one GEMM each over all B*T frames.
         da2 = da_seq.reshape(b * t, 3 * hd)
-        accumulate_grad(grads, f"{self.name}.l{l}.w_ih", da2.T @ inp.reshape(b * t, -1))
+        grads[f"{self.name}.l{l}.w_ih"] = da2.T @ inp.reshape(b * t, -1)
         h_prev_seq = hs[:-1]
         rh2 = (zr_seq[:, 1] * h_prev_seq).transpose(1, 0, 2).reshape(b * t, hd)
         dw_zr = da2[:, :2 * hd].T @ h_prev_seq.transpose(1, 0, 2).reshape(b * t, hd)
-        accumulate_grad(grads, f"{self.name}.l{l}.w_hh",
-                        np.concatenate([dw_zr, da2[:, 2 * hd:].T @ rh2], axis=0))
+        grads[f"{self.name}.l{l}.w_hh"] = np.concatenate(
+            [dw_zr, da2[:, 2 * hd:].T @ rh2], axis=0)
         dbias = da_seq.sum(axis=(0, 1))
-        accumulate_grad(grads, f"{self.name}.l{l}.b_ih", dbias)
-        accumulate_grad(grads, f"{self.name}.l{l}.b_hh", dbias.copy())
+        grads[f"{self.name}.l{l}.b_ih"] = dbias
+        grads[f"{self.name}.l{l}.b_hh"] = dbias.copy()
         return da_seq @ w_ih
 
     def _step_grads(self, cache, w_hh, d_seq):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, save_checkpoint
 from .cm_distribution import Cm2Net
-from .cm_temporal import Cm1Config, Cm1Net, check_input_width
+from .cm_temporal import Cm1Config, Cm1Net
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
 from .files import write_text
@@ -33,7 +33,6 @@ CM_IDS = ("cm1", "cm2", "frontend-toy")
 class AamConfig:
     margin: float = 0.4
     scale: float = 30.0
-    n_classes: int = 2
 
     def __post_init__(self):
         if not 0.0 <= self.margin < np.pi / 2:
@@ -189,11 +188,10 @@ def build_checkpoint(enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
     copy of its ``frontend.*`` twin, mirroring retraining from pretrained
     weights.  Tensors present in ``init_from`` take precedence.
     """
-    check_input_width(cm1_cfg, enc_cfg)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     init_layers(FrontendNet(enc_cfg).layers(), rng, params)
-    init_layers(Cm1Net(cm1_cfg).layers(), rng, params)
+    init_layers(Cm1Net(cm1_cfg, enc_cfg).layers(), rng, params)
     for name in tensor_names(Cm2Net(enc_cfg).layers()):
         params[name] = params["frontend." + name.removeprefix("cm2.")].copy()
     if init_from is not None:
@@ -211,7 +209,7 @@ def system_net(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config):
     """The net of system ``cm_id``; the countermeasures read FBank maps
     through a frozen frontend of their own."""
     if cm_id == "cm1":
-        return Cm1Net(cm1_cfg, FrontendNet(enc_cfg))
+        return Cm1Net(cm1_cfg, enc_cfg)
     if cm_id == "cm2":
         return Cm2Net(enc_cfg)
     if cm_id == "frontend-toy":
@@ -225,15 +223,27 @@ def config_dict(cfg) -> dict:
 
 
 def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
-    """The encoder and CM1 configs a checkpoint was built with."""
+    """The encoder and CM1 configs a checkpoint was built with.
+
+    Manifests written before the block count and CM1's input width were
+    derived store them as ``encoder.n_blocks`` and ``cm1.input_dim``; each
+    is accepted only when it equals the derived value.
+    """
     try:
-        enc = dict(ckpt.config["encoder"])
+        enc, cm1 = dict(ckpt.config["encoder"]), dict(ckpt.config["cm1"])
+        n_blocks, input_dim = enc.pop("n_blocks", None), cm1.pop("input_dim", None)
         if "dilations" in enc:
             enc["dilations"] = tuple(enc["dilations"])
-        enc_cfg, cm1_cfg = EncoderConfig(**enc), Cm1Config(**ckpt.config["cm1"])
+        enc_cfg, cm1_cfg = EncoderConfig(**enc), Cm1Config(**cm1)
     except (KeyError, TypeError) as exc:
         raise DataError(f"checkpoint config incomplete: {exc}") from None
-    check_input_width(cm1_cfg, enc_cfg)
+    for key, stored, source, derived in (
+            ("encoder.n_blocks", n_blocks, "len(encoder.dilations)",
+             len(enc_cfg.dilations)),
+            ("cm1.input_dim", input_dim, "encoder.mfa_dim", enc_cfg.mfa_dim)):
+        if stored not in (None, derived):
+            raise DataError(
+                f"checkpoint {key} ({stored}) must equal {source} ({derived})")
     return enc_cfg, cm1_cfg
 
 

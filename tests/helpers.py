@@ -4,6 +4,7 @@ import numpy as np
 
 from tcssd import files
 from tcssd.cm_temporal import Cm1Net
+from tcssd.encoder import EncoderConfig
 
 
 def numeric_grad(loss_fn, params, name, eps=1e-6):
@@ -104,7 +105,8 @@ def assert_directional_grads_close(loss_fn, params, analytic, names, rng,
 
 def gru_final_state(diffs, params, cfg):
     """Final hidden state of CM1's recurrence over one (T-1) x D sequence."""
-    h_seq, _ = Cm1Net(cfg).gru.forward(params, diffs[None])
+    net = Cm1Net(cfg, EncoderConfig(mfa_dim=diffs.shape[-1]))
+    h_seq, _ = net.gru.forward(params, diffs[None])
     return h_seq[0, -1]
 
 

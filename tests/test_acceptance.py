@@ -24,7 +24,7 @@ from tcssd.cli import main
 from tcssd.cm_distribution import cm2_score_features
 from tcssd.cm_temporal import Cm1Config, Cm1Net, cm1_score, difference_sequence
 from tcssd.config import toy_config
-from tcssd.encoder import count_parameters, estimate_flops
+from tcssd.encoder import EncoderConfig, count_parameters, estimate_flops
 from tcssd.frontend import Waveform, trim_boundaries, trim_silence
 from tcssd.layers import Gru, Linear, init_layers, tensor_names
 from tcssd.scoring import eer_from_arrays, parse_protocol
@@ -195,7 +195,7 @@ def test_criterion_2_aam_softmax():
 
 def test_criterion_3_gru():
     started = time.monotonic()
-    cfg = Cm1Config(input_dim=1, hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
+    cfg = Cm1Config(hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
     params = {"cm1.gru.l0.w_ih": np.ones((3, 1)),
               "cm1.gru.l0.w_hh": np.ones((3, 1)),
               "cm1.gru.l0.b_ih": np.zeros(3),
@@ -206,8 +206,8 @@ def test_criterion_3_gru():
     hand_ok = abs(h1 - oracle) < 1e-6
 
     # full backward vs finite differences at toy shapes (D=3, H=4, T=5)
-    net_cfg = Cm1Config(input_dim=3, hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
-    net = Cm1Net(net_cfg)
+    net_cfg = Cm1Config(hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
+    net = Cm1Net(net_cfg, EncoderConfig(mfa_dim=3))
     params = init_layers(net.layers(), np.random.default_rng(30), dtype=np.float64)
     rng = np.random.default_rng(31)
     params["cm1.cls.w"] = rng.standard_normal((2, 4))
@@ -241,7 +241,7 @@ def test_criterion_3_gru():
                    reason="stated constant 0.204863 does not satisfy its own "
                           "recurrence: (1-sigmoid(1))*tanh(1) = 0.2048242")
 def test_criterion_3_documented_constant():
-    cfg = Cm1Config(input_dim=1, hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
+    cfg = Cm1Config(hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
     params = {"cm1.gru.l0.w_ih": np.ones((3, 1)),
               "cm1.gru.l0.w_hh": np.ones((3, 1)),
               "cm1.gru.l0.b_ih": np.zeros(3),
@@ -261,12 +261,13 @@ def test_criterion_4_differencing():
     recon = np.vstack([s[0], s[0] + np.cumsum(d, axis=0)])
     recon_ok = np.allclose(recon, s, atol=1e-12)
 
-    cfg = Cm1Config(input_dim=6, hidden=5, n_layers=2, fc1_out=5, fc2_out=4)
-    net = Cm1Net(cfg)
+    cfg = Cm1Config(hidden=5, n_layers=2, fc1_out=5, fc2_out=4)
+    tap6 = EncoderConfig(mfa_dim=6)
+    net = Cm1Net(cfg, tap6)
     params = init_layers(net.layers(), np.random.default_rng(41), dtype=np.float64)
     params["cm1.cls.w"] = rng.standard_normal((2, 4))
-    base = cm1_score(s, params, cfg)
-    offset_ok = all(abs(cm1_score(s + c, params, cfg) - base) < 1e-6
+    base = cm1_score(s, params, cfg, tap6)
+    offset_ok = all(abs(cm1_score(s + c, params, cfg, tap6) - base) < 1e-6
                     for c in (1.0, -2.5, 50.0))
     const_ok = np.all(difference_sequence(np.tile(rng.standard_normal(6), (7, 1))) == 0)
     report(4, recon_ok and offset_ok and const_ok,
@@ -324,8 +325,8 @@ def test_criterion_6_simulator_end_to_end(recipe):
            [f.values for _, f, k in hard_part if k == "bonafide"]
     spoof = [f.values for _, f, k in std_part if k == "spoof"] + \
             [f.values for _, f, k in hard_part if k == "spoof"]
-    b1 = [cm1_score(s, ck1.tensors, cfg.cm1) for s in bona]
-    s1 = [cm1_score(s, ck1.tensors, cfg.cm1) for s in spoof]
+    b1 = [cm1_score(s, ck1.tensors, cfg.cm1, cfg.encoder) for s in bona]
+    s1 = [cm1_score(s, ck1.tensors, cfg.cm1, cfg.encoder) for s in spoof]
     b2 = [cm2_score_features(s, ck2.tensors, cfg.encoder) for s in bona]
     s2 = [cm2_score_features(s, ck2.tensors, cfg.encoder) for s in spoof]
     e1 = eer_from_arrays(b1, s1).eer
@@ -357,7 +358,7 @@ def gate_arithmetic_cm1_params():
 
 def test_criterion_7_parameter_accounting():
     oracle = gate_arithmetic_cm1_params()
-    counted = count_parameters(Cm1Net(Cm1Config()).layers())
+    counted = count_parameters(Cm1Net(Cm1Config(), EncoderConfig()).layers())
     exact_ok = counted == oracle == 29215808
 
     unit_ok = (
@@ -379,7 +380,7 @@ def test_criterion_7_parameter_accounting():
                           "documented tensor shapes; gate arithmetic gives "
                           "29,215,808 (2x14,164,992 + 786,944 + 98,496 + 384)")
 def test_criterion_7_documented_total():
-    assert count_parameters(Cm1Net(Cm1Config()).layers()) == 29250432
+    assert count_parameters(Cm1Net(Cm1Config(), EncoderConfig()).layers()) == 29250432
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_tc_matrix_features_symmetric_unit_diagonal():
 
 def test_tc_matrix_audio_lane():
     enc = toy_encoder_config()
-    ckpt = build_checkpoint(enc, Cm1Config(input_dim=enc.mfa_dim, hidden=8,
+    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
     rng = np.random.default_rng(1)
     w = Waveform(samples=rng.uniform(-0.4, 0.4, 16000 * 2))
@@ -69,7 +69,7 @@ def test_tc_matrix_audio_lane():
 
 def test_tc_matrix_too_short_utterance_rejected():
     enc = toy_encoder_config()
-    ckpt = build_checkpoint(enc, Cm1Config(input_dim=enc.mfa_dim, hidden=8,
+    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
     w = Waveform(samples=np.zeros(4000))  # 0.25 s
     with pytest.raises(DataError, match="shorter than segment"):

@@ -1,21 +1,22 @@
 """Command-line contract tests: exit codes, formats, determinism."""
 
+import ast
 import hashlib
+import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tcssd
 from tcssd.checkpoint import load_checkpoint, save_checkpoint
 from tcssd.cli import main
-from tcssd.cm_temporal import Cm1Net, toy_cm1_config
+from tcssd.config import flat_dict, toy_config
 from tcssd.encoder import toy_encoder_config
-from tcssd.errors import DataError
 from tcssd.frontend import (FeatureMap, Waveform, load_feature_map, load_waveform,
                             save_feature_map, save_waveform)
-from tcssd.layers import init_layers
-from tcssd.training import build_checkpoint, config_dict
 
 SUBCOMMANDS = ["extract", "trim", "train", "score", "fuse", "evaluate",
                "analyze-tc", "analyze-dist", "simulate", "count-params", "flops"]
@@ -306,6 +307,29 @@ def test_analyze_dist_missing_feature_exits_two(tiny_pipeline, tmp_path, capsys)
     assert not (tmp_path / "p.tsv").exists()
 
 
+# Inputs that exist but cannot be read as what they are given for, and
+# the path each command must name.
+@pytest.mark.parametrize("argv, bad", [
+    (["evaluate", "--scores", "{dir}", "--protocol", "{protocol}"], "{dir}"),
+    (["evaluate", "--scores", "{scores}", "--protocol", "{fea}"], "{fea}"),
+    (["score", "--cm", "1", "--protocol", "{protocol}", "--features", "{features}",
+      "--ckpt", "{scores}", "--out", "{dir}/s.tsv"], "{scores}"),
+    (["analyze-tc", "--features", "{dir}", "--out", "{dir}/m.txt"], "{dir}"),
+], ids=["evaluate_scores_dir", "evaluate_protocol_fea", "score_ckpt_score_file",
+        "analyze_tc_features_dir"])
+def test_unreadable_input_exits_two_naming_it(argv, bad, tiny_pipeline, tmp_path,
+                                              capsys):
+    _, sim, _, scores = tiny_pipeline
+    paths = {"dir": tmp_path, "protocol": sim / "protocol.txt",
+             "features": sim / "features", "scores": scores,
+             "fea": next((sim / "features").glob("*.fea"))}
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and bad.format(**paths) in err
+    assert "Traceback" not in err
+
+
 def test_bad_device_rejected(capsys):
     """There is no --device flag: any value is a usage error."""
     with pytest.raises(SystemExit) as exc:
@@ -335,32 +359,36 @@ def test_missing_tensor_on_tap_point_maps_exits_two(tiny_pipeline, tmp_path, cap
     assert not out.exists()
 
 
-def test_train_cm1_input_dim_mismatch_exits_two(tmp_path, capsys):
-    """encoder.mfa_dim must equal cm1.input_dim, the width CM1's GRU reads."""
+def test_train_cm1_input_width_follows_mfa_dim(tmp_path, capsys):
+    """CM1's GRU reads encoder.mfa_dim channels, so widening the tap is one
+    setting, not two that can disagree."""
     sim = tmp_path / "sim"
     assert main(["simulate", "--out", str(sim), "--seed", "1",
                  "--n-per-class", "2", "--set", "sim.dim=32"]) == 0
-    capsys.readouterr()
     rc = main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
                "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
                "--steps", "1", "--set", "encoder.mfa_dim=32"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "cm1.input_dim" in err and "encoder.mfa_dim" in err
-    assert not (tmp_path / "ck").exists()
+    assert rc == 0, capsys.readouterr().err
+    ckpt = load_checkpoint(tmp_path / "ck" / "final")
+    assert ckpt.tensors["cm1.gru.l0.w_ih"].shape[1] == 32
+
+
+def _legacy_checkpoint(src, dst, stored):
+    """Copy checkpoint ``src`` to ``dst`` and add the ``stored`` keys to
+    the sections of its manifest config, as older manifests held them."""
+    shutil.copytree(src, dst)
+    manifest = dst / "manifest.json"
+    data = json.loads(manifest.read_text())
+    for section, values in stored.items():
+        data["config"][section].update(values)
+    manifest.write_text(json.dumps(data))
 
 
 def test_checkpoint_input_dim_mismatch_exits_two(tiny_pipeline, tmp_path, capsys):
-    """A checkpoint whose CM1 reads 32 channels from a 24-wide tap is
-    refused where it is built and where it is loaded."""
-    _, sim, _, _ = tiny_pipeline
-    enc, cm1 = toy_encoder_config(), toy_cm1_config(input_dim=32)
-    with pytest.raises(DataError, match="cm1.input_dim.*encoder.mfa_dim"):
-        build_checkpoint(enc, cm1, 0)
-    ckpt = build_checkpoint(enc, toy_cm1_config(enc.mfa_dim), 0)
-    init_layers(Cm1Net(cm1).layers(), np.random.default_rng(0), ckpt.tensors)
-    ckpt.config["cm1"] = config_dict(cm1)
-    save_checkpoint(ckpt, tmp_path / "ck")
+    """A manifest that stores cm1.input_dim 32 beside a 24-wide tap is
+    refused where it is loaded."""
+    _, sim, ck, _ = tiny_pipeline
+    _legacy_checkpoint(ck / "final", tmp_path / "ck", {"cm1": {"input_dim": 32}})
     out = tmp_path / "s.tsv"
     rc = main(["score", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
                "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
@@ -369,6 +397,27 @@ def test_checkpoint_input_dim_mismatch_exits_two(tiny_pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert "cm1.input_dim" in err and "encoder.mfa_dim" in err
     assert not out.exists()
+
+
+def test_legacy_manifest_keys_checked_against_derived_values(tiny_pipeline, tmp_path,
+                                                             capsys):
+    """Stored encoder.n_blocks and cm1.input_dim load when they equal the
+    derived values (same scores); a wrong block count exits 2."""
+    _, sim, ck, scores = tiny_pipeline
+    args = ["--protocol", str(sim / "protocol.txt"), "--features", str(sim / "features"),
+            "--seed", "3"]
+    _legacy_checkpoint(ck / "final", tmp_path / "ok",
+                       {"encoder": {"n_blocks": 3}, "cm1": {"input_dim": 24}})
+    assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / "ok"),
+                 "--out", str(tmp_path / "ok.tsv")]) == 0
+    assert (tmp_path / "ok.tsv").read_bytes() == scores.read_bytes()
+    _legacy_checkpoint(ck / "final", tmp_path / "bad", {"encoder": {"n_blocks": 4}})
+    capsys.readouterr()
+    assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / "bad"),
+                 "--out", str(tmp_path / "bad.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert "encoder.n_blocks" in err and "encoder.dilations" in err
+    assert not (tmp_path / "bad.tsv").exists()
 
 
 def test_config_file_and_inline_overrides(tmp_path):
@@ -387,6 +436,54 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
                "--set", "sim.bogus=3"])
     assert rc == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["aam.n_classes=2", "encoder.n_blocks=3",
+                                     "cm1.input_dim=24"])
+def test_derived_or_unread_config_keys_are_unknown(setting, capsys):
+    """The class count, the block count and CM1's input width are not
+    settings: the first is fixed, the others follow from other keys."""
+    assert main(["count-params", "--set", setting]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_dilations_alone_set_the_block_count(tmp_path, capsys):
+    """Two dilations give a two-block encoder; none at all is refused."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--seed", "1",
+                 "--n-per-class", "2"]) == 0
+    assert main(["train", "--cm", "2", "--protocol", str(sim / "protocol.txt"),
+                 "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
+                 "--steps", "1", "--set", "encoder.dilations=2,3"]) == 0
+    tensors = load_checkpoint(tmp_path / "ck" / "final").tensors
+    blocks = {n.split(".")[1] for n in tensors if n.startswith("frontend.block")}
+    assert sorted(blocks) == ["block1", "block2"]
+    concat_width = 2 * toy_encoder_config().channels
+    assert tensors["frontend.mfa.conv.w"].shape[1] == concat_width
+    assert tensors["cm2.mfa.conv.w"].shape[1] == concat_width
+    no_blocks = tmp_path / "none.cfg"
+    no_blocks.write_text("encoder.dilations =\n")
+    capsys.readouterr()
+    assert main(["count-params", "--config", str(no_blocks)]) == 2
+    assert "need at least one block dilation" in capsys.readouterr().err
+
+
+def test_every_config_field_is_read_by_the_package():
+    """A setting the package never reads does nothing but change the config
+    hash.  Every section field must be read as ``<expr>.<field>`` in some
+    module other than config.py; ``self.<field>`` does not count, since a
+    config class validating itself or a layer's own attribute of the same
+    name is not a use of the setting."""
+    reads = set()
+    for module in Path(tcssd.__file__).parent.glob("*.py"):
+        if module.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Attribute) and not (
+                    isinstance(node.value, ast.Name) and node.value.id == "self"):
+                reads.add(node.attr)
+    keys = [key for key in flat_dict(toy_config()) if key != "seed"]
+    assert [key for key in keys if key.partition(".")[2] not in reads] == []
 
 
 def test_audio_lane_end_to_end(tmp_path, capsys):

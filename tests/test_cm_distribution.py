@@ -13,7 +13,7 @@ from tcssd.training import AamConfig, aam_softmax_loss, build_checkpoint
 
 def toy_checkpoint(seed=0):
     cfg = toy_encoder_config()
-    ckpt = build_checkpoint(cfg, Cm1Config(input_dim=cfg.mfa_dim, hidden=8,
+    ckpt = build_checkpoint(cfg, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=seed)
     return cfg, ckpt
 

@@ -7,9 +7,13 @@ import pytest
 from helpers import assert_grads_close, gru_final_state
 from tcssd.cm_temporal import (Cm1Config, Cm1Net, cm1_score,
                                difference_sequence, score_embeddings)
+from tcssd.encoder import EncoderConfig
 from tcssd.errors import DataError
 from tcssd.layers import Gru, init_layers, tensor_names
 from tcssd.training import AamConfig, aam_softmax_loss
+
+# A 3-wide MFA tap for the toy CM1 heads below.
+TAP3 = EncoderConfig(mfa_dim=3)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +68,7 @@ def scalar_gru_params(weight=1.0, bias=0.0):
 
 
 def test_gru_zero_input_zero_params_fixed_point():
-    cfg = Cm1Config(input_dim=3, hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
+    cfg = Cm1Config(hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
     params = {name: np.zeros(shape)
               for name, shape in Gru("cm1.gru", 3, 4, 2).param_specs()}
     h = gru_final_state(np.zeros((6, 3)), params, cfg)
@@ -78,7 +82,7 @@ def test_gru_scalar_hand_case():
     is 0.2048242..., the product of the gate values sigmoid(1) and tanh(1)
     by the update rule h1 = (1 - z) * n with h0 = 0.)
     """
-    cfg = Cm1Config(input_dim=1, hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
+    cfg = Cm1Config(hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
     h = gru_final_state(np.array([[1.0]]), scalar_gru_params(), cfg)
     mp.mp.dps = 50
     z = 1 / (1 + mp.e ** -1)
@@ -94,13 +98,13 @@ def test_gru_scalar_hand_case():
                           "(1 - sigmoid(1)) * tanh(1) = 0.204824, and the stated "
                           "intermediates 0.268941 * 0.761594 give the same")
 def test_gru_scalar_hand_case_documented_constant():
-    cfg = Cm1Config(input_dim=1, hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
+    cfg = Cm1Config(hidden=1, n_layers=1, fc1_out=1, fc2_out=1)
     h = gru_final_state(np.array([[1.0]]), scalar_gru_params(), cfg)
     assert abs(float(h[0]) - 0.204863) < 1e-6
 
 
 def test_gru_causality_first_step():
-    cfg = Cm1Config(input_dim=3, hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
+    cfg = Cm1Config(hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
     gru = Gru("cm1.gru", 3, 4, 2)
     params = init_layers([gru], np.random.default_rng(0), dtype=np.float64)
     x1 = np.random.default_rng(1).standard_normal((1, 3))
@@ -126,8 +130,8 @@ def test_gru_outputs_bounded():
 # ---------------------------------------------------------------------------
 
 def toy_net_params(seed=0, cfg=None):
-    cfg = cfg or Cm1Config(input_dim=3, hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
-    net = Cm1Net(cfg)
+    cfg = cfg or Cm1Config(hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
+    net = Cm1Net(cfg, TAP3)
     params = init_layers(net.layers(), np.random.default_rng(seed), dtype=np.float64)
     rng = np.random.default_rng(seed + 1)
     params["cm1.cls.w"] = rng.standard_normal((2, cfg.fc2_out))
@@ -140,7 +144,7 @@ def test_score_equal_class_weights_is_zero():
     rng = np.random.default_rng(5)
     for _ in range(5):
         s = rng.standard_normal((9, 3))
-        assert cm1_score(s, params, cfg) == 0.0
+        assert cm1_score(s, params, cfg, TAP3) == 0.0
 
 
 def test_score_cosine_extremes():
@@ -155,10 +159,10 @@ def test_score_offset_invariance():
     cfg, params = toy_net_params(seed=2)
     rng = np.random.default_rng(6)
     s = rng.standard_normal((12, 3))
-    base = cm1_score(s, params, cfg)
+    base = cm1_score(s, params, cfg, TAP3)
     for c in (0.5, -3.0, 100.0):
         shifted = s + c
-        assert abs(cm1_score(shifted, params, cfg) - base) < 1e-6
+        assert abs(cm1_score(shifted, params, cfg, TAP3) - base) < 1e-6
 
 
 def test_score_bounded():
@@ -166,7 +170,7 @@ def test_score_bounded():
     rng = np.random.default_rng(7)
     for _ in range(10):
         s = rng.standard_normal((8, 3)) * rng.uniform(0.1, 10)
-        assert -2.0 <= cm1_score(s, params, cfg) <= 2.0
+        assert -2.0 <= cm1_score(s, params, cfg, TAP3) <= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +178,8 @@ def test_score_bounded():
 # ---------------------------------------------------------------------------
 
 def test_cm1_loss_gradients_match_finite_differences():
-    cfg = Cm1Config(input_dim=3, hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
-    net = Cm1Net(cfg)
+    cfg = Cm1Config(hidden=4, n_layers=2, fc1_out=5, fc2_out=4)
+    net = Cm1Net(cfg, TAP3)
     params = init_layers(net.layers(), np.random.default_rng(10), dtype=np.float64)
     rng = np.random.default_rng(11)
     params["cm1.cls.w"] = rng.standard_normal((2, 4))

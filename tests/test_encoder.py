@@ -41,7 +41,7 @@ def test_frontend_concat_gradients_match_finite_differences():
         if params[name].ndim == 1:
             params[name] = params[name] + 0.5 * rng.standard_normal(params[name].shape)
     params["x"] = rng.standard_normal((2, 9, net.cfg.n_mels))
-    r = rng.standard_normal((2, 9, net.cfg.n_blocks * net.cfg.channels))
+    r = rng.standard_normal((2, 9, len(net.cfg.dilations) * net.cfg.channels))
     cat, cache = net.forward_concat(params, params["x"])
     grads = {}
     grads["x"] = net.backward_concat(params, cache, r, grads)
@@ -127,7 +127,7 @@ def test_full_scale_mfa_width_matches_recurrent_input():
     cfg = EncoderConfig()
     net = FrontendNet(cfg)
     assert net.mfa_conv.out_ch == 1536
-    assert Cm1Net(Cm1Config()).layers()[0].input_dim == net.mfa_conv.out_ch
+    assert Cm1Net(Cm1Config(), cfg).layers()[0].input_dim == net.mfa_conv.out_ch
 
 
 def test_full_scale_forward_shape():
@@ -245,7 +245,7 @@ def test_count_excludes_frozen():
     c = toy_encoder_config()
     layers = Cm2Net(c).layers()
     assert not [n for n in tensor_names(layers) if n.startswith("frontend.")]
-    want = ((c.n_blocks * c.channels + 1) * c.mfa_dim     # MFA conv
+    want = ((len(c.dilations) * c.channels + 1) * c.mfa_dim     # MFA conv
             + (c.mfa_dim + 1) * c.att_dim + c.att_dim + 1  # attention
             + (2 * c.mfa_dim + 1) * c.embed_dim            # projection
             + 2 * c.embed_dim)                             # class rows
@@ -254,7 +254,7 @@ def test_count_excludes_frozen():
 
 def test_count_matches_declared_tensors():
     # self-consistency: count equals the sum over declared tensor shapes
-    layers = Cm1Net(Cm1Config()).layers()
+    layers = Cm1Net(Cm1Config(), EncoderConfig()).layers()
     total = sum(int(np.prod(shape)) for layer in layers
                 for _, shape in layer.param_specs())
     assert count_parameters(layers) == total

@@ -265,8 +265,10 @@ def sim_eval_dir(tmp_path_factory):
         attack = "-" if key == "bonafide" else "SIM01"
         records.append(TrialRecord("SIMSPK", utt, attack, key))
     enc = toy_encoder_config()
-    ckpt = build_checkpoint(enc, Cm1Config(input_dim=enc.mfa_dim, hidden=8,
+    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
+    # As manifests stored it before the block count and CM1's input width
+    # were derived from encoder.dilations and encoder.mfa_dim.
     ckpt.config = {"encoder": {"n_mels": 80, "channels": 16, "n_blocks": 3,
                                "dilations": [2, 3, 4], "res2_scale": 8,
                                "mfa_dim": 24, "embed_dim": 32, "att_dim": 8},
@@ -323,7 +325,7 @@ def mixed_eval_dir(tmp_path_factory):
                 attack = "-" if key == "bonafide" else "SIM01"
                 records.append(TrialRecord("SPK", utt, attack, key))
     enc = toy_encoder_config()
-    ckpt = build_checkpoint(enc, Cm1Config(input_dim=enc.mfa_dim, hidden=8,
+    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=3)
     return tmp, records, ckpt
 
