@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint
 from .encoder import EncoderConfig, FrontendNet
 from .errors import DataError
 from .files import write_text
-from .frontend import FRAME_RATE, N_MELS, FeatureMap, Waveform, compute_fbank
+from .frontend import FRAME_RATE, FeatureMap, Waveform, compute_fbank
 from .layers import tensor_names
 
 SEGMENT_FRAMES_DEFAULT = 50  # 0.5 s at 10 ms frames
@@ -38,7 +38,6 @@ class SimConfig:
     drift_sigma: float = 0.05
     noise_sigma: float = 0.02
     base_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.dim < 2 or self.n_frames < 2:
@@ -75,8 +74,6 @@ def tc_similarity_matrix(w: Waveform, cfg: EncoderConfig, ckpt: Checkpoint,
     """
     if k < 2:
         raise DataError("need at least 2 segments")
-    if cfg.n_mels != N_MELS:
-        raise DataError(f"encoder expects {cfg.n_mels} channels, FBank has {N_MELS}")
     net = FrontendNet(cfg)
     ckpt.require(tensor_names(net.embed_layers("fbank")))
     dur = len(w.samples) / w.sample_rate
@@ -146,8 +143,8 @@ def pca_project(embeddings: np.ndarray, out_dim: int = 2) -> np.ndarray:
     return xc @ axes.T
 
 
-def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int):
-    """Labeled synthetic speaker-feature maps; deterministic given the seed.
+def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int, seed: int):
+    """Labeled synthetic speaker-feature maps; deterministic given ``seed``.
 
     Every utterance draws a base vector of norm ``base_scale``.  Spoof
     frames are base + iid noise; bonafide frames additionally accumulate a
@@ -156,7 +153,7 @@ def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int):
     key) with key in {"bonafide", "spoof"}, bonafide first; the maps carry
     no audio provenance (frame_hop = frame_len = n_fft = 0).
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     out = []
     for key in ("bonafide", "spoof"):
         for i in range(n_utts_per_class):

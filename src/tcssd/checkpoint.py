@@ -84,6 +84,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     shutil.rmtree(old, ignore_errors=True)
 
 
+def _valid_entry(entry) -> bool:
+    """A tensor entry names a string, a list of sizes and an int offset."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(isinstance(s, int) and s >= 0 for s in entry["shape"])
+            and isinstance(entry.get("offset"), int))
+
+
 def load_checkpoint(path) -> Checkpoint:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     weights_path = os.path.join(path, WEIGHTS_NAME)
@@ -91,6 +99,9 @@ def load_checkpoint(path) -> Checkpoint:
         manifest = json.loads(read_bytes(manifest_path, "manifest"))
     except ValueError as exc:  # not JSON, or not in a JSON encoding
         raise CheckpointError(f"corrupt manifest {manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors", []), list):
+        raise CheckpointError(
+            f"corrupt manifest {manifest_path}: not an object with a tensor list")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -104,9 +115,10 @@ def load_checkpoint(path) -> Checkpoint:
     frozen = set()
     total = 0
     for entry in manifest.get("tensors", []):
-        name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
-        offset = int(entry["offset"])
+        if not _valid_entry(entry):
+            raise CheckpointError(
+                f"corrupt manifest {manifest_path}: bad tensor entry {entry!r}")
+        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if offset < 0 or offset + size > n_floats:
             raise CheckpointError(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -82,7 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True, help="feature cache directory")
     p.add_argument("--out", required=True, help="checkpoint output directory")
     p.add_argument("--init-ckpt", default=None)
-    p.add_argument("--steps", type=int, default=None, help="override train.max_steps")
+    p.add_argument("--steps", type=int, default=None, help="sets train.max_steps")
 
     p = add("score", "score every trial of a protocol", _cmd_score)
     p.add_argument("--cm", required=True, choices=["1", "2"])
@@ -147,17 +146,17 @@ def _common_flags() -> argparse.ArgumentParser:
 
 
 def _effective_config(args) -> RunConfig:
-    """Preset < config file < --set, merged into one override."""
+    """Preset < config file < --set < --seed and --steps, merged into one
+    override before the config is built, so the hash covers all of them."""
     flat = parse_config_file(args.config) if args.config else {}
     for item in args.set:
         key, _, value = item.partition("=")
         if not value:
             raise TcssdError(f"--set expects KEY=VALUE, got '{item}'")
         flat[key.strip()] = value.strip()
-    cfg = apply_flat_overrides(PRESETS[args.preset](), flat)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
-    return cfg
+    flags = {"seed": args.seed, "train.max_steps": getattr(args, "steps", None)}
+    flat.update((key, str(value)) for key, value in flags.items() if value is not None)
+    return apply_flat_overrides(PRESETS[args.preset](), flat)
 
 
 def _provenance(args, cfg: RunConfig) -> list[str]:
@@ -205,12 +204,8 @@ def _cmd_trim(args, cfg):
 def _cmd_train(args, cfg):
     cm_id = {"1": "cm1", "2": "cm2"}.get(args.cm, args.cm)
     items = _load_items(args.protocol, args.features)
-    train_cfg = cfg.train
-    if args.steps is not None:
-        train_cfg = replace(train_cfg, max_steps=args.steps)
     init = load_checkpoint(args.init_ckpt) if args.init_ckpt else None
-    ckpt, log = train(cm_id, items, cfg.encoder, cfg.cm1, train_cfg, cfg.aam,
-                      augment=cfg.augment, out_dir=args.out, init_ckpt=init)
+    ckpt, log = train(cm_id, items, cfg, out_dir=args.out, init_ckpt=init)
     write_text(os.path.join(args.out, "provenance.txt"), (), _provenance(args, cfg))
     print(f"trained {cm_id}: {len(log)} steps, "
           f"final loss {log[-1].loss:.6g}, checkpoints in {args.out}")
@@ -280,7 +275,7 @@ def _cmd_simulate(args, cfg):
     fea_dir = os.path.join(args.out, "features")
     os.makedirs(fea_dir, exist_ok=True)
     records = []
-    for utt, f, key in simulate_trajectories(cfg.sim, args.n_per_class):
+    for utt, f, key in simulate_trajectories(cfg.sim, args.n_per_class, cfg.seed):
         save_feature_map(f, os.path.join(fea_dir, f"{utt}.fea"))
         attack = "-" if key == "bonafide" else "SIM01"
         records.append(TrialRecord(speaker_id="SIMSPK", utt_id=utt,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, FrontendNet
+from .encoder import EncoderConfig, FrontendNet, require_sizes
 from .errors import DataError
 from .layers import ClassWeights, Gru, Linear, relu
 
@@ -29,6 +29,9 @@ class Cm1Config:
     # layer's input-to-hidden weights and an additive carry-gate bias.
     input_gain: float = 1.0
     carry_bias: float = 0.0
+
+    def __post_init__(self):
+        require_sizes(self, "hidden", "n_layers", "fc1_out", "fc2_out")
 
 
 def toy_cm1_config() -> Cm1Config:

@@ -1,8 +1,10 @@
 """Merged run configuration with a flat dotted-key text format.
 
 A config file holds ``section.field = value`` lines (``#`` comments
-allowed); CLI flags override file values, which override the preset.  The
-effective configuration hashes into every output's provenance header.
+allowed); ``--set`` overrides file values, which override the preset, and
+the ``--seed`` and ``train --steps`` flags override all three.  The
+effective configuration, flags included, hashes into every output's
+provenance header.
 """
 
 from __future__ import annotations
@@ -22,19 +24,13 @@ from .training import AamConfig, TrainConfig, toy_train_config
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
+    seed: int = 0   # the run's one seed: initialization, batches, crops, simulation
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     cm1: Cm1Config = field(default_factory=Cm1Config)
     train: TrainConfig = field(default_factory=TrainConfig)
     aam: AamConfig = field(default_factory=AamConfig)
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
     sim: SimConfig = field(default_factory=SimConfig)
-
-    def with_seed(self, seed: int) -> "RunConfig":
-        """One seed drives the run: training and simulation inherit it."""
-        return replace(self, seed=seed,
-                       train=replace(self.train, seed=seed),
-                       sim=replace(self.sim, seed=seed))
 
 
 def toy_config() -> RunConfig:

@@ -6,7 +6,7 @@ Res2 blocks at dilations 2/3/4, channel-wise concatenation of the block
 outputs, and a 1x1 conv + ReLU down to the feature width D.  That conv output
 is the tap point both countermeasures consume.  Utterance embeddings come
 from attentive statistics pooling (weighted mean and std) plus a linear
-projection.  A cached map is either an FBank (n_mels channels) or already at
+projection.  A cached map is either an FBank (N_MELS channels) or already at
 the tap point (mfa_dim channels); ``feature_kind`` is the one rule that
 tells them apart.
 
@@ -22,14 +22,13 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import DataError
-from .frontend import FRAME_RATE, FeatureMap
+from .frontend import FRAME_RATE, N_MELS, FeatureMap
 from .layers import (AttentiveStatsPool, ChannelNorm, ClassWeights, Conv1d,
                      Linear, SERes2Block, relu, tensor_names)
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    n_mels: int = 80
     channels: int = 1024
     dilations: tuple[int, ...] = (2, 3, 4)
     res2_scale: int = 8
@@ -38,18 +37,26 @@ class EncoderConfig:
     att_dim: int = 128
 
     def __post_init__(self):
-        if self.mfa_dim <= 0:
-            raise DataError("mfa_dim must be positive")
+        require_sizes(self, "channels", "res2_scale", "mfa_dim", "embed_dim", "att_dim")
         if not self.dilations:
             raise DataError("need at least one block dilation")
+        if min(self.dilations) < 1:
+            raise DataError(f"dilations must be at least 1, got {min(self.dilations)}")
         if self.channels % self.res2_scale != 0:
             raise DataError("channels must be divisible by res2_scale")
-        if self.n_mels == self.mfa_dim:
-            raise DataError("n_mels == mfa_dim makes feature kinds ambiguous")
+        if self.mfa_dim == N_MELS:
+            raise DataError(f"mfa_dim == N_MELS ({N_MELS}) makes feature kinds ambiguous")
 
     @property
     def se_bottleneck(self) -> int:
         return max(self.channels // 8, 2)
+
+
+def require_sizes(cfg, *names) -> None:
+    """Each named field of config ``cfg`` is a size: refuse any below 1."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise DataError(f"{name} must be at least 1, got {getattr(cfg, name)}")
 
 
 def toy_encoder_config() -> EncoderConfig:
@@ -58,15 +65,15 @@ def toy_encoder_config() -> EncoderConfig:
 
 
 def feature_kind(n_channels: int, cfg: EncoderConfig, utt_id: str) -> str:
-    """"fbank" for an n_mels-channel map, "speaker" for one already at the
+    """"fbank" for an N_MELS-channel map, "speaker" for one already at the
     MFA tap (mfa_dim channels); any other width is a DataError."""
-    if n_channels == cfg.n_mels:
+    if n_channels == N_MELS:
         return "fbank"
     if n_channels == cfg.mfa_dim:
         return "speaker"
     raise DataError(
         f"{utt_id}: {n_channels} channels match neither n_mels "
-        f"({cfg.n_mels}) nor mfa_dim ({cfg.mfa_dim})")
+        f"({N_MELS}) nor mfa_dim ({cfg.mfa_dim})")
 
 
 def encoder_head(cfg: EncoderConfig, namespace: str):
@@ -89,7 +96,7 @@ class FrontendNet:
     def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
         c = cfg.channels
-        self.stem_conv = Conv1d("frontend.stem.conv", cfg.n_mels, c, kernel=5)
+        self.stem_conv = Conv1d("frontend.stem.conv", N_MELS, c, kernel=5)
         self.stem_norm = ChannelNorm("frontend.stem.norm", c)
         self.blocks = [
             SERes2Block(f"frontend.block{i + 1}", c, kernel=3, dilation=d,
@@ -105,7 +112,7 @@ class FrontendNet:
         return self.concat_layers() + [self.mfa_conv, self.pool, self.proj, self.cls]
 
     def forward_concat(self, params, x):
-        """Stem + blocks + channel concat: (B, T, n_mels) -> (B, T, 3C)."""
+        """Stem + blocks + channel concat: (B, T, N_MELS) -> (B, T, 3C)."""
         h, c_stem = self.stem_conv.forward(params, x)
         r = relu(h)
         n, c_norm = self.stem_norm.forward(params, r)
@@ -139,7 +146,7 @@ class FrontendNet:
         return lane + [self.pool, self.proj]
 
     def forward_features(self, params, x):
-        """Full frontend to the MFA tap: (B, T, n_mels) -> (B, T, D)."""
+        """Full frontend to the MFA tap: (B, T, N_MELS) -> (B, T, D)."""
         cat, cat_cache = self.forward_concat(params, x)
         pre, c_mfa = self.mfa_conv.forward(params, cat)
         return relu(pre), (cat_cache, pre, c_mfa)
@@ -171,9 +178,9 @@ class FrontendNet:
 def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
     """Run the frozen frontend on one FBank map: its (T, mfa_dim) features
     at the MFA tap."""
-    if f.n_channels != cfg.n_mels:
+    if f.n_channels != N_MELS:
         raise DataError(
-            f"feature map has {f.n_channels} channels, encoder expects {cfg.n_mels}")
+            f"feature map has {f.n_channels} channels, encoder expects {N_MELS}")
     net = FrontendNet(cfg)
     ckpt.require(tensor_names(net.feature_layers()))
     feats, _ = net.forward_features(ckpt.tensors, f.values[None].astype(np.float32))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,8 +21,11 @@ from .cm_temporal import Cm1Config, Cm1Net
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
 from .files import write_text
-from .frontend import AugmentPolicy, FeatureMap, random_crop, spec_augment
+from .frontend import N_MELS, FeatureMap, random_crop, spec_augment
 from .layers import init_layers, tensor_names
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 LABEL_BONAFIDE = 0
 LABEL_SPOOF = 1
@@ -47,7 +51,6 @@ class TrainConfig:
     batch_size: int = 256
     base_lr: float = 3e-4
     warmup_steps: int = 1000
-    seed: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -62,15 +65,17 @@ class TrainConfig:
             raise DataError("epochs and batch_size must be positive")
         if self.base_lr <= 0 or self.warmup_steps <= 0:
             raise DataError("base_lr and warmup_steps must be positive")
+        if self.max_steps < 0:
+            raise DataError(f"max_steps must be at least 0, got {self.max_steps}")
 
 
-def toy_train_config(seed: int = 0) -> TrainConfig:
+def toy_train_config() -> TrainConfig:
     """Desk-scale settings: small batches, short warmup, 200 steps.
 
     A little weight decay reins in overfitting to a 200-utterance corpus.
     """
     return TrainConfig(epochs=30, batch_size=32, base_lr=1e-2, warmup_steps=20,
-                       seed=seed, max_steps=200, weight_decay=1e-3)
+                       max_steps=200, weight_decay=1e-3)
 
 
 def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray,
@@ -225,13 +230,15 @@ def config_dict(cfg) -> dict:
 def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
     """The encoder and CM1 configs a checkpoint was built with.
 
-    Manifests written before the block count and CM1's input width were
-    derived store them as ``encoder.n_blocks`` and ``cm1.input_dim``; each
-    is accepted only when it equals the derived value.
+    Manifests written before the block count, CM1's input width and the
+    FBank width were derived or fixed store them as ``encoder.n_blocks``,
+    ``cm1.input_dim`` and ``encoder.n_mels``; each is accepted only when it
+    equals the derived value.
     """
     try:
         enc, cm1 = dict(ckpt.config["encoder"]), dict(ckpt.config["cm1"])
-        n_blocks, input_dim = enc.pop("n_blocks", None), cm1.pop("input_dim", None)
+        n_blocks, n_mels = enc.pop("n_blocks", None), enc.pop("n_mels", None)
+        input_dim = cm1.pop("input_dim", None)
         if "dilations" in enc:
             enc["dilations"] = tuple(enc["dilations"])
         enc_cfg, cm1_cfg = EncoderConfig(**enc), Cm1Config(**cm1)
@@ -240,6 +247,7 @@ def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
     for key, stored, source, derived in (
             ("encoder.n_blocks", n_blocks, "len(encoder.dilations)",
              len(enc_cfg.dilations)),
+            ("encoder.n_mels", n_mels, "frontend.N_MELS", N_MELS),
             ("cm1.input_dim", input_dim, "encoder.mfa_dim", enc_cfg.mfa_dim)):
         if stored not in (None, derived):
             raise DataError(
@@ -282,19 +290,19 @@ class _BalancedSampler:
             LABEL_SPOOF, batch_size // 2)
 
 
-def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
-          cm1_cfg: Cm1Config, train_cfg: TrainConfig, aam_cfg: AamConfig,
-          augment: AugmentPolicy | None = None, out_dir: str | None = None,
-          init_ckpt: Checkpoint | None = None):
-    """Train one system and return (final checkpoint, training log).
+def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
+          out_dir: str | None = None, init_ckpt: Checkpoint | None = None):
+    """Train one system under run config ``cfg``; return (final checkpoint,
+    training log).
 
-    Adam touches only the trainable tensors of the selected system; for the
+    ``cfg.seed`` seeds the initialization and the generator.  Adam touches only the trainable tensors of the selected system; for the
     countermeasures every ``frontend.*`` tensor is frozen and recorded as
     such in the checkpoint.  A checkpoint is saved per epoch plus ``init``
     and ``final`` when ``out_dir`` is given, along with the tab-separated
     ``train.log``.
     """
-    net = system_net(cm_id, enc_cfg, cm1_cfg)
+    enc_cfg, train_cfg = cfg.encoder, cfg.train
+    net = system_net(cm_id, enc_cfg, cfg.cm1)
     if not items:
         raise DataError("empty training manifest")
     labels = np.array([it.label for it in items])
@@ -307,15 +315,14 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
     if cm_id == "frontend-toy" and kind != "fbank":
         raise DataError("frontend-toy training needs fbank-kind features")
 
-    ckpt = build_checkpoint(enc_cfg, cm1_cfg, seed=train_cfg.seed,
-                            init_from=init_ckpt)
+    ckpt = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
     params = ckpt.tensors
     trainable = set(tensor_names(net.layers()))
     ckpt.frozen_names = (set() if cm_id == "frontend-toy"
                          else set(tensor_names(net.frontend.layers())))
     cls_name = f"{net.cls.name}.w"
 
-    rng = np.random.default_rng(train_cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     sampler = _BalancedSampler(labels, rng)
     steps_per_epoch = max(1, int(np.ceil(len(items) / train_cfg.batch_size)))
     total_steps = train_cfg.max_steps or train_cfg.epochs * steps_per_epoch
@@ -333,8 +340,8 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
             f = items[i].features
             crop_seed = int(rng.integers(2 ** 31))
             f = random_crop(f, train_cfg.crop_min_s, train_cfg.crop_max_s, crop_seed)
-            if kind == "fbank" and train_cfg.augment and augment is not None:
-                f = spec_augment(f, augment, int(rng.integers(2 ** 31)))
+            if kind == "fbank" and train_cfg.augment:
+                f = spec_augment(f, cfg.augment, int(rng.integers(2 ** 31)))
             batch_maps.append(f.values)
         max_t = max(v.shape[0] for v in batch_maps)
         x = np.stack([_wrap_pad(v, max_t) for v in batch_maps]).astype(np.float32)
@@ -342,7 +349,7 @@ def train(cm_id: str, items: list[TrainItem], enc_cfg: EncoderConfig,
 
         grads: dict[str, np.ndarray] = {}
         emb, cache = net.embed(params, x, kind)
-        loss, demb, dw = aam_softmax_loss(emb, y, params[cls_name], aam_cfg)
+        loss, demb, dw = aam_softmax_loss(emb, y, params[cls_name], cfg.aam)
         net.backward_embed(params, cache, demb, grads)
         grads[cls_name] = dw
 

@@ -314,13 +314,14 @@ def test_criterion_6_simulator_end_to_end(recipe):
     # spoofs get their noise raised so their frame-difference variance
     # matches bonafide exactly, blinding the temporal branch but not the
     # distribution branch.
-    cfg = toy_config().with_seed(7)
+    cfg = replace(toy_config(), seed=7)
     ck1 = load_checkpoint(recipe["ck1"] / "final")
     ck2 = load_checkpoint(recipe["ck2"] / "final")
     sim = cfg.sim
     hard_noise = float(np.sqrt((sim.drift_sigma ** 2 + 2 * sim.noise_sigma ** 2) / 2.0))
-    std_part = simulate_trajectories(replace(sim, seed=1000), 50)
-    hard_part = simulate_trajectories(replace(sim, seed=2000, noise_sigma=hard_noise), 50)
+    std_part = simulate_trajectories(sim, 50, seed=1000)
+    hard_part = simulate_trajectories(replace(sim, noise_sigma=hard_noise), 50,
+                                      seed=2000)
     bona = [f.values for _, f, k in std_part if k == "bonafide"] + \
            [f.values for _, f, k in hard_part if k == "bonafide"]
     spoof = [f.values for _, f, k in std_part if k == "spoof"] + \

@@ -83,8 +83,7 @@ def test_tc_matrix_needs_encoder_config_and_checkpoint():
 
 
 def test_tc_matrix_separates_simulator_classes():
-    cfg = SimConfig(seed=11)
-    labeled = simulate_trajectories(cfg, 20)
+    labeled = simulate_trajectories(SimConfig(), 20, seed=11)
     spoof_means, bona_means = [], []
     spoof_ranges, bona_ranges = [], []
     for i, (_, f, key) in enumerate(labeled):
@@ -199,8 +198,8 @@ def test_pca_sign_convention_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_sim_zero_drift_collapses_classes():
-    cfg = SimConfig(drift_sigma=0.0, seed=1)
-    labeled = simulate_trajectories(cfg, 5)
+    cfg = SimConfig(drift_sigma=0.0)
+    labeled = simulate_trajectories(cfg, 5, seed=1)
     # same generator for both classes: per-frame deviation scale matches
     bona = np.concatenate([f.values - f.values.mean(0)
                            for _, f, k in labeled if k == "bonafide"])
@@ -210,23 +209,23 @@ def test_sim_zero_drift_collapses_classes():
 
 
 def test_sim_no_noise_no_drift_is_constant():
-    cfg = SimConfig(drift_sigma=0.0, noise_sigma=0.0, seed=2)
-    for _, f, key in simulate_trajectories(cfg, 3):
+    cfg = SimConfig(drift_sigma=0.0, noise_sigma=0.0)
+    for _, f, key in simulate_trajectories(cfg, 3, seed=2):
         if key == "spoof":
             assert np.all(np.diff(f.values, axis=0) == 0.0)
         assert np.all(f.values == f.values[0])
 
 
 def test_sim_deterministic_given_seed():
-    a = simulate_trajectories(SimConfig(seed=3), 4)
-    b = simulate_trajectories(SimConfig(seed=3), 4)
+    a = simulate_trajectories(SimConfig(), 4, seed=3)
+    b = simulate_trajectories(SimConfig(), 4, seed=3)
     for (ua, fa, ka), (ub, fb, kb) in zip(a, b):
         assert ka == kb and ua == ub
         assert np.array_equal(fa.values, fb.values)
 
 
 def test_sim_default_config_statistic_separation():
-    labeled = simulate_trajectories(SimConfig(seed=12), 100)
+    labeled = simulate_trajectories(SimConfig(), 100, seed=12)
     stats = {"bonafide": [], "spoof": []}
     for i, (_, f, key) in enumerate(labeled):
         m = tc_similarity_matrix_features(f.values, seed=i)
@@ -239,5 +238,5 @@ def test_sim_default_config_statistic_separation():
 def test_sim_base_norm():
     for _, f, key in simulate_trajectories(SimConfig(noise_sigma=0.0,
                                                      drift_sigma=0.0,
-                                                     base_scale=2.5, seed=4), 3):
+                                                     base_scale=2.5), 3, seed=4):
         assert abs(np.linalg.norm(f.values[0]) - 2.5) < 1e-5

@@ -401,23 +401,45 @@ def test_checkpoint_input_dim_mismatch_exits_two(tiny_pipeline, tmp_path, capsys
 
 def test_legacy_manifest_keys_checked_against_derived_values(tiny_pipeline, tmp_path,
                                                              capsys):
-    """Stored encoder.n_blocks and cm1.input_dim load when they equal the
-    derived values (same scores); a wrong block count exits 2."""
+    """Stored encoder.n_blocks, encoder.n_mels and cm1.input_dim load when
+    they equal the derived values (same scores); a wrong block count or an
+    FBank width other than N_MELS (80) exits 2."""
     _, sim, ck, scores = tiny_pipeline
     args = ["--protocol", str(sim / "protocol.txt"), "--features", str(sim / "features"),
             "--seed", "3"]
     _legacy_checkpoint(ck / "final", tmp_path / "ok",
-                       {"encoder": {"n_blocks": 3}, "cm1": {"input_dim": 24}})
+                       {"encoder": {"n_blocks": 3, "n_mels": 80}, "cm1": {"input_dim": 24}})
     assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / "ok"),
                  "--out", str(tmp_path / "ok.tsv")]) == 0
     assert (tmp_path / "ok.tsv").read_bytes() == scores.read_bytes()
-    _legacy_checkpoint(ck / "final", tmp_path / "bad", {"encoder": {"n_blocks": 4}})
-    capsys.readouterr()
-    assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / "bad"),
-                 "--out", str(tmp_path / "bad.tsv")]) == 2
+    for name, stored, keys in (
+            ("bad", {"n_blocks": 4}, ("encoder.n_blocks", "encoder.dilations")),
+            ("mels", {"n_mels": 64}, ("encoder.n_mels", "frontend.N_MELS"))):
+        _legacy_checkpoint(ck / "final", tmp_path / name, {"encoder": stored})
+        capsys.readouterr()
+        assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / name),
+                     "--out", str(tmp_path / f"{name}.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
+        assert not (tmp_path / f"{name}.tsv").exists()
+
+
+@pytest.mark.parametrize("manifest", [
+    "[]", "5", '{"format_version": 1, "tensors": [{}]}',
+    '{"format_version": 1, "tensors": {"a": 1}}',
+], ids=["list", "number", "entry_without_fields", "tensors_not_a_list"])
+def test_malformed_manifest_exits_two(manifest, tiny_pipeline, tmp_path, capsys):
+    _, sim, ck, _ = tiny_pipeline
+    shutil.copytree(ck / "final", tmp_path / "ck")
+    (tmp_path / "ck" / "manifest.json").write_text(manifest)
+    out = tmp_path / "s.tsv"
+    rc = main(["score", "--cm", "2", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
+               "--out", str(out)])
+    assert rc == 2
     err = capsys.readouterr().err
-    assert "encoder.n_blocks" in err and "encoder.dilations" in err
-    assert not (tmp_path / "bad.tsv").exists()
+    assert len(err.splitlines()) == 1 and "corrupt manifest" in err
+    assert not out.exists()
 
 
 def test_config_file_and_inline_overrides(tmp_path):
@@ -439,12 +461,75 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting", ["aam.n_classes=2", "encoder.n_blocks=3",
-                                     "cm1.input_dim=24"])
+                                     "cm1.input_dim=24", "encoder.n_mels=80",
+                                     "train.seed=3", "sim.seed=3"])
 def test_derived_or_unread_config_keys_are_unknown(setting, capsys):
-    """The class count, the block count and CM1's input width are not
-    settings: the first is fixed, the others follow from other keys."""
+    """The class count, the block count, CM1's input width, the FBank width
+    and per-stage seeds are not settings: the class count and the FBank
+    width are fixed, the seed is the top-level ``seed``, and the others
+    follow from other keys."""
     assert main(["count-params", "--set", setting]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_every_spelling_of_the_seed_is_one_setting(tmp_path, capsys):
+    """--seed 5, --set seed=5 and a config file's ``seed = 5`` simulate the
+    same maps under the same header; another seed changes both."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed = 5\n")
+    runs = {"flag": ["--seed", "5"], "set": ["--set", "seed=5"],
+            "file": ["--config", str(cfg_file)], "default": []}
+    snaps = {}
+    for name, argv in runs.items():
+        assert main(["simulate", "--out", str(tmp_path / name), "--n-per-class", "2",
+                     *argv]) == 0
+        snaps[name] = dir_snapshot(tmp_path / name)
+    assert snaps["set"] == snaps["flag"] == snaps["file"]
+    assert b"seed=5" in snaps["flag"]["provenance.txt"]
+    same = {name for name, data in snaps["default"].items() if data == snaps["flag"][name]}
+    assert same == {"protocol.txt"}  # utterance ids and keys do not depend on the seed
+
+
+def test_steps_flag_is_train_max_steps(tiny_pipeline, tmp_path, capsys):
+    """train --steps 5 is --set train.max_steps=5: same header, same
+    weights; --steps 2 trains less and says so in its config hash."""
+    _, sim, ck, _ = tiny_pipeline  # trained with --seed 3 --steps 5
+    common = ["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+              "--features", str(sim / "features"), "--seed", "3"]
+    assert main([*common, "--out", str(tmp_path / "set5"),
+                 "--set", "train.max_steps=5"]) == 0
+    assert main([*common, "--out", str(tmp_path / "steps2"), "--steps", "2"]) == 0
+    runs = {"steps5": ck, "set5": tmp_path / "set5", "steps2": tmp_path / "steps2"}
+    header = {n: (d / "provenance.txt").read_text() for n, d in runs.items()}
+    weights = {n: (d / "final" / "weights.bin").read_bytes() for n, d in runs.items()}
+    assert header["set5"] == header["steps5"]
+    assert weights["set5"] == weights["steps5"]
+    config_line = {n: [l for l in h.splitlines() if l.startswith("# config=")]
+                   for n, h in header.items()}
+    assert len(config_line["steps5"]) == 1
+    assert config_line["steps2"] != config_line["steps5"]
+    assert weights["steps2"] != weights["steps5"]
+
+
+def test_negative_steps_exit_two(tmp_path, capsys):
+    """--steps is train.max_steps, checked with the config before any work."""
+    rc = main(["train", "--cm", "1", "--protocol", str(tmp_path / "p.txt"),
+               "--features", str(tmp_path), "--out", str(tmp_path / "ck"),
+               "--steps", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "tcssd train: max_steps must be at least 0, got -1\n"
+    assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("setting, field", [
+    ("encoder.res2_scale=0", "res2_scale"), ("encoder.dilations=0", "dilations"),
+    ("encoder.channels=0", "channels"), ("cm1.hidden=0", "hidden"),
+])
+def test_architecture_size_below_one_exits_two(setting, field, capsys):
+    assert main(["count-params", "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and field in err
+    assert "Traceback" not in err
 
 
 def test_dilations_alone_set_the_block_count(tmp_path, capsys):
@@ -486,8 +571,9 @@ def test_every_config_field_is_read_by_the_package():
     assert [key for key in keys if key.partition(".")[2] not in reads] == []
 
 
-def test_audio_lane_end_to_end(tmp_path, capsys):
-    """WAV -> extract -> frontend-toy -> cm1 (frozen frontend) -> score."""
+def audio_corpus(tmp_path):
+    """Six 1 s WAVs (drifting chirps bonafide, steady tones spoof), their
+    FBank caches and protocol: (wav paths, feature dir, protocol path)."""
     rng = np.random.default_rng(0)
     wavs = []
     protocol_lines = []
@@ -507,9 +593,18 @@ def test_audio_lane_end_to_end(tmp_path, capsys):
     assert main(["extract", "--wav", *wavs, "--out", str(feats)]) == 0
     protocol = tmp_path / "protocol.txt"
     protocol.write_text("\n".join(protocol_lines) + "\n")
-    common = ["--protocol", str(protocol), "--features", str(feats),
-              "--seed", "5", "--set", "train.batch_size=4",
-              "--set", "train.crop_min_s=0.5", "--set", "train.crop_max_s=0.8"]
+    return wavs, feats, protocol
+
+
+# Training settings that fit the 1 s utterances of ``audio_corpus``.
+AUDIO_TRAIN = ["--seed", "5", "--set", "train.batch_size=4",
+               "--set", "train.crop_min_s=0.5", "--set", "train.crop_max_s=0.8"]
+
+
+def test_audio_lane_end_to_end(tmp_path, capsys):
+    """WAV -> extract -> frontend-toy -> cm1 (frozen frontend) -> score."""
+    wavs, feats, protocol = audio_corpus(tmp_path)
+    common = ["--protocol", str(protocol), "--features", str(feats), *AUDIO_TRAIN]
     fe_ck = tmp_path / "fe"
     assert main(["train", "--cm", "frontend-toy", *common,
                  "--out", str(fe_ck), "--steps", "3"]) == 0
@@ -540,3 +635,17 @@ def test_audio_lane_end_to_end(tmp_path, capsys):
                  "--out", str(proj_out), "--seed", "5"]) == 0
     assert len([l for l in proj_out.read_text().splitlines()
                 if not l.startswith("#")]) == 6
+
+
+def test_train_augment_deterministic_and_applied(tmp_path, capsys):
+    """frontend-toy with SpecAugment on: two runs give byte-identical
+    checkpoints, and the weights differ from a run with it off."""
+    _, feats, protocol = audio_corpus(tmp_path)
+    common = ["train", "--cm", "frontend-toy", "--protocol", str(protocol),
+              "--features", str(feats), "--steps", "3", *AUDIO_TRAIN]
+    for name, augment in (("on_a", "true"), ("on_b", "true"), ("off", "false")):
+        assert main([*common, "--out", str(tmp_path / name),
+                     "--set", f"train.augment={augment}"]) == 0
+    on_a, on_b, off = (dir_snapshot(tmp_path / name) for name in ("on_a", "on_b", "off"))
+    assert on_a == on_b
+    assert on_a["final/weights.bin"] != off["final/weights.bin"]

@@ -6,7 +6,7 @@ from helpers import assert_grads_close
 from tcssd.cm_distribution import Cm2Net, cm2_score, cm2_score_features
 from tcssd.cm_temporal import Cm1Config
 from tcssd.encoder import FrontendNet, toy_encoder_config
-from tcssd.frontend import FeatureMap
+from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import init_layers, tensor_names
 from tcssd.training import AamConfig, aam_softmax_loss, build_checkpoint
 
@@ -91,7 +91,7 @@ def test_cm2_fbank_lane_gradients_including_mfa_conv():
     init_layers(net.layers(), np.random.default_rng(8), params, dtype=np.float64)
     rng = np.random.default_rng(9)
     params["cm2.cls.w"] = rng.standard_normal((2, cfg.embed_dim))
-    x = rng.standard_normal((2, 9, cfg.n_mels))
+    x = rng.standard_normal((2, 9, N_MELS))
     y = np.array([0, 1])
     aam = AamConfig()
     cat, _ = frontend.forward_concat(params, x)  # frozen: computed once

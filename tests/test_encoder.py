@@ -13,7 +13,7 @@ from tcssd.cm_temporal import Cm1Config, Cm1Net
 from tcssd.encoder import (EncoderConfig, FrontendNet, count_parameters,
                            encode_features, estimate_flops, toy_encoder_config)
 from tcssd.errors import CheckpointError, DataError
-from tcssd.frontend import FeatureMap
+from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import (AttentiveStatsPool, ClassWeights, Conv1d, Gru, Linear,
                           init_layers, tensor_names)
 
@@ -40,7 +40,7 @@ def test_frontend_concat_gradients_match_finite_differences():
     for name in names:  # move norms, biases and gates off their init values
         if params[name].ndim == 1:
             params[name] = params[name] + 0.5 * rng.standard_normal(params[name].shape)
-    params["x"] = rng.standard_normal((2, 9, net.cfg.n_mels))
+    params["x"] = rng.standard_normal((2, 9, N_MELS))
     r = rng.standard_normal((2, 9, len(net.cfg.dilations) * net.cfg.channels))
     cat, cache = net.forward_concat(params, params["x"])
     grads = {}
@@ -66,7 +66,7 @@ def test_frontend_embed_gradients_match_finite_differences():
     for name in names:  # move norms, biases and gates off their init values
         if params[name].ndim == 1:
             params[name] = params[name] + 0.5 * rng.standard_normal(params[name].shape)
-    x = rng.standard_normal((2, 9, net.cfg.n_mels))
+    x = rng.standard_normal((2, 9, N_MELS))
     r = rng.standard_normal((2, net.cfg.embed_dim))
     emb, cache = net.embed(params, x, "fbank")
     grads = {}

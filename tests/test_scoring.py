@@ -257,8 +257,8 @@ def test_score_file_missing_utt_rejected(tmp_path):
 @pytest.fixture(scope="module")
 def sim_eval_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("sim")
-    cfg = SimConfig(dim=24, n_frames=60, seed=5)
-    labeled = simulate_trajectories(cfg, 3)
+    cfg = SimConfig(dim=24, n_frames=60)
+    labeled = simulate_trajectories(cfg, 3, seed=5)
     records = []
     for utt, f, key in labeled:
         save_feature_map(f, tmp / f"{utt}.fea")
@@ -307,8 +307,8 @@ def mixed_eval_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("mixed")
     lanes = []
     for n_frames in (60, 45, 30):
-        labeled = simulate_trajectories(SimConfig(dim=24, n_frames=n_frames,
-                                                  seed=n_frames), 2)
+        labeled = simulate_trajectories(SimConfig(dim=24, n_frames=n_frames), 2,
+                                        seed=n_frames)
         lanes.append([(f"T{n_frames}_{utt}", f.values, key)
                       for utt, f, key in labeled])
     rng = np.random.default_rng(9)

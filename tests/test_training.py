@@ -1,5 +1,7 @@
 """AAM-softmax, schedule, optimizer, and training-loop contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from tcssd.analysis import SimConfig, simulate_trajectories
 from tcssd.cm_distribution import Cm2Net
 from tcssd.config import toy_config
 from tcssd.errors import DataError, TrainingError
+from tcssd.frontend import N_MELS
 from tcssd.layers import tensor_names
 from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
@@ -172,8 +175,7 @@ def test_adam_skips_missing_grads():
 # ---------------------------------------------------------------------------
 
 def sim_items(n_per_class=8, seed=0, dim=24, n_frames=40):
-    data = simulate_trajectories(
-        SimConfig(dim=dim, n_frames=n_frames, seed=seed), n_per_class)
+    data = simulate_trajectories(SimConfig(dim=dim, n_frames=n_frames), n_per_class, seed)
     return [TrainItem(utt_id=utt,
                       label=LABEL_BONAFIDE if k == "bonafide" else LABEL_SPOOF,
                       features=f)
@@ -182,36 +184,35 @@ def sim_items(n_per_class=8, seed=0, dim=24, n_frames=40):
 
 def tiny_run_cfg(max_steps=10, **over):
     cfg = toy_config()
-    from dataclasses import replace
     fields = dict(batch_size=8, max_steps=max_steps, crop_min_s=0.2,
                   crop_max_s=0.4)
     fields.update(over)
-    return cfg.encoder, cfg.cm1, replace(cfg.train, **fields), cfg.aam
+    return replace(cfg, train=replace(cfg.train, **fields))
 
 
 def test_train_overfits_two_samples():
-    enc, cm1, tc, aam = tiny_run_cfg(max_steps=50)
+    cfg = tiny_run_cfg(max_steps=50)
     items = sim_items(n_per_class=1, seed=1)
-    ckpt, log = train("cm1", items, enc, cm1, tc, aam)
+    ckpt, log = train("cm1", items, cfg)
     assert log[-1].loss < log[0].loss
 
 
 def test_train_deterministic_given_seed():
-    enc, cm1, tc, aam = tiny_run_cfg(max_steps=8)
+    cfg = tiny_run_cfg(max_steps=8)
     items = sim_items(n_per_class=4, seed=2)
-    ck_a, log_a = train("cm1", items, enc, cm1, tc, aam)
-    ck_b, log_b = train("cm1", items, enc, cm1, tc, aam)
+    ck_a, log_a = train("cm1", items, cfg)
+    ck_b, log_b = train("cm1", items, cfg)
     assert [e.loss for e in log_a] == [e.loss for e in log_b]
     for name in ck_a.tensors:
         assert ck_a.tensors[name].tobytes() == ck_b.tensors[name].tobytes()
 
 
 def test_train_cm2_freezes_frontend():
-    enc, cm1, tc, aam = tiny_run_cfg(max_steps=5)
+    cfg = tiny_run_cfg(max_steps=5)
     items = sim_items(n_per_class=4, seed=3)
-    init = build_checkpoint(enc, cm1, seed=tc.seed)
+    init = build_checkpoint(cfg.encoder, cfg.cm1, seed=cfg.seed)
     before = {k: v.copy() for k, v in init.tensors.items()}
-    ckpt, _ = train("cm2", items, enc, cm1, tc, aam, init_ckpt=init)
+    ckpt, _ = train("cm2", items, cfg, init_ckpt=init)
     for name in ckpt.frozen_names:
         assert name.startswith("frontend.")
         assert np.array_equal(ckpt.tensors[name], before[name]), name
@@ -222,38 +223,38 @@ def test_train_cm2_freezes_frontend():
 
 
 def test_train_single_class_rejected():
-    enc, cm1, tc, aam = tiny_run_cfg()
+    cfg = tiny_run_cfg()
     items = [it for it in sim_items(4, seed=4) if it.label == LABEL_BONAFIDE]
     with pytest.raises(DataError, match="both classes"):
-        train("cm1", items, enc, cm1, tc, aam)
+        train("cm1", items, cfg)
 
 
 def test_train_empty_manifest_rejected():
-    enc, cm1, tc, aam = tiny_run_cfg()
+    cfg = tiny_run_cfg()
     with pytest.raises(DataError, match="empty"):
-        train("cm1", [], enc, cm1, tc, aam)
+        train("cm1", [], cfg)
 
 
 def test_train_unknown_system_rejected():
-    enc, cm1, tc, aam = tiny_run_cfg()
+    cfg = tiny_run_cfg()
     with pytest.raises(DataError, match="unknown system"):
-        train("cm3", sim_items(2), enc, cm1, tc, aam)
+        train("cm3", sim_items(2), cfg)
 
 
 def test_train_nan_loss_aborts():
-    enc, cm1, tc, aam = tiny_run_cfg(max_steps=5)
+    cfg = tiny_run_cfg(max_steps=5)
     items = sim_items(n_per_class=4, seed=5)
-    init = build_checkpoint(enc, cm1, seed=tc.seed)
+    init = build_checkpoint(cfg.encoder, cfg.cm1, seed=cfg.seed)
     init.tensors["cm1.fc1.w"][0, 0] = np.nan
     with pytest.raises(TrainingError, match="non-finite loss"):
-        train("cm1", items, enc, cm1, tc, aam, init_ckpt=init)
+        train("cm1", items, cfg, init_ckpt=init)
 
 
 def test_train_writes_log_and_epoch_checkpoints(tmp_path):
-    enc, cm1, tc, aam = tiny_run_cfg(max_steps=4, batch_size=4)
+    cfg = tiny_run_cfg(max_steps=4, batch_size=4)
     items = sim_items(n_per_class=4, seed=6)  # 8 items, 2 steps/epoch
     out = tmp_path / "run"
-    ckpt, log = train("cm1", items, enc, cm1, tc, aam, out_dir=str(out))
+    ckpt, log = train("cm1", items, cfg, out_dir=str(out))
     assert (out / "init").is_dir()
     assert (out / "final").is_dir()
     assert (out / "epoch_0001").is_dir() and (out / "epoch_0002").is_dir()
@@ -265,34 +266,35 @@ def test_train_writes_log_and_epoch_checkpoints(tmp_path):
 
 
 def test_train_frontend_toy_needs_fbank():
-    enc, cm1, tc, aam = tiny_run_cfg()
+    cfg = tiny_run_cfg()
     with pytest.raises(DataError, match="fbank"):
-        train("frontend-toy", sim_items(2, seed=7), enc, cm1, tc, aam)
+        train("frontend-toy", sim_items(2, seed=7), cfg)
 
 
 def test_train_frontend_toy_on_fbank_kind():
-    enc, cm1, tc, aam = tiny_run_cfg(max_steps=4, batch_size=4)
+    cfg = tiny_run_cfg(max_steps=4, batch_size=4)
     # 80-channel simulated maps play the role of FBanks at desk scale
     items = sim_items(n_per_class=3, seed=8, dim=80, n_frames=30)
-    ckpt, log = train("frontend-toy", items, enc, cm1, tc, aam)
+    ckpt, log = train("frontend-toy", items, cfg)
     assert ckpt.frozen_names == set()
     assert len(log) == 4
     assert np.isfinite(log[-1].loss)
 
 
 def test_train_cm2_on_fbank_kind_updates_mfa_conv():
-    enc, cm1, tc, aam = tiny_run_cfg(max_steps=3, batch_size=4)
+    cfg = tiny_run_cfg(max_steps=3, batch_size=4)
     items = sim_items(n_per_class=3, seed=9, dim=80, n_frames=30)
-    init = build_checkpoint(enc, cm1, seed=tc.seed)
+    init = build_checkpoint(cfg.encoder, cfg.cm1, seed=cfg.seed)
     before = init.tensors["cm2.mfa.conv.w"].copy()
-    ckpt, _ = train("cm2", items, enc, cm1, tc, aam, init_ckpt=init)
+    ckpt, _ = train("cm2", items, cfg, init_ckpt=init)
     assert not np.array_equal(ckpt.tensors["cm2.mfa.conv.w"], before)
     for name in ckpt.frozen_names:
         assert np.array_equal(ckpt.tensors[name], init.tensors[name])
 
 
 def test_build_checkpoint_cm2_starts_as_frontend_copy():
-    enc, cm1, _, _ = tiny_run_cfg()
+    cfg = tiny_run_cfg()
+    enc, cm1 = cfg.encoder, cfg.cm1
     ckpt = build_checkpoint(enc, cm1, seed=3)
     copied = [n for n in ckpt.tensors if n.startswith("cm2.")]
     assert sorted(copied) == sorted(tensor_names(Cm2Net(enc).layers())) == sorted(
@@ -312,10 +314,11 @@ def test_build_checkpoint_cm2_starts_as_frontend_copy():
 def test_backward_embed_fills_exactly_own_trainable_grads(cm_id, kind):
     """The net's own tensors get gradients (the class rows get theirs from
     the loss); the frozen frontend of a countermeasure gets none."""
-    enc, cm1, _, _ = tiny_run_cfg()
+    cfg = tiny_run_cfg()
+    enc, cm1 = cfg.encoder, cfg.cm1
     net = system_net(cm_id, enc, cm1)
     params = build_checkpoint(enc, cm1, seed=0).tensors
-    width = enc.n_mels if kind == "fbank" else enc.mfa_dim
+    width = N_MELS if kind == "fbank" else enc.mfa_dim
     x = np.random.default_rng(0).standard_normal((2, 12, width)).astype(np.float32)
     emb, cache = net.embed(params, x, kind)
     grads = {}
