@@ -20,7 +20,6 @@ from .encoder import EncoderConfig, FrontendNet
 from .errors import DataError
 from .files import write_text
 from .frontend import FRAME_RATE, FeatureMap, Waveform, compute_fbank
-from .layers import tensor_names
 
 SEGMENT_FRAMES_DEFAULT = 50  # 0.5 s at 10 ms frames
 
@@ -75,7 +74,6 @@ def tc_similarity_matrix(w: Waveform, cfg: EncoderConfig, ckpt: Checkpoint,
     if k < 2:
         raise DataError("need at least 2 segments")
     net = FrontendNet(cfg)
-    ckpt.require(tensor_names(net.embed_layers("fbank")))
     dur = len(w.samples) / w.sample_rate
     if dur < seg_dur:
         raise DataError(f"utterance ({dur:.3f} s) shorter than segment ({seg_dur} s)")

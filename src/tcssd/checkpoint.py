@@ -23,16 +23,22 @@ MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.bin"
 
 
+class TensorMap(dict):
+    """Tensors by name; reading an absent name raises a CheckpointError
+    naming it, so each net's own read is the check of what it needs."""
+
+    def __missing__(self, name):
+        raise CheckpointError(f"missing tensor: {name}")
+
+
 @dataclass
 class Checkpoint:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     frozen_names: set[str] = field(default_factory=set)
     config: dict = field(default_factory=dict)
 
-    def require(self, names) -> None:
-        missing = [n for n in names if n not in self.tensors]
-        if missing:
-            raise CheckpointError(f"missing tensor(s): {', '.join(sorted(missing))}")
+    def __post_init__(self):
+        self.tensors = TensorMap(self.tensors)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

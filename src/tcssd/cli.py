@@ -248,6 +248,9 @@ def _cmd_analyze_tc(args, cfg):
         m = tc_similarity_matrix(load_waveform(args.wav), enc_cfg, ckpt, k=args.k,
                                  seg_dur=args.seg_dur, seed=cfg.seed)
     else:
+        if args.ckpt is not None:
+            raise TcssdError("--features analysis takes frame means and reads no "
+                             "checkpoint; drop --ckpt")
         f = load_feature_map(args.features)
         m = tc_similarity_matrix_features(f.values, k=args.k,
                                           seg_frames=args.seg_frames, seed=cfg.seed)

@@ -13,7 +13,7 @@ import numpy as np
 from .checkpoint import Checkpoint
 from .cm_temporal import score_embeddings
 from .encoder import EncoderConfig, FrontendNet, encoder_head, feature_kind
-from .layers import relu, tensor_names
+from .layers import relu
 
 
 class Cm2Net:
@@ -31,11 +31,6 @@ class Cm2Net:
 
     def layers(self):
         return [self.mfa_conv, self.pool, self.proj, self.cls]
-
-    def embed_layers(self, kind):
-        """The layers ``embed`` reads for maps of ``kind``."""
-        lane = self.frontend.concat_layers() + [self.mfa_conv] if kind == "fbank" else []
-        return lane + [self.pool, self.proj]
 
     def forward_tail(self, params, feats):
         """feats: (B, T, D) at the tap point -> (embeddings, cache)."""
@@ -71,10 +66,8 @@ class Cm2Net:
 def cm2_score(f, cfg: EncoderConfig, ckpt: Checkpoint) -> float:
     """Spoof/bonafide score of one FBank (or tap-point) map from the
     embedding's class cosines."""
-    net = Cm2Net(cfg)
     kind = feature_kind(f.values.shape[1], cfg, "feature map")
-    ckpt.require(tensor_names(net.embed_layers(kind) + [net.cls]))
-    emb, _ = net.embed(ckpt.tensors, f.values[None, :, :].astype(np.float32), kind)
+    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None, :, :].astype(np.float32), kind)
     return float(score_embeddings(emb, ckpt.tensors["cm2.cls.w"])[0])
 
 

@@ -34,18 +34,6 @@ class Cm1Config:
         require_sizes(self, "hidden", "n_layers", "fc1_out", "fc2_out")
 
 
-def toy_cm1_config() -> Cm1Config:
-    """Desk-scale head.
-
-    Frame differences of simulated trajectories are tiny (~0.05), so the
-    input weights start 5x larger and the carry gate starts mostly open
-    (bias +3, ~20-frame memory); otherwise a 200-step budget is spent
-    learning to amplify and integrate before any discrimination happens.
-    """
-    return Cm1Config(hidden=32, fc1_out=64, fc2_out=32, input_gain=5.0,
-                     carry_bias=3.0)
-
-
 class Cm1Net:
     """CM1 layer graph; parameters live under ``cm1.*``.  The GRU reads the
     MFA tap of ``frontend``, the frozen speaker encoder, which also carries
@@ -62,11 +50,6 @@ class Cm1Net:
 
     def layers(self):
         return [self.gru, self.fc1, self.fc2, self.cls]
-
-    def embed_layers(self, kind):
-        """The layers ``embed`` reads for maps of ``kind``."""
-        own = [self.gru, self.fc1, self.fc2]
-        return self.frontend.feature_layers() + own if kind == "fbank" else own
 
     def embed(self, params, x, kind):
         """Equal-length maps x (B, T, M) of ``kind`` -> (embeddings (B, E),

@@ -14,12 +14,12 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from .analysis import SimConfig
-from .cm_temporal import Cm1Config, toy_cm1_config
-from .encoder import EncoderConfig, toy_encoder_config
+from .cm_temporal import Cm1Config
+from .encoder import EncoderConfig
 from .errors import DataError
 from .files import read_lines
 from .frontend import AugmentPolicy
-from .training import AamConfig, TrainConfig, toy_train_config
+from .training import AamConfig, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,21 @@ class RunConfig:
 
 
 def toy_config() -> RunConfig:
-    return RunConfig(encoder=toy_encoder_config(), cm1=toy_cm1_config(),
-                     train=toy_train_config())
+    """Desk-scale preset used by the simulator pipeline and the tests.
+
+    CM1: frame differences of simulated trajectories are tiny (~0.05), so
+    the input weights start 5x larger and the carry gate starts mostly open
+    (bias +3, ~20-frame memory); otherwise a 200-step budget is spent
+    learning to amplify and integrate before any discrimination happens.
+    Training: small batches, a short warmup and 200 steps, with a little
+    weight decay to rein in overfitting to a 200-utterance corpus.
+    """
+    return RunConfig(
+        encoder=EncoderConfig(channels=16, mfa_dim=24, embed_dim=32, att_dim=8),
+        cm1=Cm1Config(hidden=32, fc1_out=64, fc2_out=32, input_gain=5.0,
+                      carry_bias=3.0),
+        train=TrainConfig(epochs=30, batch_size=32, base_lr=1e-2, warmup_steps=20,
+                          max_steps=200, weight_decay=1e-3))
 
 
 PRESETS = {"full": RunConfig, "toy": toy_config}

@@ -24,7 +24,7 @@ from .checkpoint import Checkpoint
 from .errors import DataError
 from .frontend import FRAME_RATE, N_MELS, FeatureMap
 from .layers import (AttentiveStatsPool, ChannelNorm, ClassWeights, Conv1d,
-                     Linear, SERes2Block, relu, tensor_names)
+                     Linear, SERes2Block, relu)
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,6 @@ def require_sizes(cfg, *names) -> None:
     for name in names:
         if getattr(cfg, name) < 1:
             raise DataError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-
-
-def toy_encoder_config() -> EncoderConfig:
-    """Desk-scale configuration used by the simulator pipeline and tests."""
-    return EncoderConfig(channels=16, mfa_dim=24, embed_dim=32, att_dim=8)
 
 
 def feature_kind(n_channels: int, cfg: EncoderConfig, utt_id: str) -> str:
@@ -137,14 +132,6 @@ class FrontendNet:
         dh = dr * (h > 0)
         return self.stem_conv.backward(params, c_stem, dh, grads)
 
-    def feature_layers(self):
-        return self.concat_layers() + [self.mfa_conv]
-
-    def embed_layers(self, kind):
-        """The layers ``embed`` reads for maps of ``kind``."""
-        lane = self.feature_layers() if kind == "fbank" else []
-        return lane + [self.pool, self.proj]
-
     def forward_features(self, params, x):
         """Full frontend to the MFA tap: (B, T, N_MELS) -> (B, T, D)."""
         cat, cat_cache = self.forward_concat(params, x)
@@ -181,9 +168,8 @@ def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint) -> np.n
     if f.n_channels != N_MELS:
         raise DataError(
             f"feature map has {f.n_channels} channels, encoder expects {N_MELS}")
-    net = FrontendNet(cfg)
-    ckpt.require(tensor_names(net.feature_layers()))
-    feats, _ = net.forward_features(ckpt.tensors, f.values[None].astype(np.float32))
+    feats, _ = FrontendNet(cfg).forward_features(ckpt.tensors,
+                                                 f.values[None].astype(np.float32))
     return feats[0]
 
 

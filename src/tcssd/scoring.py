@@ -19,7 +19,6 @@ from .encoder import EncoderConfig, feature_kind
 from .errors import DataError
 from .files import read_lines, write_text
 from .frontend import load_feature_map
-from .layers import tensor_names
 from .training import checkpoint_configs, system_net
 
 KEY_BONAFIDE = "bonafide"
@@ -198,21 +197,20 @@ def fuse_scores(a: ScoreSet, b: ScoreSet, w: float = 0.5,
 
 
 def embed_trials(net, records, feature_dir, ckpt: Checkpoint, enc_cfg: EncoderConfig,
-                 batch_size: int, also_read=()):
+                 batch_size: int):
     """Yield (trial indices, embeddings) for chunks of up to ``batch_size``
     equal-length maps, one ``net.embed`` call each.
 
-    Every map is loaded and validated, and every tensor the chosen lanes
-    (and the layers ``also_read``) read is required, before any embedding.
-    Chunks group trials by (feature kind, frame count), first seen first.
+    Every map is loaded and validated before any embedding.  A tensor the
+    lane reads that the checkpoint lacks raises a ``CheckpointError``
+    naming it at its first read.  Chunks group trials by (feature kind,
+    frame count), first seen first.
     """
     groups: dict[tuple[str, int], list[tuple[int, np.ndarray]]] = {}
     for i, r in enumerate(records):
         values = load_feature_map(os.path.join(feature_dir, f"{r.utt_id}.fea")).values
         kind = feature_kind(values.shape[1], enc_cfg, r.utt_id)
         groups.setdefault((kind, values.shape[0]), []).append((i, values))
-    ckpt.require(tensor_names([*also_read, *(layer for kind, _ in groups
-                                             for layer in net.embed_layers(kind))]))
     for (kind, _), members in groups.items():
         for start in range(0, len(members), batch_size):
             chunk = members[start:start + batch_size]
@@ -225,10 +223,11 @@ def score_trials(cm_id: str, records, feature_dir, ckpt: Checkpoint,
     """Score every trial from its cached features; full utterance, no crop.
 
     Each chunk from ``embed_trials`` is scored against the system's class
-    rows; entries come back in protocol order.  The chunking changes only
-    floating-point summation order: scores agree within 1e-6 at any
-    ``batch_size``, and a given ``batch_size`` gives byte-identical scores
-    from run to run.
+    rows; entries come back in protocol order.  A tensor the system reads
+    that the checkpoint lacks raises a ``CheckpointError`` naming it, before
+    any score is returned.  The chunking changes only floating-point
+    summation order: scores agree within 1e-6 at any ``batch_size``, and a
+    given ``batch_size`` gives byte-identical scores from run to run.
     """
     if cm_id not in ("cm1", "cm2"):
         raise DataError(f"unknown countermeasure '{cm_id}'")
@@ -237,8 +236,7 @@ def score_trials(cm_id: str, records, feature_dir, ckpt: Checkpoint,
     enc_cfg, cm1_cfg = checkpoint_configs(ckpt)
     net = system_net(cm_id, enc_cfg, cm1_cfg)
     scores = np.empty(len(records))
-    for idx, emb in embed_trials(net, records, feature_dir, ckpt, enc_cfg,
-                                 batch_size, also_read=[net.cls]):
+    for idx, emb in embed_trials(net, records, feature_dir, ckpt, enc_cfg, batch_size):
         scores[idx] = score_embeddings(emb, ckpt.tensors[f"{net.cls.name}.w"])
     entries = [ScoreEntry(r.utt_id, float(score), r.key)
                for r, score in zip(records, scores)]

@@ -69,15 +69,6 @@ class TrainConfig:
             raise DataError(f"max_steps must be at least 0, got {self.max_steps}")
 
 
-def toy_train_config() -> TrainConfig:
-    """Desk-scale settings: small batches, short warmup, 200 steps.
-
-    A little weight decay reins in overfitting to a 200-utterance corpus.
-    """
-    return TrainConfig(epochs=30, batch_size=32, base_lr=1e-2, warmup_steps=20,
-                       max_steps=200, weight_decay=1e-3)
-
-
 def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray,
                      class_weights: np.ndarray, cfg: AamConfig):
     """Additive-angular-margin softmax cross-entropy with analytic gradients.
@@ -314,6 +305,8 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     kind = kinds.pop()
     if cm_id == "frontend-toy" and kind != "fbank":
         raise DataError("frontend-toy training needs fbank-kind features")
+    if train_cfg.augment and kind != "fbank":
+        raise DataError("train.augment masks FBank maps; these maps are speaker-kind")
 
     ckpt = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
     params = ckpt.tensors
@@ -340,7 +333,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
             f = items[i].features
             crop_seed = int(rng.integers(2 ** 31))
             f = random_crop(f, train_cfg.crop_min_s, train_cfg.crop_max_s, crop_seed)
-            if kind == "fbank" and train_cfg.augment:
+            if train_cfg.augment:
                 f = spec_augment(f, cfg.augment, int(rng.integers(2 ** 31)))
             batch_maps.append(f.values)
         max_t = max(v.shape[0] for v in batch_maps)

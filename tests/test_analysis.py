@@ -9,7 +9,7 @@ from tcssd.analysis import (SimConfig, SimilarityMatrix, cosine_similarity,
                             tc_similarity_matrix, tc_similarity_matrix_features,
                             tc_statistic)
 from tcssd.cm_temporal import Cm1Config
-from tcssd.encoder import toy_encoder_config
+from tcssd.config import toy_config
 from tcssd.errors import DataError
 from tcssd.frontend import Waveform
 from tcssd.training import build_checkpoint
@@ -56,7 +56,7 @@ def test_tc_matrix_features_symmetric_unit_diagonal():
 
 
 def test_tc_matrix_audio_lane():
-    enc = toy_encoder_config()
+    enc = toy_config().encoder
     ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
     rng = np.random.default_rng(1)
@@ -68,7 +68,7 @@ def test_tc_matrix_audio_lane():
 
 
 def test_tc_matrix_too_short_utterance_rejected():
-    enc = toy_encoder_config()
+    enc = toy_config().encoder
     ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
     w = Waveform(samples=np.zeros(4000))  # 0.25 s

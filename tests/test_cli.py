@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ import tcssd
 from tcssd.checkpoint import load_checkpoint, save_checkpoint
 from tcssd.cli import main
 from tcssd.config import flat_dict, toy_config
-from tcssd.encoder import toy_encoder_config
 from tcssd.frontend import (FeatureMap, Waveform, load_feature_map, load_waveform,
                             save_feature_map, save_waveform)
 
@@ -338,6 +338,16 @@ def test_bad_device_rejected(capsys):
     assert "unrecognized arguments: --device" in capsys.readouterr().err
 
 
+def strip_checkpoint(src, dst, drop):
+    """Save checkpoint ``src`` as ``dst`` without the tensors whose names
+    ``drop`` selects."""
+    ckpt = load_checkpoint(src)
+    for name in [n for n in ckpt.tensors if drop(n)]:
+        del ckpt.tensors[name]
+    ckpt.frozen_names &= set(ckpt.tensors)
+    save_checkpoint(ckpt, dst)
+
+
 @pytest.mark.parametrize("argv, tensor", [
     (["score", "--cm", "1"], "cm1.fc1.w"),
     (["score", "--cm", "2"], "cm2.proj.b"),
@@ -346,16 +356,56 @@ def test_bad_device_rejected(capsys):
 def test_missing_tensor_on_tap_point_maps_exits_two(tiny_pipeline, tmp_path, capsys,
                                                     argv, tensor):
     _, sim, ck, _ = tiny_pipeline
-    ckpt = load_checkpoint(ck / "final")
-    del ckpt.tensors[tensor]
-    ckpt.frozen_names.discard(tensor)
-    save_checkpoint(ckpt, tmp_path / "ck")
+    strip_checkpoint(ck / "final", tmp_path / "ck", lambda name: name == tensor)
     out = tmp_path / "out.tsv"
     rc = main([*argv, "--protocol", str(sim / "protocol.txt"),
                "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
                "--out", str(out)])
     assert rc == 2
     assert tensor in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cm", ["1", "2"])
+def test_tap_point_lane_reads_no_frontend_tensor(cm, tiny_pipeline, tmp_path, capsys):
+    """Tap-point maps pass neither the frontend nor CM2's MFA conv, so a
+    checkpoint without those tensors scores them as the full one does."""
+    _, sim, ck, _ = tiny_pipeline
+    strip_checkpoint(ck / "final", tmp_path / "ck",
+                     lambda name: name.startswith(("frontend.", "cm2.mfa.conv.")))
+    bodies = []
+    for name, ckpt in (("full", ck / "final"), ("stripped", tmp_path / "ck")):
+        out = tmp_path / f"{name}.tsv"
+        assert main(["score", "--cm", cm, "--protocol", str(sim / "protocol.txt"),
+                     "--features", str(sim / "features"), "--ckpt", str(ckpt),
+                     "--out", str(out), "--seed", "3"]) == 0
+        bodies.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
+    assert len(bodies[0]) == 12
+    assert bodies[1] == bodies[0]
+
+
+def test_train_augment_on_tap_point_maps_exits_two(tiny_pipeline, tmp_path, capsys):
+    """SpecAugment masks FBank maps; on tap-point maps the key is refused
+    rather than ignored under a new config hash."""
+    _, sim, _, _ = tiny_pipeline
+    out = tmp_path / "ck"
+    rc = main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--out", str(out),
+               "--steps", "1", "--set", "train.augment=true"])
+    assert rc == 2
+    assert "train.augment" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_tc_features_with_checkpoint_exits_two(tiny_pipeline, tmp_path, capsys):
+    """The --features lane takes frame means and reads no tensor, so a
+    --ckpt there would be silently ignored: it is refused."""
+    _, sim, ck, _ = tiny_pipeline
+    out = tmp_path / "m.txt"
+    rc = main(["analyze-tc", "--features", str(next((sim / "features").glob("*.fea"))),
+               "--ckpt", str(ck / "final"), "--seg-frames", "30", "--out", str(out)])
+    assert rc == 2
+    assert "--ckpt" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -543,7 +593,7 @@ def test_dilations_alone_set_the_block_count(tmp_path, capsys):
     tensors = load_checkpoint(tmp_path / "ck" / "final").tensors
     blocks = {n.split(".")[1] for n in tensors if n.startswith("frontend.block")}
     assert sorted(blocks) == ["block1", "block2"]
-    concat_width = 2 * toy_encoder_config().channels
+    concat_width = 2 * toy_config().encoder.channels
     assert tensors["frontend.mfa.conv.w"].shape[1] == concat_width
     assert tensors["cm2.mfa.conv.w"].shape[1] == concat_width
     no_blocks = tmp_path / "none.cfg"
@@ -569,6 +619,24 @@ def test_every_config_field_is_read_by_the_package():
                 reads.add(node.attr)
     keys = [key for key in flat_dict(toy_config()) if key != "seed"]
     assert [key for key in keys if key.partition(".")[2] not in reads] == []
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    """The package runs on numpy alone: every absolute import in
+    ``src/tcssd`` names numpy or a standard-library module."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for module in sorted(Path(tcssd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{module.name}: {n}" for n in names
+                        if n.partition(".")[0] not in allowed]
+    assert foreign == []
 
 
 def audio_corpus(tmp_path):
@@ -635,6 +703,30 @@ def test_audio_lane_end_to_end(tmp_path, capsys):
                  "--out", str(proj_out), "--seed", "5"]) == 0
     assert len([l for l in proj_out.read_text().splitlines()
                 if not l.startswith("#")]) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["score", "--cm", "1", "--protocol", "{protocol}", "--features", "{feats}"],
+    ["score", "--cm", "2", "--protocol", "{protocol}", "--features", "{feats}"],
+    ["analyze-dist", "--protocol", "{protocol}", "--features", "{feats}"],
+    ["analyze-tc", "--wav", "{wav}", "--k", "3"],
+], ids=["score_cm1", "score_cm2", "analyze_dist", "analyze_tc_wav"])
+def test_missing_tensor_on_fbank_maps_exits_two(argv, tiny_pipeline, tmp_path, capsys):
+    """FBank maps pass the frozen frontend first: without its stem conv each
+    command exits 2 naming that tensor and writes nothing."""
+    _, _, ck, _ = tiny_pipeline
+    wavs, feats, protocol = audio_corpus(tmp_path)
+    strip_checkpoint(ck / "final", tmp_path / "ck",
+                     lambda name: name == "frontend.stem.conv.w")
+    out = tmp_path / "out.txt"
+    paths = {"protocol": protocol, "feats": feats, "wav": wavs[0]}
+    capsys.readouterr()
+    rc = main([a.format(**paths) for a in argv]
+              + ["--ckpt", str(tmp_path / "ck"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"tcssd {argv[0]}: missing tensor: frontend.stem.conv.w\n")
+    assert not out.exists()
 
 
 def test_train_augment_deterministic_and_applied(tmp_path, capsys):

@@ -5,14 +5,15 @@ import numpy as np
 from helpers import assert_grads_close
 from tcssd.cm_distribution import Cm2Net, cm2_score, cm2_score_features
 from tcssd.cm_temporal import Cm1Config
-from tcssd.encoder import FrontendNet, toy_encoder_config
+from tcssd.config import toy_config
+from tcssd.encoder import FrontendNet
 from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import init_layers, tensor_names
 from tcssd.training import AamConfig, aam_softmax_loss, build_checkpoint
 
 
 def toy_checkpoint(seed=0):
-    cfg = toy_encoder_config()
+    cfg = toy_config().encoder
     ckpt = build_checkpoint(cfg, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=seed)
     return cfg, ckpt
@@ -59,7 +60,7 @@ def test_cm2_score_bounded():
 
 
 def test_cm2_tail_gradients_match_finite_differences():
-    cfg = toy_encoder_config()
+    cfg = toy_config().encoder
     net = Cm2Net(cfg)
     params = init_layers([net.pool, net.proj], np.random.default_rng(5), dtype=np.float64)
     rng = np.random.default_rng(6)
@@ -84,7 +85,7 @@ def test_cm2_tail_gradients_match_finite_differences():
 def test_cm2_fbank_lane_gradients_including_mfa_conv():
     """Full audio-lane CM2 loss through ``embed``/``backward_embed``:
     gradients for the MFA conv and tail, none for the frozen concat."""
-    cfg = toy_encoder_config()
+    cfg = toy_config().encoder
     frontend = FrontendNet(cfg)
     params = init_layers(frontend.layers(), np.random.default_rng(7), dtype=np.float64)
     net = Cm2Net(cfg)

@@ -10,8 +10,9 @@ from tcssd import checkpoint
 from tcssd.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from tcssd.cm_distribution import Cm2Net
 from tcssd.cm_temporal import Cm1Config, Cm1Net
+from tcssd.config import toy_config
 from tcssd.encoder import (EncoderConfig, FrontendNet, count_parameters,
-                           encode_features, estimate_flops, toy_encoder_config)
+                           encode_features, estimate_flops)
 from tcssd.errors import CheckpointError, DataError
 from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import (AttentiveStatsPool, ClassWeights, Conv1d, Gru, Linear,
@@ -19,7 +20,7 @@ from tcssd.layers import (AttentiveStatsPool, ClassWeights, Conv1d, Gru, Linear,
 
 
 def make_toy_checkpoint(seed=0):
-    cfg = toy_encoder_config()
+    cfg = toy_config().encoder
     params = init_layers(FrontendNet(cfg).layers(), np.random.default_rng(seed))
     return cfg, Checkpoint(tensors=params, frozen_names=set(), config={})
 
@@ -32,7 +33,7 @@ def test_frontend_concat_gradients_match_finite_differences():
     """Stem, Res2 blocks and SE gates: every tensor and the input gradient
     of ``backward_concat`` against central differences along random
     directions, in float64 (an element-wise sweep would take ~40 s)."""
-    net = FrontendNet(toy_encoder_config())
+    net = FrontendNet(toy_config().encoder)
     layers = net.concat_layers()
     params = init_layers(layers, np.random.default_rng(11), dtype=np.float64)
     rng = np.random.default_rng(12)
@@ -58,8 +59,8 @@ def test_frontend_embed_gradients_match_finite_differences():
     """The toy-frontend training path on FBank input: ``backward_embed``
     through the projection, pooling, MFA tap and concat, for every tensor
     ``embed`` reads, against central differences along random directions."""
-    net = FrontendNet(toy_encoder_config())
-    layers = net.embed_layers("fbank")
+    net = FrontendNet(toy_config().encoder)
+    layers = [l for l in net.layers() if l is not net.cls]
     params = init_layers(layers, np.random.default_rng(21), dtype=np.float64)
     rng = np.random.default_rng(22)
     names = tensor_names(layers)
@@ -242,7 +243,7 @@ def test_count_empty_model():
 
 def test_count_excludes_frozen():
     """CM2's count holds its retrained head only, no frozen frontend tensor."""
-    c = toy_encoder_config()
+    c = toy_config().encoder
     layers = Cm2Net(c).layers()
     assert not [n for n in tensor_names(layers) if n.startswith("frontend.")]
     want = ((len(c.dilations) * c.channels + 1) * c.mfa_dim     # MFA conv

@@ -6,7 +6,7 @@ import pytest
 from helpers import brute_force_eer, fail_writes_halfway
 from tcssd.analysis import SimConfig, simulate_trajectories
 from tcssd.cm_temporal import Cm1Config
-from tcssd.encoder import toy_encoder_config
+from tcssd.config import toy_config
 from tcssd.errors import DataError
 from tcssd.frontend import FeatureMap, save_feature_map
 from tcssd.scoring import (DEFAULT_SCORE_BATCH, ScoreEntry, ScoreSet,
@@ -264,7 +264,7 @@ def sim_eval_dir(tmp_path_factory):
         save_feature_map(f, tmp / f"{utt}.fea")
         attack = "-" if key == "bonafide" else "SIM01"
         records.append(TrialRecord("SIMSPK", utt, attack, key))
-    enc = toy_encoder_config()
+    enc = toy_config().encoder
     ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
     # As manifests stored it before the block count and CM1's input width
@@ -324,7 +324,7 @@ def mixed_eval_dir(tmp_path_factory):
                                  tmp / f"{utt}.fea")
                 attack = "-" if key == "bonafide" else "SIM01"
                 records.append(TrialRecord("SPK", utt, attack, key))
-    enc = toy_encoder_config()
+    enc = toy_config().encoder
     ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=3)
     return tmp, records, ckpt
