@@ -100,6 +100,8 @@ def tc_similarity_matrix_features(values: np.ndarray, k: int = 8,
     t = values.shape[0]
     if k < 2:
         raise DataError("need at least 2 segments")
+    if seg_frames < 1:
+        raise DataError(f"seg_frames must be at least 1, got {seg_frames}")
     if t < seg_frames:
         raise DataError(f"map has {t} frames, segment needs {seg_frames}")
     rng = np.random.default_rng(seed)
@@ -151,6 +153,8 @@ def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int, seed: int):
     key) with key in {"bonafide", "spoof"}, bonafide first; the maps carry
     no audio provenance (frame_hop = frame_len = n_fft = 0).
     """
+    if n_utts_per_class < 1:
+        raise DataError(f"n_utts_per_class must be at least 1, got {n_utts_per_class}")
     rng = np.random.default_rng(seed)
     out = []
     for key in ("bonafide", "spoof"):

@@ -181,11 +181,16 @@ def _load_items(protocol_path, feature_dir):
 
 
 def _cmd_extract(args, cfg):
-    os.makedirs(args.out, exist_ok=True)
+    sources = {}
     for wav_path in args.wav:
-        w = load_waveform(wav_path)
-        f = compute_fbank(w)
         stem = os.path.splitext(os.path.basename(wav_path))[0]
+        if stem in sources:
+            raise TcssdError(f"stem '{stem}' of {wav_path} already comes from "
+                             f"{sources[stem]}; both would write {stem}.fea")
+        sources[stem] = wav_path
+    os.makedirs(args.out, exist_ok=True)
+    for stem, wav_path in sources.items():
+        f = compute_fbank(load_waveform(wav_path))
         save_feature_map(f, os.path.join(args.out, f"{stem}.fea"))
     write_text(os.path.join(args.out, "provenance.txt"), (), _provenance(args, cfg))
     print(f"extracted {len(args.wav)} feature map(s) to {args.out}")

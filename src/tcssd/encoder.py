@@ -71,24 +71,15 @@ def feature_kind(n_channels: int, cfg: EncoderConfig, utt_id: str) -> str:
         f"({N_MELS}) nor mfa_dim ({cfg.mfa_dim})")
 
 
-def encoder_head(cfg: EncoderConfig, namespace: str):
-    """The layers above the MFA concat: 1x1 MFA conv, attentive pooling,
-    projection and 2-class rows, under ``namespace``.  The frontend owns
-    one set; CM2 owns a retrained copy."""
-    return (Conv1d(f"{namespace}.mfa.conv", len(cfg.dilations) * cfg.channels,
-                   cfg.mfa_dim, kernel=1),
-            AttentiveStatsPool(f"{namespace}.pool", cfg.mfa_dim, cfg.att_dim),
-            Linear(f"{namespace}.proj", 2 * cfg.mfa_dim, cfg.embed_dim),
-            ClassWeights(f"{namespace}.cls", 2, cfg.embed_dim))
-
-
 class FrontendNet:
-    """Layer graph of the frontend; parameters live under ``frontend.*``.
+    """Layer graph of the speaker encoder.  The stem and blocks live under
+    ``frontend.*``; the head above the MFA concat (1x1 MFA conv, attentive
+    pooling, projection and 2-class rows) lives under ``head``.
 
     The class rows serve only the toy frontend's own training.
     """
 
-    def __init__(self, cfg: EncoderConfig):
+    def __init__(self, cfg: EncoderConfig, head: str = "frontend"):
         self.cfg = cfg
         c = cfg.channels
         self.stem_conv = Conv1d("frontend.stem.conv", N_MELS, c, kernel=5)
@@ -98,7 +89,11 @@ class FrontendNet:
                         scale=cfg.res2_scale, se_bottleneck=cfg.se_bottleneck)
             for i, d in enumerate(cfg.dilations)
         ]
-        self.mfa_conv, self.pool, self.proj, self.cls = encoder_head(cfg, "frontend")
+        self.mfa_conv = Conv1d(f"{head}.mfa.conv", len(cfg.dilations) * c,
+                               cfg.mfa_dim, kernel=1)
+        self.pool = AttentiveStatsPool(f"{head}.pool", cfg.mfa_dim, cfg.att_dim)
+        self.proj = Linear(f"{head}.proj", 2 * cfg.mfa_dim, cfg.embed_dim)
+        self.cls = ClassWeights(f"{head}.cls", 2, cfg.embed_dim)
 
     def concat_layers(self):
         return [self.stem_conv, self.stem_norm] + self.blocks
@@ -143,21 +138,30 @@ class FrontendNet:
         dcat = self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
         return self.backward_concat(params, cat_cache, dcat, grads)
 
+    def forward_tail(self, params, feats):
+        """Tap-point maps (B, T, D) -> (embeddings (B, E), cache): attentive
+        pooling, then the projection."""
+        stats, c_pool = self.pool.forward(params, feats)
+        emb, c_proj = self.proj.forward(params, stats)
+        return emb, (c_pool, c_proj)
+
+    def backward_tail(self, params, cache, demb, grads):
+        c_pool, c_proj = cache
+        dstats = self.proj.backward(params, c_proj, demb, grads)
+        return self.pool.backward(params, c_pool, dstats, grads)
+
     def embed(self, params, x, kind):
         """Equal-length maps x (B, T, M) of ``kind`` -> (embeddings (B, E),
-        cache): FBank maps run to the MFA tap first, then attentive
-        pooling and the projection."""
+        cache): FBank maps run to the MFA tap first, then the tail."""
         fcache = None
         if kind == "fbank":
             x, fcache = self.forward_features(params, x)
-        stats, c_pool = self.pool.forward(params, x)
-        emb, c_proj = self.proj.forward(params, stats)
-        return emb, (fcache, c_pool, c_proj)
+        emb, tail_cache = self.forward_tail(params, x)
+        return emb, (fcache, tail_cache)
 
     def backward_embed(self, params, cache, demb, grads):
-        fcache, c_pool, c_proj = cache
-        dstats = self.proj.backward(params, c_proj, demb, grads)
-        dfeats = self.pool.backward(params, c_pool, dstats, grads)
+        fcache, tail_cache = cache
+        dfeats = self.backward_tail(params, tail_cache, demb, grads)
         if fcache is not None:
             self.backward_features(params, fcache, dfeats, grads)
 

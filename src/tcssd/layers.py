@@ -256,9 +256,6 @@ class SEGate(Composite):
         dx += ds[:, None, :] / t
         return dx
 
-    def flops(self, n_frames: int) -> int:
-        return self.fc1.flops(1) + self.fc2.flops(1)
-
 
 class SERes2Block(Composite):
     """Dilated Res2-style block with squeeze-excitation and residual add.

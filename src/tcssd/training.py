@@ -202,8 +202,8 @@ def build_checkpoint(enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
 
 
 def system_net(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config):
-    """The net of system ``cm_id``; the countermeasures read FBank maps
-    through a frozen frontend of their own."""
+    """The net of system ``cm_id``; CM1 reads FBank maps through a frozen
+    frontend it holds, and CM2 is the frontend with a head of its own."""
     if cm_id == "cm1":
         return Cm1Net(cm1_cfg, enc_cfg)
     if cm_id == "cm2":
@@ -312,7 +312,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     params = ckpt.tensors
     trainable = set(tensor_names(net.layers()))
     ckpt.frozen_names = (set() if cm_id == "frontend-toy"
-                         else set(tensor_names(net.frontend.layers())))
+                         else set(tensor_names(FrontendNet(enc_cfg).layers())))
     cls_name = f"{net.cls.name}.w"
 
     rng = np.random.default_rng(cfg.seed)

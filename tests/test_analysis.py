@@ -76,6 +76,13 @@ def test_tc_matrix_too_short_utterance_rejected():
         tc_similarity_matrix(w, seg_dur=0.5, cfg=enc, ckpt=ckpt)
 
 
+@pytest.mark.parametrize("seg_frames", [0, -5])
+def test_tc_matrix_features_refuses_segments_below_one_frame(seg_frames):
+    s = np.ones((60, 24), dtype=np.float32)
+    with pytest.raises(DataError, match="seg_frames must be at least 1"):
+        tc_similarity_matrix_features(s, k=4, seg_frames=seg_frames)
+
+
 def test_tc_matrix_needs_encoder_config_and_checkpoint():
     w = Waveform(samples=np.zeros(16000))
     with pytest.raises(TypeError, match="cfg.*ckpt"):
@@ -214,6 +221,12 @@ def test_sim_no_noise_no_drift_is_constant():
         if key == "spoof":
             assert np.all(np.diff(f.values, axis=0) == 0.0)
         assert np.all(f.values == f.values[0])
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sim_refuses_fewer_than_one_utterance_per_class(n):
+    with pytest.raises(DataError, match="n_utts_per_class must be at least 1"):
+        simulate_trajectories(SimConfig(), n, seed=0)
 
 
 def test_sim_deterministic_given_seed():

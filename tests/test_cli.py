@@ -112,6 +112,31 @@ def test_extract_writes_feature_cache(tmp_path, capsys):
     assert (out / "provenance.txt").exists()
 
 
+def test_extract_refuses_duplicate_stems_before_writing(tmp_path, capsys):
+    wavs = []
+    for d in ("d1", "d2"):
+        (tmp_path / d).mkdir()
+        wavs.append(tmp_path / d / "u.wav")
+        save_waveform(Waveform(samples=np.zeros(8000)), wavs[-1])
+    out = tmp_path / "feats"
+    assert main(["extract", "--wav", *map(str, wavs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'u'" in err and str(wavs[0]) in err and str(wavs[1]) in err
+    assert not out.exists()
+
+
+def test_sizes_below_one_exit_two_and_write_no_output(tmp_path, capsys):
+    assert main(["simulate", "--out", str(tmp_path / "sim"), "--n-per-class", "0"]) == 2
+    assert not (tmp_path / "sim" / "protocol.txt").exists()
+    fea = tmp_path / "u.fea"
+    save_feature_map(FeatureMap(values=np.ones((60, 24), dtype=np.float32)), fea)
+    out = tmp_path / "m.txt"
+    assert main(["analyze-tc", "--features", str(fea), "--seg-frames", "0",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "seg_frames must be at least 1" in capsys.readouterr().err
+
+
 def test_count_params_report(capsys):
     assert main(["count-params", "--preset", "full"]) == 0
     out = capsys.readouterr().out
