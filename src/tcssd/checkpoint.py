@@ -77,8 +77,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     os.makedirs(tmp)
     try:
         with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         with open(os.path.join(tmp, WEIGHTS_NAME), "wb") as fh:
             fh.write(b"".join(blobs))
         if os.path.exists(path):

@@ -67,6 +67,9 @@ class TrainConfig:
             raise DataError("base_lr and warmup_steps must be positive")
         if self.max_steps < 0:
             raise DataError(f"max_steps must be at least 0, got {self.max_steps}")
+        if not 0 < self.crop_min_s <= self.crop_max_s:
+            raise DataError("need 0 < train.crop_min_s <= train.crop_max_s, got "
+                            f"{self.crop_min_s} and {self.crop_max_s}")
 
 
 def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray,

@@ -596,6 +596,25 @@ def test_negative_steps_exit_two(tmp_path, capsys):
     assert not (tmp_path / "ck").exists()
 
 
+@pytest.mark.parametrize("crop", [("1.0", "0.5"), ("0", "0.5"), ("-0.5", "0.5")],
+                         ids=["min-above-max", "zero-min", "negative-min"])
+def test_bad_crop_lengths_exit_two_before_any_checkpoint(tmp_path, capsys, crop):
+    """crop_min_s above crop_max_s, or not above 0, is refused with the
+    config, before init/ is written."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--n-per-class", "2"]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
+               "--steps", "1", "--set", f"train.crop_min_s={crop[0]}",
+               "--set", f"train.crop_max_s={crop[1]}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "train.crop_min_s" in err and "train.crop_max_s" in err
+    assert not (tmp_path / "ck").exists()
+
+
 @pytest.mark.parametrize("setting, field", [
     ("encoder.res2_scale=0", "res2_scale"), ("encoder.dilations=0", "dilations"),
     ("encoder.channels=0", "channels"), ("cm1.hidden=0", "hidden"),

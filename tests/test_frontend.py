@@ -12,7 +12,7 @@ from tcssd.frontend import (AugmentPolicy, FeatureMap, Waveform, compute_fbank,
                             mel_filterbank, mel_to_hz, hz_to_mel, random_crop,
                             save_feature_map, save_waveform, spec_augment,
                             trim_boundaries, trim_silence, FRAME_LEN, FRAME_HOP,
-                            N_FFT, N_MELS, LOG_FLOOR)
+                            N_FFT, N_MELS, LOG_FLOOR, SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,32 @@ def test_fbank_frame_count_formula():
         w = Waveform(samples=rng.uniform(-0.1, 0.1, n))
         f = compute_fbank(w)
         assert f.values.shape[0] == (n - 400) // 160 + 1 == frame_count(n)
+
+
+def gathered_fbank(samples):
+    """Oracle: frames gathered by fancy index, window and filterbank rebuilt
+    on every call."""
+    y = np.asarray(samples, dtype=np.float64)
+    t = frame_count(y.shape[0])
+    idx = (np.arange(t) * FRAME_HOP)[:, None] + np.arange(FRAME_LEN)[None, :]
+    frames = y[idx] * np.hamming(FRAME_LEN)
+    spec = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1))
+    energy = spec @ mel_filterbank().T
+    return np.log(np.maximum(energy, LOG_FLOOR)).astype(np.float32)
+
+
+@pytest.mark.parametrize("n", [FRAME_LEN, FRAME_LEN + FRAME_HOP - 1, "tone"])
+def test_fbank_bit_identical_to_gathered_frames(n):
+    rng = np.random.default_rng(17)
+    if n == "tone":
+        t = np.arange(int(1.7 * SAMPLE_RATE)) / SAMPLE_RATE
+        samples = 0.6 * np.sin(2 * np.pi * 180.0 * t) + 0.01 * rng.standard_normal(t.size)
+    else:
+        samples = rng.uniform(-0.5, 0.5, n)
+    got = compute_fbank(Waveform(samples=samples)).values
+    want = gathered_fbank(samples)
+    assert got.shape == want.shape == (frame_count(samples.size), N_MELS)
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_fbank_shift_covariance_one_hop():

@@ -1,12 +1,13 @@
-"""Layer primitives: bit-level contracts of the fused GRU hot path, and
-direct-formula oracles plus finite-difference gradients for the frontend's
-convolution and normalization."""
+"""Layer primitives: bit-level contracts of the fused GRU hot path and of
+the frontend's frame-laid element-wise ops, and direct-formula oracles plus
+finite-difference gradients for the frontend's convolution and
+normalization."""
 
 import numpy as np
 import pytest
 
 from helpers import assert_grads_close
-from tcssd.layers import ChannelNorm, Conv1d, Gru, sigmoid
+from tcssd.layers import ChannelNorm, Conv1d, Gru, SEGate, _time_mean, relu, sigmoid
 
 
 def masked_sigmoid(x):
@@ -181,3 +182,115 @@ def test_channel_norm_matches_textbook_formula_and_finite_differences(t):
         return float((norm.forward(params, params["x"])[0] * r).sum())
 
     assert_grads_close(loss_fn, params, grads, ["n.g", "n.b", "x"], rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Frame-laid operands: bit-identical to the plain broadcasts
+# ---------------------------------------------------------------------------
+
+def broadcast_conv_forward(conv, params, x):
+    """Oracle: Conv1d.forward with the bias broadcast over the frames."""
+    w_taps = conv._tap_weights(params)
+    bsz, t, _ = x.shape
+    x2 = x.reshape(bsz * t, conv.in_ch)
+    y = (x2 @ w_taps[conv.kernel // 2].T).reshape(bsz, t, conv.out_ch)
+    y += params[f"{conv.name}.b"]
+    for j, shift, lo, hi in conv._side_taps(t):
+        yj = (x2 @ w_taps[j].T).reshape(bsz, t, conv.out_ch)
+        y[:, lo:hi] += yj[:, lo + shift:hi + shift]
+    return y
+
+
+def broadcast_norm_forward(norm, params, x):
+    """Oracle: ChannelNorm.forward with (C,) and (B, 1, C) broadcasts."""
+    g = params[f"{norm.name}.g"]
+    b = params[f"{norm.name}.b"]
+    xc = x - _time_mean(x)
+    istd = 1.0 / np.sqrt(_time_mean(xc * xc) + np.asarray(norm.EPS, dtype=x.dtype))
+    xhat = xc * istd
+    return g * xhat + b, (xhat, istd)
+
+
+def broadcast_norm_backward(norm, params, cache, dy):
+    xhat, istd = cache
+    dxh = dy * params[f"{norm.name}.g"]
+    return istd * (dxh - _time_mean(dxh) - xhat * _time_mean(dxh * xhat))
+
+
+def broadcast_se_forward(se, params, x):
+    s = _time_mean(x)[:, 0]
+    z_pre, c1 = se.fc1.forward(params, s)
+    g_pre, c2 = se.fc2.forward(params, relu(z_pre))
+    g = sigmoid(g_pre)
+    return x * g[:, None, :], (x, z_pre, c1, c2, g)
+
+
+def broadcast_se_backward(se, params, cache, dy):
+    x, z_pre, c1, c2, g = cache
+    t = x.shape[1]
+    dx = dy * g[:, None, :]
+    dg = (dy * x).sum(axis=1)
+    dz = se.fc2.backward(params, c2, dg * g * (1.0 - g), {})
+    ds = se.fc1.backward(params, c1, dz * (z_pre > 0), {})
+    dx += ds[:, None, :] / t
+    return dx
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = np.uint32 if got.dtype == np.float32 else np.uint64
+    assert np.array_equal(got.view(uint), want.view(uint))
+
+
+FRAME_LAID_CASES = pytest.mark.parametrize("width, b, dtype", [
+    (w, b, d) for w in (2, 16) for b in (1, 3) for d in (np.float32, np.float64)])
+
+
+def _layer_inputs(width, b, dtype, t=37):
+    rng = np.random.default_rng(width * 10 + b)
+    x = (2.0 * rng.standard_normal((b, t, width)) + 0.5).astype(dtype)
+    dy = rng.standard_normal((b, t, width)).astype(dtype)
+    return rng, x, dy
+
+
+@FRAME_LAID_CASES
+def test_conv1d_bias_bit_identical_to_broadcast(width, b, dtype):
+    """Only the forward's bias add changed layout; backward has no
+    broadcast operand."""
+    rng, x, _ = _layer_inputs(width, b, dtype)
+    conv = Conv1d("c", width, width, 3, 2)
+    params = {}
+    conv.init(params, rng, dtype)
+    params["c.b"] = rng.standard_normal(width).astype(dtype)
+    y, _ = conv.forward(params, x)
+    assert_same_bits(y, broadcast_conv_forward(conv, params, x))
+
+
+@FRAME_LAID_CASES
+def test_channel_norm_bit_identical_to_broadcast(width, b, dtype):
+    rng, x, dy = _layer_inputs(width, b, dtype)
+    norm = ChannelNorm("n", width)
+    params = {"n.g": rng.standard_normal(width).astype(dtype),
+              "n.b": rng.standard_normal(width).astype(dtype)}
+    y, cache = norm.forward(params, x)
+    want_y, want_cache = broadcast_norm_forward(norm, params, x)
+    assert_same_bits(y, want_y)
+    assert_same_bits(cache[0], want_cache[0])
+    assert cache[1].shape == (b, 1, width)  # the cache keeps istd unexpanded
+    assert_same_bits(cache[1], want_cache[1])
+    dx = norm.backward(params, cache, dy, {})
+    assert_same_bits(dx, broadcast_norm_backward(norm, params, want_cache, dy))
+
+
+@FRAME_LAID_CASES
+def test_se_gate_bit_identical_to_broadcast(width, b, dtype):
+    rng, x, dy = _layer_inputs(width, b, dtype)
+    se = SEGate("se", width, 4)
+    params = {}
+    se.init(params, rng, dtype)
+    y, cache = se.forward(params, x)
+    want_y, want_cache = broadcast_se_forward(se, params, x)
+    assert_same_bits(y, want_y)
+    assert cache[-1].shape == (b, width)
+    dx = se.backward(params, cache, dy, {})
+    assert_same_bits(dx, broadcast_se_backward(se, params, want_cache, dy))
