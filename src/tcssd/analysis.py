@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint
 from .encoder import EncoderConfig, FrontendNet
 from .errors import DataError
 from .files import write_text
-from .frontend import FRAME_RATE, FeatureMap, Waveform, compute_fbank
+from .frontend import FRAME_RATE, SAMPLE_RATE, FeatureMap, compute_fbank
 
 SEGMENT_FRAMES_DEFAULT = 50  # 0.5 s at 10 ms frames
 
@@ -62,10 +62,10 @@ def _cosine_matrix(embeddings: list[np.ndarray]) -> np.ndarray:
     return m
 
 
-def tc_similarity_matrix(w: Waveform, cfg: EncoderConfig, ckpt: Checkpoint,
+def tc_similarity_matrix(samples: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint,
                          k: int = 8, seg_dur: float = 0.5,
                          seed: int = 0) -> SimilarityMatrix:
-    """Cosine matrix of k random 0.5 s segment embeddings, in time order.
+    """Cosine matrix of k random ``seg_dur``-second segment embeddings, in time order.
 
     Segment starts are uniform over the utterance (overlap permitted) and
     sorted ascending; each segment's FBank runs through ``FrontendNet.embed``
@@ -74,17 +74,17 @@ def tc_similarity_matrix(w: Waveform, cfg: EncoderConfig, ckpt: Checkpoint,
     if k < 2:
         raise DataError("need at least 2 segments")
     net = FrontendNet(cfg)
-    dur = len(w.samples) / w.sample_rate
+    dur = len(samples) / SAMPLE_RATE
     if dur < seg_dur:
         raise DataError(f"utterance ({dur:.3f} s) shorter than segment ({seg_dur} s)")
     rng = np.random.default_rng(seed)
     starts = np.sort(rng.uniform(0.0, dur - seg_dur, size=k))
-    seg_len = int(round(seg_dur * w.sample_rate))
+    seg_len = int(round(seg_dur * SAMPLE_RATE))
     embeddings = []
     for t0 in starts:
-        i0 = int(round(t0 * w.sample_rate))
-        seg = Waveform(samples=w.samples[i0:i0 + seg_len], sample_rate=w.sample_rate)
-        emb, _ = net.embed(ckpt.tensors, compute_fbank(seg).values[None], "fbank")
+        i0 = int(round(t0 * SAMPLE_RATE))
+        fbank = compute_fbank(samples[i0:i0 + seg_len]).values
+        emb, _ = net.embed(ckpt.tensors, fbank[None])
         embeddings.append(emb[0])
     return SimilarityMatrix(values=_cosine_matrix(embeddings), segment_times=starts)
 
@@ -151,7 +151,7 @@ def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int, seed: int):
     per-step Gaussian drift (a random walk), mimicking a speaker state that
     changes over the utterance.  Returns a list of (utt_id, FeatureMap,
     key) with key in {"bonafide", "spoof"}, bonafide first; the maps carry
-    no audio provenance (frame_hop = frame_len = n_fft = 0).
+    no audio provenance (frame_hop 0).
     """
     if n_utts_per_class < 1:
         raise DataError(f"n_utts_per_class must be at least 1, got {n_utts_per_class}")
@@ -169,8 +169,7 @@ def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int, seed: int):
             frames = frames + rng.normal(0.0, cfg.noise_sigma,
                                          size=(cfg.n_frames, cfg.dim))
             utt = f"SIM_{'T' if key == 'bonafide' else 'S'}_{i:06d}"
-            out.append((utt, FeatureMap(values=frames.astype(np.float32),
-                                        frame_hop=0, frame_len=0, n_fft=0), key))
+            out.append((utt, FeatureMap(frames.astype(np.float32), frame_hop=0), key))
     return out
 
 

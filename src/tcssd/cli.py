@@ -29,8 +29,8 @@ from .encoder import (FrontendNet, count_parameters, describe_frontend,
                       estimate_flops)
 from .errors import TcssdError
 from .files import write_text
-from .frontend import (compute_fbank, load_feature_map, load_waveform,
-                       save_feature_map, save_waveform, trim_silence)
+from .frontend import (compute_fbank, frames_per_second, load_feature_map,
+                       load_waveform, save_feature_map, save_waveform, trim_silence)
 from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
                       embed_trials, fuse_scores, parse_protocol, read_scores,
                       score_trials, serialize_protocol, write_scores)
@@ -60,10 +60,16 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tcssd", description=__doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name, help_text, handler):
-        p = sub.add_parser(name, help=help_text,
-                           parents=[_common_flags()], conflict_handler="resolve")
-        p.set_defaults(handler=handler)
+    def add(name, help_text, handler, config=False):
+        """A subcommand with --seed, plus the config flags if it reads the config."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler, config=None, preset="toy", set=[])
+        p.add_argument("--seed", type=int, default=None)
+        if config:
+            p.add_argument("--config", default=None, help="flat key=value config file")
+            p.add_argument("--preset", choices=sorted(PRESETS), default="toy")
+            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                           help="inline config override (repeatable)")
         return p
 
     p = add("extract", "compute FBank feature caches from WAV files", _cmd_extract)
@@ -75,7 +81,8 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("output")
 
-    p = add("train", "train a countermeasure or the toy frontend", _cmd_train)
+    p = add("train", "train a countermeasure or the toy frontend", _cmd_train,
+            config=True)
     p.add_argument("--cm", required=True, choices=["1", "2", "frontend-toy"])
     p.add_argument("--protocol", required=True)
     p.add_argument("--features", required=True, help="feature cache directory")
@@ -110,8 +117,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", default=None, help="feature cache file")
     p.add_argument("--ckpt", default=None)
     p.add_argument("--k", type=int, default=8)
-    p.add_argument("--seg-dur", type=float, default=0.5)
-    p.add_argument("--seg-frames", type=int, default=50)
+    p.add_argument("--seg-dur", type=float, default=0.5, help="segment seconds")
     p.add_argument("--out", required=True)
 
     p = add("analyze-dist", "2-D projection of inter-utterance embeddings",
@@ -122,32 +128,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = add("simulate", "generate labeled synthetic trajectories + protocol",
-            _cmd_simulate)
+            _cmd_simulate, config=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-class", type=int, default=100)
 
-    add("count-params", "trainable-parameter report", _cmd_count_params)
+    add("count-params", "trainable-parameter report", _cmd_count_params, config=True)
 
-    p = add("flops", "FLOP estimate report", _cmd_flops)
+    p = add("flops", "FLOP estimate report", _cmd_flops, config=True)
     p.add_argument("--duration", type=float, default=4.0,
                    help="input duration in seconds")
 
     return parser
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--preset", choices=sorted(PRESETS), default="toy")
-    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="inline config override (repeatable)")
-    common.add_argument("--seed", type=int, default=None)
-    return common
-
-
 def _effective_config(args) -> RunConfig:
     """Preset < config file < --set < --seed and --steps, merged into one
-    override before the config is built, so the hash covers all of them."""
+    override before the config is built, so the hash covers all of them.
+    A command without the config flags gets the toy preset and its seed."""
     flat = parse_config_file(args.config) if args.config else {}
     for item in args.set:
         key, _, value = item.partition("=")
@@ -197,13 +194,13 @@ def _cmd_extract(args, cfg):
 
 
 def _cmd_trim(args, cfg):
-    w = load_waveform(args.input)
-    trimmed = trim_silence(w, top_db=args.top_db)
-    if trimmed.samples.size == 0:
+    samples = load_waveform(args.input)
+    trimmed = trim_silence(samples, top_db=args.top_db)
+    if trimmed.size == 0:
         raise TcssdError(f"empty after trim: {args.input}")
     save_waveform(trimmed, args.output)
     _print_provenance(args, cfg)
-    print(f"trimmed {args.input}: kept {trimmed.samples.size} of {w.samples.size} samples")
+    print(f"trimmed {args.input}: kept {trimmed.size} of {samples.size} samples")
 
 
 def _cmd_train(args, cfg):
@@ -245,6 +242,8 @@ def _cmd_evaluate(args, cfg):
 def _cmd_analyze_tc(args, cfg):
     if (args.wav is None) == (args.features is None):
         raise TcssdError("analyze-tc needs exactly one of --wav or --features")
+    if not np.isfinite(args.seg_dur):
+        raise TcssdError(f"--seg-dur must be finite, got {args.seg_dur}")
     if args.wav is not None:
         if args.ckpt is None:
             raise TcssdError("--wav analysis needs --ckpt for the encoder")
@@ -257,8 +256,9 @@ def _cmd_analyze_tc(args, cfg):
             raise TcssdError("--features analysis takes frame means and reads no "
                              "checkpoint; drop --ckpt")
         f = load_feature_map(args.features)
+        seg_frames = round(args.seg_dur * frames_per_second(f))
         m = tc_similarity_matrix_features(f.values, k=args.k,
-                                          seg_frames=args.seg_frames, seed=cfg.seed)
+                                          seg_frames=seg_frames, seed=cfg.seed)
     mean_od, range_od = tc_statistic(m)
     write_similarity_matrix(m, args.out, header_lines=_provenance(args, cfg))
     print(f"tc_mean={mean_od:.6f} tc_range={range_od:.6f} -> {args.out}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .cm_temporal import score_embeddings
-from .encoder import EncoderConfig, FrontendNet, feature_kind
+from .encoder import EncoderConfig, FrontendNet
 
 
 class Cm2Net(FrontendNet):
@@ -47,12 +47,11 @@ class Cm2Net(FrontendNet):
 def cm2_score(f, cfg: EncoderConfig, ckpt: Checkpoint) -> float:
     """Spoof/bonafide score of one FBank (or tap-point) map from the
     embedding's class cosines."""
-    kind = feature_kind(f.values.shape[1], cfg, "feature map")
-    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None, :, :].astype(np.float32), kind)
+    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None, :, :].astype(np.float32))
     return float(score_embeddings(emb, ckpt.tensors["cm2.cls.w"])[0])
 
 
 def cm2_score_features(values: np.ndarray, params: dict, cfg: EncoderConfig) -> float:
     """Score of one (T, D) map already at the tap point."""
-    emb, _ = Cm2Net(cfg).embed(params, values[None, :, :], "speaker")
+    emb, _ = Cm2Net(cfg).embed(params, values[None, :, :])
     return float(score_embeddings(emb, params["cm2.cls.w"])[0])

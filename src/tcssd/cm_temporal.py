@@ -51,11 +51,10 @@ class Cm1Net:
     def layers(self):
         return [self.gru, self.fc1, self.fc2, self.cls]
 
-    def embed(self, params, x, kind):
-        """Equal-length maps x (B, T, M) of ``kind`` -> (embeddings (B, E),
-        cache), through the frozen frontend for FBank maps."""
-        if kind == "fbank":
-            x, _ = self.frontend.forward_features(params, x)
+    def embed(self, params, x):
+        """Equal-length maps x (B, T, M) -> (embeddings (B, E), cache),
+        taken to the tap point by the frozen frontend's ``tap``."""
+        x, _ = self.frontend.tap(params, x)
         return self.forward(params, difference_sequence(x))
 
     def backward_embed(self, params, cache, demb, grads):
@@ -110,5 +109,5 @@ def score_embeddings(emb: np.ndarray, class_w: np.ndarray) -> np.ndarray:
 def cm1_score(values: np.ndarray, params: dict, cfg: Cm1Config,
               enc_cfg: EncoderConfig) -> float:
     """Spoof/bonafide score of one utterance's (T, D) speaker-feature map."""
-    emb, _ = Cm1Net(cfg, enc_cfg).embed(params, values[None, :, :], "speaker")
+    emb, _ = Cm1Net(cfg, enc_cfg).embed(params, values[None, :, :])
     return float(score_embeddings(emb, params["cm1.cls.w"])[0])

@@ -7,8 +7,8 @@ outputs, and a 1x1 conv + ReLU down to the feature width D.  That conv output
 is the tap point both countermeasures consume.  Utterance embeddings come
 from attentive statistics pooling (weighted mean and std) plus a linear
 projection.  A cached map is either an FBank (N_MELS channels) or already at
-the tap point (mfa_dim channels); ``feature_kind`` is the one rule that
-tells them apart.
+the tap point (mfa_dim channels); ``feature_kind`` tells them apart, and
+``FrontendNet.tap`` is the one path from either to tap-point features.
 
 Also houses parameter and FLOP accounting over plain layer lists (such as
 ``net.layers()``), used by the reporting CLI and the closed-form unit tests.
@@ -150,12 +150,18 @@ class FrontendNet:
         dstats = self.proj.backward(params, c_proj, demb, grads)
         return self.pool.backward(params, c_pool, dstats, grads)
 
-    def embed(self, params, x, kind):
-        """Equal-length maps x (B, T, M) of ``kind`` -> (embeddings (B, E),
-        cache): FBank maps run to the MFA tap first, then the tail."""
-        fcache = None
-        if kind == "fbank":
-            x, fcache = self.forward_features(params, x)
+    def tap(self, params, x):
+        """Equal-length maps x (B, T, M) -> (tap-point maps, cache), by
+        ``feature_kind`` of M: FBank maps run through ``forward_features``,
+        tap-point maps come back unchanged with cache None."""
+        if feature_kind(x.shape[2], self.cfg, "feature map") == "fbank":
+            return self.forward_features(params, x)
+        return x, None
+
+    def embed(self, params, x):
+        """Equal-length maps x (B, T, M) -> (embeddings (B, E), cache): the
+        maps are taken to the tap point, then through the tail."""
+        x, fcache = self.tap(params, x)
         emb, tail_cache = self.forward_tail(params, x)
         return emb, (fcache, tail_cache)
 
@@ -169,11 +175,10 @@ class FrontendNet:
 def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint) -> np.ndarray:
     """Run the frozen frontend on one FBank map: its (T, mfa_dim) features
     at the MFA tap."""
-    if f.n_channels != N_MELS:
+    if f.values.shape[1] != N_MELS:
         raise DataError(
-            f"feature map has {f.n_channels} channels, encoder expects {N_MELS}")
-    feats, _ = FrontendNet(cfg).forward_features(ckpt.tensors,
-                                                 f.values[None].astype(np.float32))
+            f"feature map has {f.values.shape[1]} channels, encoder expects {N_MELS}")
+    feats, _ = FrontendNet(cfg).tap(ckpt.tensors, f.values[None].astype(np.float32))
     return feats[0]
 
 
@@ -187,13 +192,16 @@ def count_parameters(layers) -> int:
                for layer in layers for _, shape in layer.param_specs())
 
 
-def estimate_flops(layers, input_duration: float,
-                   frames_per_second: float = FRAME_RATE) -> int:
-    """Multiply-accumulate FLOP estimate (2 * MACs) for the given duration.
+def estimate_flops(layers, input_duration: float) -> int:
+    """Multiply-accumulate FLOP estimate (2 * MACs) for the given duration
+    at FRAME_RATE frames per second.
 
-    Sums conv/linear/recurrent layers; element-wise work is ignored.
+    Sums conv/linear/recurrent layers; element-wise work is ignored.  A
+    duration that is negative or not finite is a DataError.
     """
-    n_frames = int(round(input_duration * frames_per_second))
+    if not 0 <= input_duration < np.inf:
+        raise DataError(f"duration must be finite and non-negative, got {input_duration}")
+    n_frames = int(round(input_duration * FRAME_RATE))
     if n_frames <= 0:
         return 0
     return sum(layer.flops(n_frames) for layer in layers)

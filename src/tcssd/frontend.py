@@ -35,34 +35,21 @@ LOG_FLOOR = 1e-6
 # (hop 0, e.g. simulated trajectories) are taken to run at this rate too.
 FRAME_RATE = SAMPLE_RATE / FRAME_HOP
 
+# Silence trimming: 2048-sample frames every 512 samples.
+TRIM_FRAME_LEN = 2048
+TRIM_HOP = 512
+
 FEATURE_MAGIC = b"TCSSD-FEA"
 FEATURE_VERSION = 1
 
 
 @dataclass
-class Waveform:
-    """Mono PCM samples in [-1, 1] plus their sample rate."""
-
-    samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
-
-
-@dataclass
 class FeatureMap:
-    """T x M feature matrix (log mel energies, or any cached T x M map)."""
+    """T x M feature matrix (log mel energies, or any cached T x M map) and
+    its frame hop in samples; hop 0 marks a map with no audio provenance."""
 
     values: np.ndarray
     frame_hop: int = FRAME_HOP
-    frame_len: int = FRAME_LEN
-    n_fft: int = N_FFT
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -75,8 +62,8 @@ class AugmentPolicy:
     max_time_width: int = 10
 
 
-def load_waveform(path) -> Waveform:
-    """Read a 16 kHz mono PCM16 WAV file into a float waveform in [-1, 1]."""
+def load_waveform(path) -> np.ndarray:
+    """Read a 16 kHz mono PCM16 WAV file into float samples in [-1, 1]."""
     try:
         wav = wave.open(io.BytesIO(read_bytes(path, "file")), "rb")
     except (wave.Error, EOFError) as exc:
@@ -90,44 +77,40 @@ def load_waveform(path) -> Waveform:
         if rate != SAMPLE_RATE:
             raise DataError(f"sample rate mismatch: {path} is {rate} Hz, expected {SAMPLE_RATE}")
         raw = wav.readframes(wav.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples=samples, sample_rate=rate)
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def save_waveform(w: Waveform, path) -> None:
-    """Write a waveform as 16 kHz mono PCM16 WAV (values clipped to [-1, 1])."""
-    clipped = np.clip(w.samples, -1.0, 1.0)
+def save_waveform(samples: np.ndarray, path) -> None:
+    """Write samples as 16 kHz mono PCM16 WAV (values clipped to [-1, 1])."""
+    clipped = np.clip(samples, -1.0, 1.0)
     ints = np.round(clipped * 32767.0).astype("<i2")
     buf = io.BytesIO()
     with wave.open(buf, "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(w.sample_rate)
+        wav.setframerate(SAMPLE_RATE)
         wav.writeframes(ints.tobytes())
     write_bytes(path, buf.getvalue())
 
 
-def trim_boundaries(w: Waveform, top_db: float = 40.0, frame_len: int = 2048,
-                    hop: int = 512) -> tuple[int, int]:
+def trim_boundaries(samples: np.ndarray, top_db: float = 40.0) -> tuple[int, int]:
     """Sample indices (start, end) of the non-silent span of a waveform.
 
-    Frames are centered with zero padding; a frame is silent when its RMS
-    power is more than ``top_db`` below the loudest frame.  The span starts
-    at the first non-silent frame index times the hop, and ends after the
-    last one, capped at the signal length.  A signal whose loudest frame
-    has zero power is all silence and yields an empty span.
+    Frames (TRIM_FRAME_LEN samples, hop TRIM_HOP) are centered with zero
+    padding; a frame is silent when its RMS power is more than ``top_db``
+    below the loudest frame.  The span starts at the first non-silent frame
+    index times the hop, and ends after the last one, capped at the signal
+    length.  An all-zero signal is all silence and yields an empty span.
     """
-    y = np.asarray(w.samples, dtype=np.float64)
+    y = np.asarray(samples, dtype=np.float64)
     n = y.shape[0]
     if n == 0:
         raise DataError("empty waveform")
-    pad = frame_len // 2
-    yp = np.zeros(n + 2 * pad)
-    yp[pad:pad + n] = y
-    n_frames = 1 + n // hop
-    starts = np.arange(n_frames) * hop
-    idx = starts[:, None] + np.arange(frame_len)[None, :]
-    mse = np.mean(yp[idx] ** 2, axis=1)
+    pad = TRIM_FRAME_LEN // 2
+    power = np.zeros(n + 2 * pad)
+    power[pad:pad + n] = y * y
+    frames = np.lib.stride_tricks.sliding_window_view(power, TRIM_FRAME_LEN)[::TRIM_HOP]
+    mse = np.mean(frames, axis=1)
     ref = mse.max()
     if ref <= 0.0:
         return 0, 0
@@ -136,20 +119,19 @@ def trim_boundaries(w: Waveform, top_db: float = 40.0, frame_len: int = 2048,
     nonsilent = np.flatnonzero(db > -top_db)
     if nonsilent.size == 0:
         return 0, 0
-    start = int(nonsilent[0]) * hop
-    end = min(n, (int(nonsilent[-1]) + 1) * hop)
+    start = int(nonsilent[0]) * TRIM_HOP
+    end = min(n, (int(nonsilent[-1]) + 1) * TRIM_HOP)
     return start, end
 
 
-def trim_silence(w: Waveform, top_db: float = 40.0, frame_len: int = 2048,
-                 hop: int = 512) -> Waveform:
+def trim_silence(samples: np.ndarray, top_db: float = 40.0) -> np.ndarray:
     """Remove leading and trailing silence; the interior is untouched.
 
-    Returns an empty waveform when every frame is below threshold; the
-    caller decides what an empty utterance means.
+    Returns an empty array when every frame is below threshold; the caller
+    decides what an empty utterance means.
     """
-    start, end = trim_boundaries(w, top_db=top_db, frame_len=frame_len, hop=hop)
-    return Waveform(samples=np.array(w.samples[start:end]), sample_rate=w.sample_rate)
+    start, end = trim_boundaries(samples, top_db=top_db)
+    return np.array(samples[start:end])
 
 
 def hz_to_mel(f):
@@ -160,15 +142,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
-                   sample_rate: int = SAMPLE_RATE, fmin: float = MEL_FMIN,
-                   fmax: float = MEL_FMAX) -> np.ndarray:
-    """Triangular mel filters (n_mels x n_fft//2+1) on the HTK mel scale."""
-    mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+def mel_filterbank() -> np.ndarray:
+    """Triangular mel filters (N_MELS x N_FFT//2+1), HTK scale, MEL_FMIN to MEL_FMAX."""
+    mel_pts = np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), N_MELS + 2)
     hz_pts = mel_to_hz(mel_pts)
-    bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    fb = np.zeros((n_mels, n_fft // 2 + 1))
-    for i in range(n_mels):
+    bin_freqs = np.arange(N_FFT // 2 + 1) * (SAMPLE_RATE / N_FFT)
+    fb = np.zeros((N_MELS, N_FFT // 2 + 1))
+    for i in range(N_MELS):
         lo, center, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
         up = (bin_freqs - lo) / (center - lo)
         down = (hi - bin_freqs) / (hi - center)
@@ -176,8 +156,8 @@ def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
     return fb
 
 
-def frame_count(n_samples: int, frame_len: int = FRAME_LEN, hop: int = FRAME_HOP) -> int:
-    return (n_samples - frame_len) // hop + 1
+def frame_count(n_samples: int) -> int:
+    return (n_samples - FRAME_LEN) // FRAME_HOP + 1
 
 
 @functools.cache
@@ -190,7 +170,7 @@ def _fbank_constants() -> tuple[np.ndarray, np.ndarray]:
     return window, fb
 
 
-def compute_fbank(w: Waveform) -> FeatureMap:
+def compute_fbank(samples: np.ndarray) -> FeatureMap:
     """80-bin log mel filterbank: 400-sample Hamming frames, hop 160, 512 FFT.
 
     The magnitude spectrum of each frame passes through triangular mel
@@ -198,7 +178,7 @@ def compute_fbank(w: Waveform) -> FeatureMap:
     window and the filterbank are read-only module constants
     (``_fbank_constants``), built once per process instead of on every call.
     """
-    y = np.asarray(w.samples, dtype=np.float64)
+    y = np.asarray(samples, dtype=np.float64)
     n = y.shape[0]
     if n < FRAME_LEN:
         raise DataError(f"waveform too short for FBank: {n} < {FRAME_LEN} samples")
@@ -227,8 +207,7 @@ def spec_augment(f: FeatureMap, policy: AugmentPolicy, seed: int) -> FeatureMap:
         width = int(rng.integers(0, policy.max_time_width + 1))
         start = int(rng.integers(0, t - width + 1))
         out[start:start + width, :] = 0.0
-    return FeatureMap(values=out, frame_hop=f.frame_hop, frame_len=f.frame_len,
-                      n_fft=f.n_fft)
+    return FeatureMap(values=out, frame_hop=f.frame_hop)
 
 
 def frames_per_second(f: FeatureMap) -> float:
@@ -258,15 +237,17 @@ def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
         length = min(int(rng.integers(min_frames, max_frames + 1)), t)
         start = int(rng.integers(0, t - length + 1))
         values = f.values[start:start + length].copy()
-    return FeatureMap(values=values, frame_hop=f.frame_hop, frame_len=f.frame_len,
-                      n_fft=f.n_fft)
+    return FeatureMap(values=values, frame_hop=f.frame_hop)
 
 
 def save_feature_map(f: FeatureMap, path) -> None:
-    """Write the binary cache: magic, 6 LE uint32 header fields, LE float32."""
+    """Write the binary cache: magic, 6 LE uint32 header fields (version, T,
+    M, hop, frame length, FFT size), LE float32.  Frame length and FFT size
+    are ``compute_fbank``'s FRAME_LEN and N_FFT, or 0 for a hop-0 map."""
     t, m = f.values.shape
+    frame_len, n_fft = (FRAME_LEN, N_FFT) if f.frame_hop else (0, 0)
     header = FEATURE_MAGIC + struct.pack(
-        "<6I", FEATURE_VERSION, t, m, f.frame_hop, f.frame_len, f.n_fft)
+        "<6I", FEATURE_VERSION, t, m, f.frame_hop, frame_len, n_fft)
     write_bytes(path, header + np.ascontiguousarray(f.values, dtype="<f4").tobytes())
 
 
@@ -275,7 +256,7 @@ def load_feature_map(path) -> FeatureMap:
     hdr_len = len(FEATURE_MAGIC) + 24
     if len(blob) < hdr_len or blob[:len(FEATURE_MAGIC)] != FEATURE_MAGIC:
         raise DataError(f"not a feature cache file: {path}")
-    version, t, m, hop, frame_len, n_fft = struct.unpack(
+    version, t, m, hop, _, _ = struct.unpack(
         "<6I", blob[len(FEATURE_MAGIC):hdr_len])
     if version != FEATURE_VERSION:
         raise DataError(f"feature cache version mismatch in {path}: {version}")
@@ -288,4 +269,4 @@ def load_feature_map(path) -> FeatureMap:
     values = np.frombuffer(blob[hdr_len:], dtype="<f4").reshape(t, m).copy()
     if not np.isfinite(values).all():
         raise DataError(f"non-finite values in feature file: {path}")
-    return FeatureMap(values=values, frame_hop=hop, frame_len=frame_len, n_fft=n_fft)
+    return FeatureMap(values=values, frame_hop=hop)

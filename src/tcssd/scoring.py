@@ -96,7 +96,11 @@ def serialize_protocol(records, path) -> None:
 
 
 def write_scores(scores: ScoreSet, path, header_lines=()) -> None:
-    """Write tab-separated ``utt_id<TAB>score`` lines, '#' headers first."""
+    """Write tab-separated ``utt_id<TAB>score`` lines, '#' headers first; a
+    non-finite score, which ``read_scores`` would refuse, writes nothing."""
+    for e in scores.entries:
+        if not np.isfinite(e.score):
+            raise DataError(f"{e.utt_id}: non-finite score {e.score}")
     write_text(path, (f"{e.utt_id}\t{e.score:.17g}" for e in scores.entries),
                header_lines)
 
@@ -201,20 +205,20 @@ def embed_trials(net, records, feature_dir, ckpt: Checkpoint, enc_cfg: EncoderCo
     """Yield (trial indices, embeddings) for chunks of up to ``batch_size``
     equal-length maps, one ``net.embed`` call each.
 
-    Every map is loaded and validated before any embedding.  A tensor the
-    lane reads that the checkpoint lacks raises a ``CheckpointError``
-    naming it at its first read.  Chunks group trials by (feature kind,
-    frame count), first seen first.
+    Every map is loaded and its width checked by ``feature_kind``, naming
+    the utterance, before any embedding.  A tensor the lane reads that the
+    checkpoint lacks raises a ``CheckpointError`` naming it at its first
+    read.  Chunks group trials by map shape, first seen first.
     """
-    groups: dict[tuple[str, int], list[tuple[int, np.ndarray]]] = {}
+    groups: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = {}
     for i, r in enumerate(records):
         values = load_feature_map(os.path.join(feature_dir, f"{r.utt_id}.fea")).values
-        kind = feature_kind(values.shape[1], enc_cfg, r.utt_id)
-        groups.setdefault((kind, values.shape[0]), []).append((i, values))
-    for (kind, _), members in groups.items():
+        feature_kind(values.shape[1], enc_cfg, r.utt_id)
+        groups.setdefault(values.shape, []).append((i, values))
+    for members in groups.values():
         for start in range(0, len(members), batch_size):
             chunk = members[start:start + batch_size]
-            emb, _ = net.embed(ckpt.tensors, np.stack([v for _, v in chunk]), kind)
+            emb, _ = net.embed(ckpt.tensors, np.stack([v for _, v in chunk]))
             yield [i for i, _ in chunk], emb
 
 

@@ -302,7 +302,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     labels = np.array([it.label for it in items])
     if len(set(labels.tolist())) < 2:
         raise DataError("training manifest must contain both classes")
-    kinds = {feature_kind(it.features.n_channels, enc_cfg, it.utt_id) for it in items}
+    kinds = {feature_kind(it.features.values.shape[1], enc_cfg, it.utt_id) for it in items}
     if len(kinds) > 1:
         raise DataError("training manifest mixes fbank and speaker feature kinds")
     kind = kinds.pop()
@@ -344,7 +344,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         y = labels[idx]
 
         grads: dict[str, np.ndarray] = {}
-        emb, cache = net.embed(params, x, kind)
+        emb, cache = net.embed(params, x)
         loss, demb, dw = aam_softmax_loss(emb, y, params[cls_name], cfg.aam)
         net.backward_embed(params, cache, demb, grads)
         grads[cls_name] = dw

@@ -11,7 +11,6 @@ from tcssd.analysis import (SimConfig, SimilarityMatrix, cosine_similarity,
 from tcssd.cm_temporal import Cm1Config
 from tcssd.config import toy_config
 from tcssd.errors import DataError
-from tcssd.frontend import Waveform
 from tcssd.training import build_checkpoint
 
 
@@ -60,7 +59,7 @@ def test_tc_matrix_audio_lane():
     ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
     rng = np.random.default_rng(1)
-    w = Waveform(samples=rng.uniform(-0.4, 0.4, 16000 * 2))
+    w = rng.uniform(-0.4, 0.4, 16000 * 2)
     m = tc_similarity_matrix(w, k=4, seg_dur=0.5, seed=3, cfg=enc, ckpt=ckpt)
     assert m.values.shape == (4, 4)
     np.testing.assert_allclose(m.values, m.values.T, atol=1e-7)
@@ -71,7 +70,7 @@ def test_tc_matrix_too_short_utterance_rejected():
     enc = toy_config().encoder
     ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
                                            fc1_out=8, fc2_out=8), seed=0)
-    w = Waveform(samples=np.zeros(4000))  # 0.25 s
+    w = np.zeros(4000)  # 0.25 s
     with pytest.raises(DataError, match="shorter than segment"):
         tc_similarity_matrix(w, seg_dur=0.5, cfg=enc, ckpt=ckpt)
 
@@ -84,7 +83,7 @@ def test_tc_matrix_features_refuses_segments_below_one_frame(seg_frames):
 
 
 def test_tc_matrix_needs_encoder_config_and_checkpoint():
-    w = Waveform(samples=np.zeros(16000))
+    w = np.zeros(16000)
     with pytest.raises(TypeError, match="cfg.*ckpt"):
         tc_similarity_matrix(w)
 

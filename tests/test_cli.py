@@ -1,22 +1,27 @@
 """Command-line contract tests: exit codes, formats, determinism."""
 
+import argparse
 import ast
 import hashlib
 import json
 import os
 import shutil
+import struct
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tcssd
+from tcssd.analysis import tc_similarity_matrix_features, write_similarity_matrix
 from tcssd.checkpoint import load_checkpoint, save_checkpoint
-from tcssd.cli import main
-from tcssd.config import flat_dict, toy_config
-from tcssd.frontend import (FeatureMap, Waveform, load_feature_map, load_waveform,
+from tcssd.cli import _build_parser, main
+from tcssd.config import config_hash, flat_dict, toy_config
+from tcssd.frontend import (FeatureMap, load_feature_map, load_waveform,
                             save_feature_map, save_waveform)
+from tcssd.training import build_checkpoint
 
 SUBCOMMANDS = ["extract", "trim", "train", "score", "fuse", "evaluate",
                "analyze-tc", "analyze-dist", "simulate", "count-params", "flops"]
@@ -56,6 +61,79 @@ def test_no_command_exits_one(capsys):
     assert main([]) == 1
 
 
+# Every option string of every command.  A flag is added here on purpose,
+# together with the code that reads it.
+OPTION_STRINGS = {
+    "extract": ["-h", "--help", "--seed", "--wav", "--out"],
+    "trim": ["-h", "--help", "--seed", "--top-db"],
+    "train": ["-h", "--help", "--seed", "--config", "--preset", "--set", "--cm",
+              "--protocol", "--features", "--out", "--init-ckpt", "--steps"],
+    "score": ["-h", "--help", "--seed", "--cm", "--protocol", "--features", "--ckpt",
+              "--out", "--batch-size"],
+    "fuse": ["-h", "--help", "--seed", "--a", "--b", "--w", "--normalize", "--out"],
+    "evaluate": ["-h", "--help", "--seed", "--scores", "--protocol"],
+    "analyze-tc": ["-h", "--help", "--seed", "--wav", "--features", "--ckpt", "--k",
+                   "--seg-dur", "--out"],
+    "analyze-dist": ["-h", "--help", "--seed", "--protocol", "--features", "--ckpt",
+                     "--out"],
+    "simulate": ["-h", "--help", "--seed", "--config", "--preset", "--set", "--out",
+                 "--n-per-class"],
+    "count-params": ["-h", "--help", "--seed", "--config", "--preset", "--set"],
+    "flops": ["-h", "--help", "--seed", "--config", "--preset", "--set", "--duration"],
+}
+
+# A complete command line for each command that reads no config value.
+NO_CONFIG_ARGV = {
+    "extract": ["--wav", "a.wav", "--out", "feats"],
+    "trim": ["in.wav", "out.wav"],
+    "score": ["--cm", "1", "--protocol", "p.txt", "--features", "feats", "--ckpt", "ck",
+              "--out", "s.tsv"],
+    "fuse": ["--a", "a.tsv", "--b", "b.tsv", "--out", "f.tsv"],
+    "evaluate": ["--scores", "s.tsv", "--protocol", "p.txt"],
+    "analyze-tc": ["--features", "u.fea", "--out", "m.txt"],
+    "analyze-dist": ["--protocol", "p.txt", "--features", "feats", "--ckpt", "ck",
+                     "--out", "proj.tsv"],
+}
+
+
+def test_each_command_takes_exactly_its_listed_flags():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    got = {name: [s for action in p._actions for s in action.option_strings]
+           for name, p in commands.items()}
+    assert got == OPTION_STRINGS
+    assert sorted(NO_CONFIG_ARGV) == sorted(
+        name for name, flags in got.items() if "--config" not in flags)
+
+
+@pytest.mark.parametrize("flag", [["--preset", "toy"], ["--set", "seed=1"],
+                                  ["--config", "run.cfg"]], ids=lambda f: f[0])
+@pytest.mark.parametrize("command", sorted(NO_CONFIG_ARGV))
+def test_config_flags_exit_one_where_no_config_is_read(command, flag, capsys):
+    argv = [command, *NO_CONFIG_ARGV[command]]
+    _build_parser().parse_args(argv)  # complete without the flag
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_seg_frames_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze-tc", *NO_CONFIG_ARGV["analyze-tc"], "--seg-frames", "30"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --seg-frames" in capsys.readouterr().err
+
+
+def toy_header(command, seed):
+    """The provenance lines of a command that reads no config value: the
+    toy preset at the run's seed."""
+    cfg = replace(toy_config(), seed=seed)
+    return [f"tcssd {tcssd.__version__} {command}", f"config={config_hash(cfg)}",
+            f"seed={seed}"]
+
+
 def test_evaluate_hand_case(tmp_path, capsys):
     protocol = tmp_path / "p.txt"
     protocol.write_text(
@@ -84,7 +162,7 @@ def test_simulate_twice_byte_identical(tmp_path, capsys):
 
 def test_trim_all_zero_exits_two(tmp_path, capsys):
     src = tmp_path / "z.wav"
-    save_waveform(Waveform(samples=np.zeros(16000)), src)
+    save_waveform(np.zeros(16000), src)
     rc = main(["trim", "--top-db", "40", str(src), str(tmp_path / "o.wav")])
     assert rc == 2
     assert "empty after trim" in capsys.readouterr().err
@@ -95,16 +173,16 @@ def test_trim_tone_keeps_tone(tmp_path, capsys):
     tone = 0.8 * np.sin(2 * np.pi * 440 * t)
     samples = np.concatenate([np.zeros(16000), tone, np.zeros(16000)])
     src, dst = tmp_path / "in.wav", tmp_path / "out.wav"
-    save_waveform(Waveform(samples=samples), src)
+    save_waveform(samples, src)
     assert main(["trim", str(src), str(dst)]) == 0
     out = load_waveform(dst)
-    assert 8000 <= out.samples.size < 16000 + 8000
+    assert 8000 <= out.size < 16000 + 8000
 
 
 def test_extract_writes_feature_cache(tmp_path, capsys):
     wav = tmp_path / "a.wav"
     rng = np.random.default_rng(0)
-    save_waveform(Waveform(samples=rng.uniform(-0.3, 0.3, 32000)), wav)
+    save_waveform(rng.uniform(-0.3, 0.3, 32000), wav)
     out = tmp_path / "feats"
     assert main(["extract", "--wav", str(wav), "--out", str(out)]) == 0
     f = load_feature_map(out / "a.fea")
@@ -117,7 +195,7 @@ def test_extract_refuses_duplicate_stems_before_writing(tmp_path, capsys):
     for d in ("d1", "d2"):
         (tmp_path / d).mkdir()
         wavs.append(tmp_path / d / "u.wav")
-        save_waveform(Waveform(samples=np.zeros(8000)), wavs[-1])
+        save_waveform(np.zeros(8000), wavs[-1])
     out = tmp_path / "feats"
     assert main(["extract", "--wav", *map(str, wavs), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -131,7 +209,7 @@ def test_sizes_below_one_exit_two_and_write_no_output(tmp_path, capsys):
     fea = tmp_path / "u.fea"
     save_feature_map(FeatureMap(values=np.ones((60, 24), dtype=np.float32)), fea)
     out = tmp_path / "m.txt"
-    assert main(["analyze-tc", "--features", str(fea), "--seg-frames", "0",
+    assert main(["analyze-tc", "--features", str(fea), "--seg-dur", "0",
                  "--out", str(out)]) == 2
     assert not out.exists()
     assert "seg_frames must be at least 1" in capsys.readouterr().err
@@ -270,12 +348,113 @@ def test_analyze_tc_on_features(tiny_pipeline, tmp_path, capsys):
     fea = next((sim / "features").glob("*.fea"))
     out = tmp_path / "m.txt"
     rc = main(["analyze-tc", "--features", str(fea), "--k", "4",
-               "--seg-frames", "30", "--out", str(out), "--seed", "1"])
+               "--seg-dur", "0.3", "--out", str(out), "--seed", "1"])
     assert rc == 0
     lines = [l for l in out.read_text().strip().split("\n")
              if not l.startswith("#")]
     assert len(lines) == 5  # k start times + k rows
     assert "tc_mean=" in capsys.readouterr().out
+
+
+def test_commands_without_config_flags_hash_the_toy_preset(tiny_pipeline, tmp_path,
+                                                           capsys):
+    """score, fuse and evaluate read no config value: their header is the
+    toy preset at the run's seed, as before the config flags were removed."""
+    _, sim, ck, scores = tiny_pipeline  # scored with --seed 3
+    assert [l[2:] for l in scores.read_text().splitlines()
+            if l.startswith("#")] == toy_header("score", 3)
+    fused = tmp_path / "fused.tsv"
+    assert main(["fuse", "--a", str(scores), "--b", str(scores), "--out", str(fused),
+                 "--seed", "4"]) == 0
+    assert [l[2:] for l in fused.read_text().splitlines()
+            if l.startswith("#")] == toy_header("fuse", 4)
+    capsys.readouterr()
+    assert main(["evaluate", "--scores", str(fused),
+                 "--protocol", str(sim / "protocol.txt")]) == 0
+    assert [l[2:] for l in capsys.readouterr().out.splitlines()
+            if l.startswith("#")] == toy_header("evaluate", 0)
+
+
+@pytest.mark.parametrize("hop", [0, 160])
+def test_analyze_tc_seg_dur_on_features_is_frames_at_map_rate(hop, tmp_path, capsys):
+    """On a feature map, --seg-dur 0.3 is 30 frames at 100 frames/s, for
+    simulated (hop 0) and FBank-rate (hop 160) maps alike."""
+    values = np.random.default_rng(hop).standard_normal((90, 24)).astype(np.float32)
+    fea = tmp_path / "u.fea"
+    save_feature_map(FeatureMap(values=values, frame_hop=hop), fea)
+    out, want = tmp_path / "m.txt", tmp_path / "want.txt"
+    assert main(["analyze-tc", "--features", str(fea), "--seg-dur", "0.3",
+                 "--out", str(out), "--seed", "2"]) == 0
+    m = tc_similarity_matrix_features(values, seg_frames=30, seed=2)
+    write_similarity_matrix(m, want, header_lines=toy_header("analyze-tc", 2))
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("seg_dur", ["nan", "inf"])
+def test_analyze_tc_non_finite_seg_dur_exits_two(seg_dur, tmp_path, capsys):
+    fea = tmp_path / "u.fea"
+    save_feature_map(FeatureMap(values=np.ones((60, 24), dtype=np.float32)), fea)
+    out = tmp_path / "m.txt"
+    assert main(["analyze-tc", "--features", str(fea), "--seg-dur", seg_dur,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--seg-dur must be finite" in err
+    assert not out.exists()
+
+
+def test_fuse_non_finite_weight_exits_two_writing_nothing(tiny_pipeline, tmp_path,
+                                                          capsys):
+    """w = nan makes every fused score nan, which no reader accepts: the
+    writer refuses it, naming the first utterance, and leaves no file."""
+    _, sim, _, scores = tiny_pipeline
+    first = [l for l in scores.read_text().splitlines() if not l.startswith("#")][0]
+    out = tmp_path / "fused.tsv"
+    assert main(["fuse", "--a", str(scores), "--b", str(scores), "--w", "nan",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"{first.split()[0]}: non-finite score" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_score_with_nan_weight_exits_two_writing_nothing(tiny_pipeline, tmp_path,
+                                                         capsys):
+    _, sim, _, _ = tiny_pipeline
+    cfg = toy_config()
+    ckpt = build_checkpoint(cfg.encoder, cfg.cm1, seed=0)
+    ckpt.tensors["cm2.proj.w"][0, 0] = np.nan
+    save_checkpoint(ckpt, tmp_path / "ck")
+    out = tmp_path / "s.tsv"
+    assert main(["score", "--cm", "2", "--protocol", str(sim / "protocol.txt"),
+                 "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "SIM_T_000000: non-finite score" in err
+    assert sorted(os.listdir(tmp_path)) == ["ck"]
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-3"])
+def test_flops_bad_duration_exits_two(duration, capsys):
+    assert main(["flops", "--duration", duration]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("tcssd flops: duration must be finite and non-negative, "
+                   f"got {float(duration)}\n")
+
+
+def test_feature_cache_resaves_byte_identical(tmp_path, capsys):
+    """A map from extract (hop 160, frame length 400, FFT 512) and one from
+    simulate (all 0) round-trip through load and save to the same bytes."""
+    wav = tmp_path / "a.wav"
+    save_waveform(np.random.default_rng(0).uniform(-0.3, 0.3, 8000), wav)
+    assert main(["extract", "--wav", str(wav), "--out", str(tmp_path / "feats")]) == 0
+    assert main(["simulate", "--out", str(tmp_path / "sim"), "--n-per-class", "1"]) == 0
+    for path, fields in ((tmp_path / "feats" / "a.fea", (160, 400, 512)),
+                         (tmp_path / "sim" / "features" / "SIM_S_000000.fea", (0, 0, 0))):
+        blob = path.read_bytes()
+        assert struct.unpack("<3I", blob[len(b"TCSSD-FEA") + 12:][:12]) == fields
+        save_feature_map(load_feature_map(path), tmp_path / "again.fea")
+        assert (tmp_path / "again.fea").read_bytes() == blob
 
 
 def test_analyze_dist_projection(tiny_pipeline, tmp_path, capsys):
@@ -428,7 +607,7 @@ def test_analyze_tc_features_with_checkpoint_exits_two(tiny_pipeline, tmp_path, 
     _, sim, ck, _ = tiny_pipeline
     out = tmp_path / "m.txt"
     rc = main(["analyze-tc", "--features", str(next((sim / "features").glob("*.fea"))),
-               "--ckpt", str(ck / "final"), "--seg-frames", "30", "--out", str(out)])
+               "--ckpt", str(ck / "final"), "--seg-dur", "0.3", "--out", str(out)])
     assert rc == 2
     assert "--ckpt" in capsys.readouterr().err
     assert not out.exists()
@@ -699,7 +878,7 @@ def audio_corpus(tmp_path):
             sig = 0.5 * np.sin(2 * np.pi * (400 + 40 * i) * t)
             protocol_lines.append(f"SPK {stem} - A01 spoof")
         path = tmp_path / f"{stem}.wav"
-        save_waveform(Waveform(samples=sig + 0.01 * rng.standard_normal(16000)), path)
+        save_waveform(sig + 0.01 * rng.standard_normal(16000), path)
         wavs.append(str(path))
     feats = tmp_path / "feats"
     assert main(["extract", "--wav", *wavs, "--out", str(feats)]) == 0

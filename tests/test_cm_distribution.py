@@ -23,7 +23,7 @@ def test_cm2_embed_shape_from_fbank():
     cfg, ckpt = toy_checkpoint()
     f = FeatureMap(values=np.random.default_rng(0)
                    .standard_normal((198, 80)).astype(np.float32))
-    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None], "fbank")
+    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None])
     assert emb.shape == (1, cfg.embed_dim)
 
 
@@ -31,15 +31,15 @@ def test_cm2_embed_deterministic():
     cfg, ckpt = toy_checkpoint(1)
     f = FeatureMap(values=np.random.default_rng(1)
                    .standard_normal((50, 80)).astype(np.float32))
-    a, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None], "fbank")
-    b, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None], "fbank")
+    a, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None])
+    b, _ = Cm2Net(cfg).embed(ckpt.tensors, f.values[None])
     assert np.array_equal(a, b)
 
 
 def test_cm2_embed_features_shape():
     cfg, ckpt = toy_checkpoint(2)
     s = np.random.default_rng(2).standard_normal((60, cfg.mfa_dim)).astype(np.float32)
-    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, s[None], "speaker")
+    emb, _ = Cm2Net(cfg).embed(ckpt.tensors, s[None])
     assert emb.shape == (1, cfg.embed_dim)
 
 
@@ -103,7 +103,7 @@ def test_cm2_fbank_lane_gradients_including_mfa_conv():
         loss, _, _ = aam_softmax_loss(emb, y, params["cm2.cls.w"], aam)
         return loss
 
-    emb, cache = net.embed(params, x, "fbank")
+    emb, cache = net.embed(params, x)
     loss, demb, dw = aam_softmax_loss(emb, y, params["cm2.cls.w"], aam)
     grads = {}
     net.backward_embed(params, cache, demb, grads)
@@ -121,8 +121,8 @@ def test_cm2_starts_as_the_frontend_bit_for_bit():
     rng = np.random.default_rng(10)
     for kind, width in (("fbank", N_MELS), ("speaker", cfg.mfa_dim)):
         x = rng.standard_normal((3, 40, width)).astype(np.float32)
-        cm2, _ = Cm2Net(cfg).embed(ckpt.tensors, x, kind)
-        frontend, _ = FrontendNet(cfg).embed(ckpt.tensors, x, kind)
+        cm2, _ = Cm2Net(cfg).embed(ckpt.tensors, x)
+        frontend, _ = FrontendNet(cfg).embed(ckpt.tensors, x)
         assert np.array_equal(cm2, frontend)
 
 
@@ -131,8 +131,8 @@ def test_cm2_fbank_cache_keeps_no_concat_cache():
     # until backward raised the FBank CM2 lane's peak RSS by 38%.
     cfg, ckpt = toy_checkpoint(11)
     x = np.random.default_rng(11).standard_normal((2, 30, N_MELS)).astype(np.float32)
-    _, (fcache, _) = Cm2Net(cfg).embed(ckpt.tensors, x, "fbank")
+    _, (fcache, _) = Cm2Net(cfg).embed(ckpt.tensors, x)
     concat_cache, _, _ = fcache
     assert concat_cache is None
-    _, (fcache, _) = FrontendNet(cfg).embed(ckpt.tensors, x, "fbank")
+    _, (fcache, _) = FrontendNet(cfg).embed(ckpt.tensors, x)
     assert fcache[0] is not None  # frontend-toy training does backprop through it

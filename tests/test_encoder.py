@@ -69,13 +69,13 @@ def test_frontend_embed_gradients_match_finite_differences():
             params[name] = params[name] + 0.5 * rng.standard_normal(params[name].shape)
     x = rng.standard_normal((2, 9, N_MELS))
     r = rng.standard_normal((2, net.cfg.embed_dim))
-    emb, cache = net.embed(params, x, "fbank")
+    emb, cache = net.embed(params, x)
     grads = {}
     net.backward_embed(params, cache, r, grads)
     assert sorted(grads) == sorted(names)
 
     def loss_fn():
-        return float((net.embed(params, x, "fbank")[0] * r).sum())
+        return float((net.embed(params, x)[0] * r).sum())
 
     assert_directional_grads_close(loss_fn, params, grads, names,
                                    np.random.default_rng(23))
@@ -217,7 +217,7 @@ def test_pool_embedding_projects():
     params = _pool_params(rng)
     x = rng.standard_normal((6, 4))
     net = FrontendNet(EncoderConfig(channels=16, mfa_dim=4, embed_dim=5, att_dim=3))
-    emb, _ = net.embed(params, x[None], "speaker")
+    emb, _ = net.embed(params, x[None])
     assert emb.shape == (1, 5)
     stats = np.concatenate(attentive_stats(x, params)[:2])
     want = params["frontend.proj.w"] @ stats + params["frontend.proj.b"]

@@ -13,7 +13,7 @@ from helpers import fail_writes_halfway
 from tcssd.analysis import SimilarityMatrix, write_projection, write_similarity_matrix
 from tcssd.config import parse_config_file
 from tcssd.errors import DataError
-from tcssd.frontend import FeatureMap, Waveform, save_feature_map, save_waveform
+from tcssd.frontend import FeatureMap, save_feature_map, save_waveform
 from tcssd.scoring import TrialRecord, parse_protocol, read_scores, serialize_protocol
 
 
@@ -24,12 +24,11 @@ def _protocol(path, n):
 
 def _feature_map(path, n):
     values = np.arange(n * 3, dtype=np.float32).reshape(n, 3)
-    save_feature_map(FeatureMap(values=values, frame_hop=160, frame_len=400, n_fft=512),
-                     path)
+    save_feature_map(FeatureMap(values=values, frame_hop=160), path)
 
 
 def _waveform(path, n):
-    save_waveform(Waveform(samples=np.linspace(-0.5, 0.5, 100 * n)), path)
+    save_waveform(np.linspace(-0.5, 0.5, 100 * n), path)
 
 
 def _projection(path, n):

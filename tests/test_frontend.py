@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tcssd.errors import DataError
-from tcssd.frontend import (AugmentPolicy, FeatureMap, Waveform, compute_fbank,
+from tcssd.frontend import (AugmentPolicy, FeatureMap, compute_fbank,
                             frame_count, load_feature_map, load_waveform,
                             mel_filterbank, mel_to_hz, hz_to_mel, random_crop,
                             save_feature_map, save_waveform, spec_augment,
@@ -23,12 +23,13 @@ def test_wav_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     samples = rng.uniform(-0.5, 0.5, 16000)
     path = tmp_path / "a.wav"
-    save_waveform(Waveform(samples=samples), path)
+    save_waveform(samples, path)
+    with wave.open(str(path), "rb") as fh:
+        assert fh.getframerate() == 16000
     w = load_waveform(path)
-    assert w.sample_rate == 16000
-    assert w.samples.shape == (16000,)
+    assert w.shape == (16000,)
     # PCM16 quantization error only
-    assert np.abs(w.samples - samples).max() < 1.0 / 32767
+    assert np.abs(w - samples).max() < 1.0 / 32767
 
 
 def test_wav_missing_file(tmp_path):
@@ -97,23 +98,23 @@ def make_pad_tone(rng):
     tone = amp * np.sin(2 * np.pi * freq * t)
     noise_pre = pad_amp * rng.standard_normal(pre)
     noise_post = pad_amp * rng.standard_normal(post)
-    return Waveform(samples=np.concatenate([noise_pre, tone, noise_post]))
+    return np.concatenate([noise_pre, tone, noise_post])
 
 
 def test_trim_uniform_signal_untouched():
-    w = Waveform(samples=0.5 * np.ones(20000))
+    w = 0.5 * np.ones(20000)
     out = trim_silence(w)
-    assert np.array_equal(out.samples, w.samples)
+    assert np.array_equal(out, w)
 
 
 def test_trim_all_zero_is_empty():
-    out = trim_silence(Waveform(samples=np.zeros(10000)))
-    assert out.samples.size == 0
+    out = trim_silence(np.zeros(10000))
+    assert out.size == 0
 
 
 def test_trim_empty_input_rejected():
     with pytest.raises(DataError, match="empty"):
-        trim_silence(Waveform(samples=np.zeros(0)))
+        trim_silence(np.zeros(0))
 
 
 def test_trim_pad_tone_matches_oracle():
@@ -121,7 +122,7 @@ def test_trim_pad_tone_matches_oracle():
     for _ in range(50):
         w = make_pad_tone(rng)
         got = trim_boundaries(w)
-        want = oracle_trim_boundaries(w.samples)
+        want = oracle_trim_boundaries(w)
         assert got == want
 
 
@@ -131,7 +132,7 @@ def test_trim_idempotent_on_fixtures():
         w = make_pad_tone(rng)
         once = trim_silence(w)
         twice = trim_silence(once)
-        assert np.array_equal(once.samples, twice.samples)
+        assert np.array_equal(once, twice)
 
 
 def test_trim_output_is_contiguous_subrange():
@@ -140,7 +141,7 @@ def test_trim_output_is_contiguous_subrange():
         w = make_pad_tone(rng)
         start, end = trim_boundaries(w)
         out = trim_silence(w)
-        assert np.array_equal(out.samples, w.samples[start:end])
+        assert np.array_equal(out, w[start:end])
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +149,18 @@ def test_trim_output_is_contiguous_subrange():
 # ---------------------------------------------------------------------------
 
 def test_fbank_shape_two_seconds():
-    w = Waveform(samples=np.random.default_rng(0).uniform(-0.1, 0.1, 32000))
+    w = np.random.default_rng(0).uniform(-0.1, 0.1, 32000)
     f = compute_fbank(w)
     assert f.values.shape == (198, 80)
 
 
 def test_fbank_too_short_rejected():
     with pytest.raises(DataError, match="too short"):
-        compute_fbank(Waveform(samples=np.zeros(399)))
+        compute_fbank(np.zeros(399))
 
 
 def test_fbank_all_zero_is_log_floor():
-    f = compute_fbank(Waveform(samples=np.zeros(1600)))
+    f = compute_fbank(np.zeros(1600))
     assert np.all(f.values == np.float32(np.log(LOG_FLOOR)))
 
 
@@ -182,10 +183,10 @@ def test_fbank_sine_at_mel_center_matches_oracle():
     mel_pts = np.linspace(hz_to_mel(20.0), hz_to_mel(7600.0), N_MELS + 2)
     center = float(mel_to_hz(mel_pts[41]))
     t = np.arange(512) / 16000.0
-    w = Waveform(samples=0.7 * np.sin(2 * np.pi * center * t))
+    w = 0.7 * np.sin(2 * np.pi * center * t)
     f = compute_fbank(w)
     assert f.values.shape[0] == 1
-    want = oracle_fbank_frame(w.samples)
+    want = oracle_fbank_frame(w)
     np.testing.assert_allclose(f.values[0], want, atol=1e-4)
     assert int(np.argmax(f.values[0])) == 40
 
@@ -194,7 +195,7 @@ def test_fbank_frame_count_formula():
     rng = np.random.default_rng(3)
     for _ in range(25):
         n = int(rng.integers(400, 50000))
-        w = Waveform(samples=rng.uniform(-0.1, 0.1, n))
+        w = rng.uniform(-0.1, 0.1, n)
         f = compute_fbank(w)
         assert f.values.shape[0] == (n - 400) // 160 + 1 == frame_count(n)
 
@@ -219,7 +220,7 @@ def test_fbank_bit_identical_to_gathered_frames(n):
         samples = 0.6 * np.sin(2 * np.pi * 180.0 * t) + 0.01 * rng.standard_normal(t.size)
     else:
         samples = rng.uniform(-0.5, 0.5, n)
-    got = compute_fbank(Waveform(samples=samples)).values
+    got = compute_fbank(samples).values
     want = gathered_fbank(samples)
     assert got.shape == want.shape == (frame_count(samples.size), N_MELS)
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
@@ -228,8 +229,8 @@ def test_fbank_bit_identical_to_gathered_frames(n):
 def test_fbank_shift_covariance_one_hop():
     rng = np.random.default_rng(4)
     samples = rng.uniform(-0.5, 0.5, 8000)
-    full = compute_fbank(Waveform(samples=samples))
-    shifted = compute_fbank(Waveform(samples=samples[FRAME_HOP:]))
+    full = compute_fbank(samples)
+    shifted = compute_fbank(samples[FRAME_HOP:])
     assert shifted.values.shape[0] == full.values.shape[0] - 1
     np.testing.assert_allclose(shifted.values, full.values[1:], atol=1e-9)
 
@@ -333,7 +334,7 @@ def test_cache_round_trip(tmp_path):
     save_feature_map(f, path)
     g = load_feature_map(path)
     assert np.array_equal(f.values, g.values)
-    assert (g.frame_hop, g.frame_len, g.n_fft) == (f.frame_hop, f.frame_len, f.n_fft)
+    assert g.frame_hop == f.frame_hop
 
 
 def test_cache_truncated_rejected(tmp_path):

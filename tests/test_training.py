@@ -320,7 +320,7 @@ def test_backward_embed_fills_exactly_own_trainable_grads(cm_id, kind):
     params = build_checkpoint(enc, cm1, seed=0).tensors
     width = N_MELS if kind == "fbank" else enc.mfa_dim
     x = np.random.default_rng(0).standard_normal((2, 12, width)).astype(np.float32)
-    emb, cache = net.embed(params, x, kind)
+    emb, cache = net.embed(params, x)
     grads = {}
     net.backward_embed(params, cache, np.ones_like(emb), grads)
     want = set(tensor_names(net.layers())) - {f"{net.cls.name}.w"}
