@@ -29,8 +29,9 @@ from .encoder import (FrontendNet, count_parameters, describe_frontend,
                       estimate_flops)
 from .errors import TcssdError
 from .files import write_text
-from .frontend import (compute_fbank, frames_per_second, load_feature_map,
-                       load_waveform, save_feature_map, save_waveform, trim_silence)
+from .frontend import (FRAME_LEN, FRAME_RATE, SAMPLE_RATE, compute_fbank,
+                       load_feature_map, load_waveform, save_feature_map,
+                       save_waveform, trim_silence)
 from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
                       embed_trials, fuse_scores, parse_protocol, read_scores,
                       score_trials, serialize_protocol, write_scores)
@@ -242,8 +243,10 @@ def _cmd_evaluate(args, cfg):
 def _cmd_analyze_tc(args, cfg):
     if (args.wav is None) == (args.features is None):
         raise TcssdError("analyze-tc needs exactly one of --wav or --features")
-    if not np.isfinite(args.seg_dur):
-        raise TcssdError(f"--seg-dur must be finite, got {args.seg_dur}")
+    shortest = FRAME_LEN / SAMPLE_RATE if args.wav is not None else 1 / FRAME_RATE
+    if not shortest <= args.seg_dur < np.inf:
+        raise TcssdError(f"--seg-dur must be finite and at least {shortest:g} s, "
+                         f"got {args.seg_dur}")
     if args.wav is not None:
         if args.ckpt is None:
             raise TcssdError("--wav analysis needs --ckpt for the encoder")
@@ -256,9 +259,8 @@ def _cmd_analyze_tc(args, cfg):
             raise TcssdError("--features analysis takes frame means and reads no "
                              "checkpoint; drop --ckpt")
         f = load_feature_map(args.features)
-        seg_frames = round(args.seg_dur * frames_per_second(f))
-        m = tc_similarity_matrix_features(f.values, k=args.k,
-                                          seg_frames=seg_frames, seed=cfg.seed)
+        m = tc_similarity_matrix_features(f.values, k=args.k, seed=cfg.seed,
+                                          seg_frames=round(args.seg_dur * FRAME_RATE))
     mean_od, range_od = tc_statistic(m)
     write_similarity_matrix(m, args.out, header_lines=_provenance(args, cfg))
     print(f"tc_mean={mean_od:.6f} tc_range={range_od:.6f} -> {args.out}")

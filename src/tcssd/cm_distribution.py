@@ -30,14 +30,6 @@ class Cm2Net(FrontendNet):
     def layers(self):
         return [self.mfa_conv, self.pool, self.proj, self.cls]
 
-    def forward_concat(self, params, x):
-        """The frozen concat keeps no cache: nothing flows back through it."""
-        cat, _ = super().forward_concat(params, x)
-        return cat, None
-
-    def backward_concat(self, params, cache, dcat, grads):
-        return None
-
     # Bound here, not only inherited: perfbench/tracer.py wraps
     # Cm2Net.__dict__["forward_tail"] and ["backward_tail"] by name.
     forward_tail = FrontendNet.forward_tail

@@ -76,11 +76,13 @@ class FrontendNet:
     ``frontend.*``; the head above the MFA concat (1x1 MFA conv, attentive
     pooling, projection and 2-class rows) lives under ``head``.
 
-    The class rows serve only the toy frontend's own training.
+    Unless ``trained`` (the toy frontend's own training, which the class
+    rows serve), the concat (stem + blocks) is frozen and runs forward-only.
     """
 
-    def __init__(self, cfg: EncoderConfig, head: str = "frontend"):
+    def __init__(self, cfg: EncoderConfig, head: str = "frontend", trained: bool = False):
         self.cfg = cfg
+        self.trained = trained
         c = cfg.channels
         self.stem_conv = Conv1d("frontend.stem.conv", N_MELS, c, kernel=5)
         self.stem_norm = ChannelNorm("frontend.stem.norm", c)
@@ -102,24 +104,24 @@ class FrontendNet:
         return self.concat_layers() + [self.mfa_conv, self.pool, self.proj, self.cls]
 
     def forward_concat(self, params, x):
-        """Stem + blocks + channel concat: (B, T, N_MELS) -> (B, T, 3C)."""
+        """Stem + blocks + channel concat: (B, T, N_MELS) -> (B, T, 3C), and
+        ``backward_concat``'s cache, or None when frozen: each stage's cache
+        is then dropped once the next stage has run."""
         h, c_stem = self.stem_conv.forward(params, x)
-        r = relu(h)
-        n, c_norm = self.stem_norm.forward(params, r)
-        block_outs = []
-        block_caches = []
-        inp = n
+        inp, c_norm = self.stem_norm.forward(params, relu(h))
+        caches = [(h, c_stem, c_norm)] if self.trained else None
+        del h, c_stem, c_norm
+        outs = []
         for block in self.blocks:
-            inp, bc = block.forward(params, inp)
-            block_outs.append(inp)
-            block_caches.append(bc)
-        cat = np.concatenate(block_outs, axis=2)
-        return cat, (h, c_stem, c_norm, block_caches)
+            inp, cache = block.forward(params, inp)
+            outs.append(inp)
+            if self.trained:
+                caches.append(cache)
+        return np.concatenate(outs, axis=2), caches
 
-    def backward_concat(self, params, cache, dcat, grads):
-        h, c_stem, c_norm, block_caches = cache
-        c = self.cfg.channels
-        dblocks = [dcat[:, :, i * c:(i + 1) * c] for i in range(len(self.blocks))]
+    def backward_concat(self, params, caches, dcat, grads):
+        (h, c_stem, c_norm), *block_caches = caches
+        dblocks = np.split(dcat, len(self.blocks), axis=2)
         dinp = np.zeros_like(dblocks[0])
         for i in reversed(range(len(self.blocks))):
             dinp = self.blocks[i].backward(params, block_caches[i], dblocks[i] + dinp, grads)
@@ -136,7 +138,8 @@ class FrontendNet:
     def backward_features(self, params, cache, dfeats, grads):
         cat_cache, pre, c_mfa = cache
         dcat = self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
-        return self.backward_concat(params, cat_cache, dcat, grads)
+        if self.trained:
+            self.backward_concat(params, cat_cache, dcat, grads)
 
     def forward_tail(self, params, feats):
         """Tap-point maps (B, T, D) -> (embeddings (B, E), cache): attentive

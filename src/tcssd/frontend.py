@@ -31,8 +31,8 @@ N_MELS = 80
 MEL_FMIN = 20.0
 MEL_FMAX = 7600.0
 LOG_FLOOR = 1e-6
-# Frames per second at the 10 ms hop; cached maps with no audio provenance
-# (hop 0, e.g. simulated trajectories) are taken to run at this rate too.
+# Frames per second at the 10 ms hop, the rate of every cached map: one with
+# no audio provenance (hop 0, e.g. simulated trajectories) runs at it too.
 FRAME_RATE = SAMPLE_RATE / FRAME_HOP
 
 # Silence trimming: 2048-sample frames every 512 samples.
@@ -210,15 +210,10 @@ def spec_augment(f: FeatureMap, policy: AugmentPolicy, seed: int) -> FeatureMap:
     return FeatureMap(values=out, frame_hop=f.frame_hop)
 
 
-def frames_per_second(f: FeatureMap) -> float:
-    if f.frame_hop > 0:
-        return SAMPLE_RATE / f.frame_hop
-    return FRAME_RATE
-
-
 def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
                 seed: int = 0) -> FeatureMap:
-    """Contiguous slice of uniform duration in [min_dur, max_dur] seconds.
+    """Contiguous slice of uniform duration in [min_dur, max_dur] seconds
+    at FRAME_RATE frames per second.
 
     Inputs shorter than min_dur are wrap-padded (repeating from the start)
     to exactly min_dur; the drawn duration is capped at the input length.
@@ -226,9 +221,8 @@ def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
     t = f.values.shape[0]
     if t == 0:
         raise DataError("empty feature map")
-    fps = frames_per_second(f)
-    min_frames = int(round(min_dur * fps))
-    max_frames = int(round(max_dur * fps))
+    min_frames = int(round(min_dur * FRAME_RATE))
+    max_frames = int(round(max_dur * FRAME_RATE))
     rng = np.random.default_rng(seed)
     if t < min_frames:
         idx = np.arange(min_frames) % t
@@ -256,10 +250,13 @@ def load_feature_map(path) -> FeatureMap:
     hdr_len = len(FEATURE_MAGIC) + 24
     if len(blob) < hdr_len or blob[:len(FEATURE_MAGIC)] != FEATURE_MAGIC:
         raise DataError(f"not a feature cache file: {path}")
-    version, t, m, hop, _, _ = struct.unpack(
-        "<6I", blob[len(FEATURE_MAGIC):hdr_len])
+    version, t, m, *framing = struct.unpack("<6I", blob[len(FEATURE_MAGIC):hdr_len])
     if version != FEATURE_VERSION:
         raise DataError(f"feature cache version mismatch in {path}: {version}")
+    if tuple(framing) not in ((FRAME_HOP, FRAME_LEN, N_FFT), (0, 0, 0)):
+        raise DataError(f"feature cache {path} has (hop, frame length, FFT size) "
+                        f"{tuple(framing)}; only ({FRAME_HOP}, {FRAME_LEN}, {N_FFT}) "
+                        "and (0, 0, 0) load")
     if t == 0:
         raise DataError(f"empty feature map: {path}")
     expected = hdr_len + 4 * t * m
@@ -269,4 +266,4 @@ def load_feature_map(path) -> FeatureMap:
     values = np.frombuffer(blob[hdr_len:], dtype="<f4").reshape(t, m).copy()
     if not np.isfinite(values).all():
         raise DataError(f"non-finite values in feature file: {path}")
-    return FeatureMap(values=values, frame_hop=hop)
+    return FeatureMap(values=values, frame_hop=framing[0])

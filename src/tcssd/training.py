@@ -183,36 +183,39 @@ def build_checkpoint(enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
                      init_from: Checkpoint | None = None) -> Checkpoint:
     """Fresh full checkpoint: frontend, CM1 head, CM2 head (copied tail).
 
-    Every CM2 tensor (MFA conv, pooling, projection, class rows) starts as a
-    copy of its ``frontend.*`` twin, mirroring retraining from pretrained
-    weights.  Tensors present in ``init_from`` take precedence.
+    Tensors in ``init_from`` take precedence.  Each CM2 tensor it lacks
+    (MFA conv, pooling, projection, class rows) starts as a copy of its
+    ``frontend.*`` twin, mirroring retraining from pretrained weights.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     init_layers(FrontendNet(enc_cfg).layers(), rng, params)
     init_layers(Cm1Net(cm1_cfg, enc_cfg).layers(), rng, params)
-    for name in tensor_names(Cm2Net(enc_cfg).layers()):
-        params[name] = params["frontend." + name.removeprefix("cm2.")].copy()
-    if init_from is not None:
-        for name, tensor in init_from.tensors.items():
-            if name in params and params[name].shape != tensor.shape:
-                raise DataError(
-                    f"init checkpoint tensor {name} has shape {tensor.shape}, "
-                    f"expected {params[name].shape}")
-            params[name] = tensor.copy()
+    twins = {name: "frontend." + name.removeprefix("cm2.")
+             for name in tensor_names(Cm2Net(enc_cfg).layers())}
+    init = {} if init_from is None else init_from.tensors
+    for name, tensor in init.items():
+        expected = params.get(twins.get(name, name))
+        if expected is not None and expected.shape != tensor.shape:
+            raise DataError(f"init checkpoint tensor {name} has shape "
+                            f"{tensor.shape}, expected {expected.shape}")
+        params[name] = tensor.copy()
+    for name, twin in twins.items():
+        if name not in init:
+            params[name] = params[twin].copy()
     config = {"encoder": config_dict(enc_cfg), "cm1": config_dict(cm1_cfg)}
     return Checkpoint(tensors=params, frozen_names=set(), config=config)
 
 
 def system_net(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config):
-    """The net of system ``cm_id``; CM1 reads FBank maps through a frozen
-    frontend it holds, and CM2 is the frontend with a head of its own."""
+    """The net of system ``cm_id``.  Only the toy frontend trains its concat;
+    CM1 holds a frozen frontend, and CM2 is one with a head of its own."""
     if cm_id == "cm1":
         return Cm1Net(cm1_cfg, enc_cfg)
     if cm_id == "cm2":
         return Cm2Net(enc_cfg)
     if cm_id == "frontend-toy":
-        return FrontendNet(enc_cfg)
+        return FrontendNet(enc_cfg, trained=True)
     raise DataError(f"unknown system '{cm_id}', expected one of {CM_IDS}")
 
 
@@ -289,11 +292,12 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     """Train one system under run config ``cfg``; return (final checkpoint,
     training log).
 
-    ``cfg.seed`` seeds the initialization and the generator.  Adam touches only the trainable tensors of the selected system; for the
-    countermeasures every ``frontend.*`` tensor is frozen and recorded as
-    such in the checkpoint.  A checkpoint is saved per epoch plus ``init``
-    and ``final`` when ``out_dir`` is given, along with the tab-separated
-    ``train.log``.
+    ``cfg.seed`` seeds the initialization and the generator.  Adam touches
+    only the selected system's trainable tensors.  A countermeasure's
+    checkpoint records every ``frontend.*`` tensor as frozen; the toy
+    frontend's holds only ``frontend.*`` tensors.  With ``out_dir``, the
+    checkpoints ``init``, one per epoch and ``final`` and the tab-separated
+    ``train.log`` are saved there.
     """
     enc_cfg, train_cfg = cfg.encoder, cfg.train
     net = system_net(cm_id, enc_cfg, cfg.cm1)
@@ -312,10 +316,12 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         raise DataError("train.augment masks FBank maps; these maps are speaker-kind")
 
     ckpt = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
-    params = ckpt.tensors
     trainable = set(tensor_names(net.layers()))
-    ckpt.frozen_names = (set() if cm_id == "frontend-toy"
-                         else set(tensor_names(FrontendNet(enc_cfg).layers())))
+    if cm_id == "frontend-toy":  # it keeps what it trains, and no untrained CM head
+        ckpt = Checkpoint({n: ckpt.tensors[n] for n in trainable}, config=ckpt.config)
+    else:
+        ckpt.frozen_names = set(tensor_names(FrontendNet(enc_cfg).layers()))
+    params = ckpt.tensors
     cls_name = f"{net.cls.name}.w"
 
     rng = np.random.default_rng(cfg.seed)

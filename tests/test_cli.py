@@ -212,7 +212,7 @@ def test_sizes_below_one_exit_two_and_write_no_output(tmp_path, capsys):
     assert main(["analyze-tc", "--features", str(fea), "--seg-dur", "0",
                  "--out", str(out)]) == 2
     assert not out.exists()
-    assert "seg_frames must be at least 1" in capsys.readouterr().err
+    assert "--seg-dur must be finite and at least 0.01 s" in capsys.readouterr().err
 
 
 def test_count_params_report(capsys):
@@ -400,6 +400,46 @@ def test_analyze_tc_non_finite_seg_dur_exits_two(seg_dur, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "--seg-dur must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lane, seg_dur, shortest", [
+    ("--wav", "0.01", "0.025"),      # one FBank window: 400 samples
+    ("--features", "0.004", "0.01"),  # one frame at 100 frames/s
+])
+def test_analyze_tc_too_short_seg_dur_names_the_flag(lane, seg_dur, shortest,
+                                                     tiny_pipeline, tmp_path, capsys):
+    _, sim, ck, _ = tiny_pipeline
+    wav = tmp_path / "u.wav"
+    save_waveform(0.1 * np.random.default_rng(0).standard_normal(16000), wav)
+    source = {"--wav": [str(wav), "--ckpt", str(ck / "final")],
+              "--features": [str(next((sim / "features").glob("*.fea")))]}[lane]
+    out = tmp_path / "m.txt"
+    assert main(["analyze-tc", lane, *source, "--seg-dur", seg_dur,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcssd analyze-tc: --seg-dur must be finite and at least {shortest} s, "
+        f"got {seg_dur}"]
+    assert not out.exists()
+    assert main(["analyze-tc", lane, *source, "--seg-dur", shortest,
+                 "--out", str(out)]) == 0
+
+
+def test_feature_cache_at_another_frame_rate_exits_two(tiny_pipeline, tmp_path, capsys):
+    """Every map runs at 100 frames/s: a hop-320 cache would get segments
+    and crops sized at one rate and stamped at the other, so it is refused."""
+    _, sim, _, _ = tiny_pipeline
+    feats = tmp_path / "features"
+    shutil.copytree(sim / "features", feats)
+    fea = next(feats.glob("*.fea"))
+    save_feature_map(FeatureMap(load_feature_map(fea).values, frame_hop=320), fea)
+    out = tmp_path / "m.txt"
+    assert main(["analyze-tc", "--features", str(fea), "--out", str(out)]) == 2
+    ck = tmp_path / "ck"
+    assert main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+                 "--features", str(feats), "--out", str(ck), "--steps", "1"]) == 2
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2 and all(str(fea) in e and "(320, 400, 512)" in e for e in errs)
+    assert not out.exists() and not ck.exists()
 
 
 def test_fuse_non_finite_weight_exits_two_writing_nothing(tiny_pipeline, tmp_path,

@@ -9,7 +9,7 @@ from tcssd.config import toy_config
 from tcssd.encoder import FrontendNet
 from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import init_layers, tensor_names
-from tcssd.training import AamConfig, aam_softmax_loss, build_checkpoint
+from tcssd.training import AamConfig, aam_softmax_loss, build_checkpoint, system_net
 
 
 def toy_checkpoint(seed=0):
@@ -127,12 +127,19 @@ def test_cm2_starts_as_the_frontend_bit_for_bit():
 
 
 def test_cm2_fbank_cache_keeps_no_concat_cache():
-    # Nothing flows back through the frozen concat. Keeping its activations
-    # until backward raised the FBank CM2 lane's peak RSS by 38%.
+    # Nothing flows back through a frozen concat. Keeping its activations
+    # until backward raised the FBank CM2 lane's peak RSS by 38%. Only the
+    # toy frontend's own training backprops through it.
     cfg, ckpt = toy_checkpoint(11)
+    cm1_cfg = Cm1Config(hidden=8, fc1_out=8, fc2_out=8)
     x = np.random.default_rng(11).standard_normal((2, 30, N_MELS)).astype(np.float32)
     _, (fcache, _) = Cm2Net(cfg).embed(ckpt.tensors, x)
     concat_cache, _, _ = fcache
     assert concat_cache is None
-    _, (fcache, _) = FrontendNet(cfg).embed(ckpt.tensors, x)
+    for net in (system_net("cm1", cfg, cm1_cfg).frontend, system_net("cm2", cfg, cm1_cfg),
+                FrontendNet(cfg)):
+        _, (concat_cache, _, _) = net.tap(ckpt.tensors, x)
+        assert concat_cache is None
+    toy = system_net("frontend-toy", cfg, cm1_cfg)
+    _, (fcache, _) = toy.embed(ckpt.tensors, x)
     assert fcache[0] is not None  # frontend-toy training does backprop through it

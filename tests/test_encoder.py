@@ -33,7 +33,7 @@ def test_frontend_concat_gradients_match_finite_differences():
     """Stem, Res2 blocks and SE gates: every tensor and the input gradient
     of ``backward_concat`` against central differences along random
     directions, in float64 (an element-wise sweep would take ~40 s)."""
-    net = FrontendNet(toy_config().encoder)
+    net = FrontendNet(toy_config().encoder, trained=True)
     layers = net.concat_layers()
     params = init_layers(layers, np.random.default_rng(11), dtype=np.float64)
     rng = np.random.default_rng(12)
@@ -55,11 +55,22 @@ def test_frontend_concat_gradients_match_finite_differences():
                                    np.random.default_rng(13))
 
 
+def test_frozen_and_trained_frontends_agree_bit_for_bit():
+    """Freezing the concat only drops its cache: tap-point features and
+    embeddings of an FBank batch are the same bits either way."""
+    cfg, ckpt = make_toy_checkpoint(14)
+    x = np.random.default_rng(14).standard_normal((3, 40, N_MELS)).astype(np.float32)
+    frozen, trained = FrontendNet(cfg), FrontendNet(cfg, trained=True)
+    assert np.array_equal(frozen.tap(ckpt.tensors, x)[0], trained.tap(ckpt.tensors, x)[0])
+    assert np.array_equal(frozen.embed(ckpt.tensors, x)[0],
+                          trained.embed(ckpt.tensors, x)[0])
+
+
 def test_frontend_embed_gradients_match_finite_differences():
     """The toy-frontend training path on FBank input: ``backward_embed``
     through the projection, pooling, MFA tap and concat, for every tensor
     ``embed`` reads, against central differences along random directions."""
-    net = FrontendNet(toy_config().encoder)
+    net = FrontendNet(toy_config().encoder, trained=True)
     layers = [l for l in net.layers() if l is not net.cls]
     params = init_layers(layers, np.random.default_rng(21), dtype=np.float64)
     rng = np.random.default_rng(22)

@@ -7,8 +7,11 @@ import pytest
 
 from helpers import assert_grads_close
 from tcssd.analysis import SimConfig, simulate_trajectories
+from tcssd.checkpoint import load_checkpoint
 from tcssd.cm_distribution import Cm2Net
+from tcssd.cm_temporal import Cm1Net
 from tcssd.config import toy_config
+from tcssd.encoder import FrontendNet
 from tcssd.errors import DataError, TrainingError
 from tcssd.frontend import N_MELS
 from tcssd.layers import tensor_names
@@ -290,6 +293,49 @@ def test_train_cm2_on_fbank_kind_updates_mfa_conv():
     assert not np.array_equal(ckpt.tensors["cm2.mfa.conv.w"], before)
     for name in ckpt.frozen_names:
         assert np.array_equal(ckpt.tensors[name], init.tensors[name])
+
+
+@pytest.fixture(scope="module")
+def toy_frontend_final(tmp_path_factory):
+    """A trained toy frontend's ``final`` checkpoint, as loaded from disk."""
+    cfg = tiny_run_cfg(max_steps=3, batch_size=4)
+    out = tmp_path_factory.mktemp("fe")
+    train("frontend-toy", sim_items(n_per_class=3, seed=8, dim=80, n_frames=30), cfg,
+          out_dir=str(out))
+    return load_checkpoint(out / "final")
+
+
+def test_frontend_toy_checkpoint_holds_only_frontend_tensors(toy_frontend_final):
+    names = set(toy_frontend_final.tensors)
+    assert names == set(tensor_names(FrontendNet(tiny_run_cfg().encoder).layers()))
+    assert all(name.startswith("frontend.") for name in names)
+
+
+def test_cm2_from_toy_frontend_starts_at_its_trained_head(toy_frontend_final, tmp_path):
+    """``--init-ckpt fe/final``: CM2 is retrained from the pretrained head,
+    not from the head the toy frontend was initialised with."""
+    cfg = tiny_run_cfg(max_steps=1, batch_size=4)
+    items = sim_items(n_per_class=3, seed=9, dim=80, n_frames=30)
+    train("cm2", items, cfg, out_dir=str(tmp_path), init_ckpt=toy_frontend_final)
+    init = load_checkpoint(tmp_path / "init")
+    fresh = build_checkpoint(cfg.encoder, cfg.cm1, seed=cfg.seed)
+    for name in tensor_names(Cm2Net(cfg.encoder).layers()):
+        twin = "frontend." + name.removeprefix("cm2.")
+        assert np.array_equal(init.tensors[name], toy_frontend_final.tensors[twin]), name
+    assert not np.array_equal(init.tensors["cm2.proj.w"], fresh.tensors["cm2.proj.w"])
+
+
+def test_cm1_from_toy_frontend_starts_at_its_own_seed(toy_frontend_final, tmp_path):
+    cfg = replace(tiny_run_cfg(max_steps=1, batch_size=4), seed=4)
+    items = sim_items(n_per_class=3, seed=9, dim=80, n_frames=30)
+    train("cm1", items, cfg, out_dir=str(tmp_path), init_ckpt=toy_frontend_final)
+    init = load_checkpoint(tmp_path / "init")
+    own = build_checkpoint(cfg.encoder, cfg.cm1, seed=4)
+    cm1_names = tensor_names(Cm1Net(cfg.cm1, cfg.encoder).layers())
+    for name in cm1_names:
+        assert np.array_equal(init.tensors[name], own.tensors[name]), name
+    for name, tensor in toy_frontend_final.tensors.items():
+        assert np.array_equal(init.tensors[name], tensor), name
 
 
 def test_build_checkpoint_cm2_starts_as_frontend_copy():
