@@ -235,7 +235,7 @@ def _cmd_fuse(args, cfg):
 def _cmd_evaluate(args, cfg):
     records = parse_protocol(args.protocol)
     scores = read_scores(args.scores, records=records)
-    result = compute_eer(scores)
+    result = compute_eer(scores, records)
     _print_provenance(args, cfg)
     print(f"EER={result.eer:.4f}@threshold={result.threshold:.6g}")
 

@@ -210,6 +210,13 @@ def spec_augment(f: FeatureMap, policy: AugmentPolicy, seed: int) -> FeatureMap:
     return FeatureMap(values=out, frame_hop=f.frame_hop)
 
 
+def wrap_pad(values: np.ndarray, length: int) -> np.ndarray:
+    """``length`` frames of ``values``, repeating from the start (no copy if equal)."""
+    if values.shape[0] == length:
+        return values
+    return values[np.arange(length) % values.shape[0]]
+
+
 def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
                 seed: int = 0) -> FeatureMap:
     """Contiguous slice of uniform duration in [min_dur, max_dur] seconds
@@ -225,8 +232,7 @@ def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
     max_frames = int(round(max_dur * FRAME_RATE))
     rng = np.random.default_rng(seed)
     if t < min_frames:
-        idx = np.arange(min_frames) % t
-        values = f.values[idx].copy()
+        values = wrap_pad(f.values, min_frames)
     else:
         length = min(int(rng.integers(min_frames, max_frames + 1)), t)
         start = int(rng.integers(0, t - length + 1))
@@ -237,7 +243,11 @@ def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
 def save_feature_map(f: FeatureMap, path) -> None:
     """Write the binary cache: magic, 6 LE uint32 header fields (version, T,
     M, hop, frame length, FFT size), LE float32.  Frame length and FFT size
-    are ``compute_fbank``'s FRAME_LEN and N_FFT, or 0 for a hop-0 map."""
+    are ``compute_fbank``'s FRAME_LEN and N_FFT, or 0 for a hop-0 map; any
+    other hop is refused before writing, as ``load_feature_map`` would."""
+    if f.frame_hop not in (FRAME_HOP, 0):
+        raise DataError(f"feature map hop {f.frame_hop} cannot be cached: only "
+                        f"{FRAME_HOP} and 0 load")
     t, m = f.values.shape
     frame_len, n_fft = (FRAME_LEN, N_FFT) if f.frame_hop else (0, 0)
     header = FEATURE_MAGIC + struct.pack(

@@ -66,11 +66,10 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
 class Linear:
     """Affine map on the last axis: y = x @ w.T + b, w of shape (out, in)."""
 
-    def __init__(self, name: str, in_dim: int, out_dim: int, per_frame: bool = False):
+    def __init__(self, name: str, in_dim: int, out_dim: int):
         self.name = name
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.per_frame = per_frame  # FLOP accounting only
 
     def param_specs(self):
         return [(f"{self.name}.w", (self.out_dim, self.in_dim)),
@@ -100,8 +99,7 @@ class Linear:
         return dy @ w
 
     def flops(self, n_frames: int) -> int:
-        mult = n_frames if self.per_frame else 1
-        return 2 * self.in_dim * self.out_dim * mult
+        return 2 * self.in_dim * self.out_dim  # once per utterance
 
 
 class Conv1d:
@@ -383,11 +381,14 @@ class AttentiveStatsPool(Composite):
         self.name = name
         self.in_dim = in_dim
         self.att_dim = att_dim
-        self.fc1 = Linear(f"{name}.att.fc1", in_dim, att_dim, per_frame=True)
-        self.fc2 = Linear(f"{name}.att.fc2", att_dim, 1, per_frame=True)
+        self.fc1 = Linear(f"{name}.att.fc1", in_dim, att_dim)
+        self.fc2 = Linear(f"{name}.att.fc2", att_dim, 1)
 
     def children(self):
         return [self.fc1, self.fc2]
+
+    def flops(self, n_frames: int) -> int:
+        return super().flops(n_frames) * n_frames  # attention runs on every frame
 
     def forward(self, params, x):
         a_pre, c1 = self.fc1.forward(params, x)

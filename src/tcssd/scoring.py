@@ -40,18 +40,15 @@ class TrialRecord:
 class ScoreEntry:
     utt_id: str
     score: float
-    key: str
 
 
 @dataclass
 class ScoreSet:
+    """Scores by utterance; a trial's key lives only in its protocol record."""
     entries: list[ScoreEntry]
 
-    def scores_by_key(self, key: str) -> np.ndarray:
-        return np.array([e.score for e in self.entries if e.key == key], dtype=np.float64)
-
-    def by_utt(self) -> dict[str, ScoreEntry]:
-        return {e.utt_id: e for e in self.entries}
+    def by_utt(self) -> dict[str, float]:
+        return {e.utt_id: e.score for e in self.entries}
 
 
 @dataclass
@@ -106,7 +103,7 @@ def write_scores(scores: ScoreSet, path, header_lines=()) -> None:
 
 
 def read_scores(path, records=None) -> ScoreSet:
-    """Read a score file; trial records (when given) supply the keys."""
+    """Read a score file; with trial records, exactly theirs, in protocol order."""
     raw: dict[str, float] = {}
     for lineno, text in read_lines(path, "score"):
         fields = text.split()
@@ -123,8 +120,7 @@ def read_scores(path, records=None) -> ScoreSet:
             raise DataError(f"{path}:{lineno}: duplicate utt_id '{utt}'")
         raw[utt] = score
     if records is None:
-        entries = [ScoreEntry(u, s, "") for u, s in raw.items()]
-        return ScoreSet(entries=entries)
+        return ScoreSet(entries=[ScoreEntry(u, s) for u, s in raw.items()])
     missing = [r.utt_id for r in records if r.utt_id not in raw]
     if missing:
         raise DataError(f"{path}: no score for utterance(s) {', '.join(missing[:5])}"
@@ -133,8 +129,7 @@ def read_scores(path, records=None) -> ScoreSet:
     if extra:
         raise DataError(f"{path}: scores for unknown utterance(s) "
                         f"{', '.join(sorted(extra)[:5])}")
-    entries = [ScoreEntry(r.utt_id, raw[r.utt_id], r.key) for r in records]
-    return ScoreSet(entries=entries)
+    return ScoreSet(entries=[ScoreEntry(r.utt_id, raw[r.utt_id]) for r in records])
 
 
 def eer_from_arrays(bonafide, spoof) -> EerResult:
@@ -154,9 +149,12 @@ def eer_from_arrays(bonafide, spoof) -> EerResult:
                      n_bonafide=int(bona.size), n_spoof=int(spf.size))
 
 
-def compute_eer(scores: ScoreSet) -> EerResult:
-    return eer_from_arrays(scores.scores_by_key(KEY_BONAFIDE),
-                           scores.scores_by_key(KEY_SPOOF))
+def compute_eer(scores: ScoreSet, records) -> EerResult:
+    """EER over the protocol's trials, each keyed by its record; ``scores``
+    must hold every record's utterance (``read_scores`` checks that)."""
+    by_utt = scores.by_utt()
+    return eer_from_arrays(*([by_utt[r.utt_id] for r in records if r.key == key]
+                             for key in (KEY_BONAFIDE, KEY_SPOOF)))
 
 
 def _normalize(values: np.ndarray, mode: str) -> np.ndarray:
@@ -178,26 +176,17 @@ def _normalize(values: np.ndarray, mode: str) -> np.ndarray:
 def fuse_scores(a: ScoreSet, b: ScoreSet, w: float = 0.5,
                 normalize: str = "none") -> ScoreSet:
     """Per-utterance weighted sum w*a + (1-w)*b after per-system normalization."""
-    a_map = a.by_utt()
-    b_map = b.by_utt()
+    a_map, b_map = a.by_utt(), b.by_utt()
     if set(a_map) != set(b_map):
         only_a = sorted(set(a_map) - set(b_map))
         only_b = sorted(set(b_map) - set(a_map))
         raise DataError(
             f"utterance sets differ: only in first {only_a[:5]}, "
             f"only in second {only_b[:5]}")
-    a_vals = np.array([e.score for e in a.entries], dtype=np.float64)
-    b_vals = np.array([b_map[e.utt_id].score for e in a.entries], dtype=np.float64)
-    a_norm = _normalize(a_vals, normalize)
-    b_norm = _normalize(b_vals, normalize)
-    fused = w * a_norm + (1.0 - w) * b_norm
-    entries = []
-    for e, s in zip(a.entries, fused):
-        other = b_map[e.utt_id]
-        if other.key != e.key:
-            raise DataError(f"key mismatch for {e.utt_id}: '{e.key}' vs '{other.key}'")
-        entries.append(ScoreEntry(e.utt_id, float(s), e.key))
-    return ScoreSet(entries=entries)
+    a_vals = np.array(list(a_map.values()), dtype=np.float64)
+    b_vals = np.array([b_map[u] for u in a_map], dtype=np.float64)
+    fused = w * _normalize(a_vals, normalize) + (1.0 - w) * _normalize(b_vals, normalize)
+    return ScoreSet(entries=[ScoreEntry(u, float(s)) for u, s in zip(a_map, fused)])
 
 
 def embed_trials(net, records, feature_dir, ckpt: Checkpoint, enc_cfg: EncoderConfig,
@@ -242,6 +231,5 @@ def score_trials(cm_id: str, records, feature_dir, ckpt: Checkpoint,
     scores = np.empty(len(records))
     for idx, emb in embed_trials(net, records, feature_dir, ckpt, enc_cfg, batch_size):
         scores[idx] = score_embeddings(emb, ckpt.tensors[f"{net.cls.name}.w"])
-    entries = [ScoreEntry(r.utt_id, float(score), r.key)
-               for r, score in zip(records, scores)]
-    return ScoreSet(entries=entries)
+    return ScoreSet(entries=[ScoreEntry(r.utt_id, float(score))
+                             for r, score in zip(records, scores)])

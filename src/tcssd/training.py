@@ -21,7 +21,8 @@ from .cm_temporal import Cm1Config, Cm1Net
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
 from .files import write_text
-from .frontend import N_MELS, FeatureMap, random_crop, spec_augment
+from .frontend import (FRAME_RATE, N_MELS, FeatureMap, random_crop, spec_augment,
+                       wrap_pad)
 from .layers import init_layers, tensor_names
 
 if TYPE_CHECKING:
@@ -70,6 +71,11 @@ class TrainConfig:
         if not 0 < self.crop_min_s <= self.crop_max_s:
             raise DataError("need 0 < train.crop_min_s <= train.crop_max_s, got "
                             f"{self.crop_min_s} and {self.crop_max_s}")
+        for key in ("crop_min_s", "crop_max_s"):  # random_crop's frame counts
+            seconds = getattr(self, key)
+            if not (np.isfinite(seconds) and 1 <= round(seconds * FRAME_RATE) < 2 ** 63):
+                raise DataError(f"train.{key} must be finite and give 1 to 2^63 - 1 "
+                                f"frames at {FRAME_RATE:g} frames/s, got {seconds}")
 
 
 def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray,
@@ -132,32 +138,29 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 
 
 class Adam:
-    """Adam with bias correction; updates only the given tensor names."""
+    """Adam with bias correction; a step updates exactly the tensors that
+    have a gradient, and every step counts toward the bias correction."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self.t: dict[str, int] = {}
+        self.t = 0
 
-    def step(self, params: dict, grads: dict, lr: float, trainable) -> None:
+    def step(self, params: dict, grads: dict, lr: float) -> None:
         cfg = self.cfg
-        for name in sorted(trainable):
-            if name not in grads:
-                continue
-            g = grads[name].astype(params[name].dtype, copy=False)
+        self.t += 1
+        for name, grad in grads.items():
+            g = grad.astype(params[name].dtype, copy=False)
             if cfg.weight_decay:
                 g = g + cfg.weight_decay * params[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(params[name])
                 self.v[name] = np.zeros_like(params[name])
-                self.t[name] = 0
-            self.t[name] += 1
-            t = self.t[name]
             self.m[name] = cfg.beta1 * self.m[name] + (1 - cfg.beta1) * g
             self.v[name] = cfg.beta2 * self.v[name] + (1 - cfg.beta2) * g * g
-            mhat = self.m[name] / (1 - cfg.beta1 ** t)
-            vhat = self.v[name] / (1 - cfg.beta2 ** t)
+            mhat = self.m[name] / (1 - cfg.beta1 ** self.t)
+            vhat = self.v[name] / (1 - cfg.beta2 ** self.t)
             params[name] -= (lr * mhat / (np.sqrt(vhat) + cfg.eps)).astype(
                 params[name].dtype, copy=False)
 
@@ -252,13 +255,6 @@ def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
     return enc_cfg, cm1_cfg
 
 
-def _wrap_pad(values: np.ndarray, length: int) -> np.ndarray:
-    if values.shape[0] == length:
-        return values
-    idx = np.arange(length) % values.shape[0]
-    return values[idx]
-
-
 class _BalancedSampler:
     """Class-balanced batches: half bonafide, half spoof, cyclic reshuffle."""
 
@@ -292,8 +288,9 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     """Train one system under run config ``cfg``; return (final checkpoint,
     training log).
 
-    ``cfg.seed`` seeds the initialization and the generator.  Adam touches
-    only the selected system's trainable tensors.  A countermeasure's
+    ``cfg.seed`` seeds the initialization and the generator.  Adam steps
+    the tensors that have gradients: the selected system's own, since its
+    ``backward_embed`` fills no others.  A countermeasure's
     checkpoint records every ``frontend.*`` tensor as frozen; the toy
     frontend's holds only ``frontend.*`` tensors.  With ``out_dir``, the
     checkpoints ``init``, one per epoch and ``final`` and the tab-separated
@@ -316,9 +313,9 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         raise DataError("train.augment masks FBank maps; these maps are speaker-kind")
 
     ckpt = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
-    trainable = set(tensor_names(net.layers()))
     if cm_id == "frontend-toy":  # it keeps what it trains, and no untrained CM head
-        ckpt = Checkpoint({n: ckpt.tensors[n] for n in trainable}, config=ckpt.config)
+        ckpt = Checkpoint({n: ckpt.tensors[n] for n in tensor_names(net.layers())},
+                          config=ckpt.config)
     else:
         ckpt.frozen_names = set(tensor_names(FrontendNet(enc_cfg).layers()))
     params = ckpt.tensors
@@ -346,7 +343,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
                 f = spec_augment(f, cfg.augment, int(rng.integers(2 ** 31)))
             batch_maps.append(f.values)
         max_t = max(v.shape[0] for v in batch_maps)
-        x = np.stack([_wrap_pad(v, max_t) for v in batch_maps]).astype(np.float32)
+        x = np.stack([wrap_pad(v, max_t) for v in batch_maps]).astype(np.float32)
         y = labels[idx]
 
         grads: dict[str, np.ndarray] = {}
@@ -359,7 +356,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         if not np.isfinite(loss):
             raise TrainingError(
                 f"non-finite loss at step {step} (lr={lr:.6g}); aborting")
-        opt.step(params, grads, lr, trainable)
+        opt.step(params, grads, lr)
         log.append(LogEntry(step=step, lr=float(lr), loss=loss))
 
         if out_dir and step % steps_per_epoch == 0:

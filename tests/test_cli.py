@@ -431,7 +431,9 @@ def test_feature_cache_at_another_frame_rate_exits_two(tiny_pipeline, tmp_path, 
     feats = tmp_path / "features"
     shutil.copytree(sim / "features", feats)
     fea = next(feats.glob("*.fea"))
-    save_feature_map(FeatureMap(load_feature_map(fea).values, frame_hop=320), fea)
+    values = load_feature_map(fea).values  # the writer refuses hop 320: pack it here
+    fea.write_bytes(b"TCSSD-FEA" + struct.pack("<6I", 1, *values.shape, 320, 400, 512)
+                    + values.astype("<f4").tobytes())
     out = tmp_path / "m.txt"
     assert main(["analyze-tc", "--features", str(fea), "--out", str(out)]) == 2
     ck = tmp_path / "ck"
@@ -832,6 +834,39 @@ def test_bad_crop_lengths_exit_two_before_any_checkpoint(tmp_path, capsys, crop)
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "train.crop_min_s" in err and "train.crop_max_s" in err
     assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("cm", ["1", "2"])
+@pytest.mark.parametrize("setting", ["train.crop_min_s=0.001", "train.crop_min_s=0.005",
+                                     "train.crop_max_s=inf", "train.crop_max_s=1e17"])
+def test_crop_lengths_outside_whole_frames_exit_two_before_any_output(tmp_path, capsys,
+                                                                      cm, setting):
+    """A crop length must be finite and round to 1 to 2^63 - 1 frames at 100
+    frames/s: a shorter one made empty crops, a longer one overflowed the
+    crop draw.  Both are refused with the config, naming the key, before
+    --out exists."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--n-per-class", "2"]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--cm", cm, "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
+               "--steps", "1", "--set", setting])
+    assert rc == 2
+    key, _, value = setting.partition("=")
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcssd train: {key} must be finite and give 1 to 2^63 - 1 frames at "
+        f"100 frames/s, got {float(value)}"]
+    assert not (tmp_path / "ck").exists()
+
+
+def test_one_frame_crops_train(tmp_path, capsys):
+    """The shortest crop length, 0.01 s, is one frame; CM2 pools it."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--n-per-class", "2"]) == 0
+    assert main(["train", "--cm", "2", "--protocol", str(sim / "protocol.txt"),
+                 "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
+                 "--steps", "1", "--set", "train.crop_min_s=0.01",
+                 "--set", "train.crop_max_s=0.01"]) == 0
 
 
 @pytest.mark.parametrize("setting, field", [

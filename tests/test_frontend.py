@@ -365,6 +365,15 @@ def test_cache_empty_map_rejected_naming_file(tmp_path):
         load_feature_map(path)
 
 
+@pytest.mark.parametrize("hop", [320, 1])
+def test_cache_writer_refuses_a_hop_the_reader_refuses(tmp_path, hop):
+    """Only hops 160 and 0 load, so no other hop is written."""
+    f = FeatureMap(values=np.ones((10, 8), dtype=np.float32), frame_hop=hop)
+    with pytest.raises(DataError, match=f"feature map hop {hop} cannot be cached"):
+        save_feature_map(f, tmp_path / "x.fea")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_bad_magic_rejected(tmp_path):
     path = tmp_path / "x.fea"
     path.write_bytes(b"NOTAFEAFILE" + b"\x00" * 64)

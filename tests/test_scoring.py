@@ -131,11 +131,18 @@ def test_eer_invariant_under_increasing_transform():
         assert eer_from_arrays(transform(bona), transform(spoof)).eer == base
 
 
+def _records(keys):
+    """Trial records keyed as ``{utt_id: key}`` says, in its order."""
+    return [TrialRecord("S", u, "-" if k == "bonafide" else "A01", k)
+            for u, k in keys.items()]
+
+
 def test_compute_eer_from_score_set():
-    entries = [ScoreEntry("u1", 3.0, "bonafide"), ScoreEntry("u2", 2.0, "bonafide"),
-               ScoreEntry("u3", 1.0, "bonafide"), ScoreEntry("u4", 2.5, "spoof"),
-               ScoreEntry("u5", 0.5, "spoof"), ScoreEntry("u6", 0.0, "spoof")]
-    r = compute_eer(ScoreSet(entries=entries))
+    entries = [ScoreEntry("u1", 3.0), ScoreEntry("u2", 2.0), ScoreEntry("u3", 1.0),
+               ScoreEntry("u4", 2.5), ScoreEntry("u5", 0.5), ScoreEntry("u6", 0.0)]
+    records = _records({"u1": "bonafide", "u2": "bonafide", "u3": "bonafide",
+                        "u4": "spoof", "u5": "spoof", "u6": "spoof"})
+    r = compute_eer(ScoreSet(entries=entries), records)
     assert abs(r.eer - 1.0 / 3.0) < 1e-12
     assert (r.n_bonafide, r.n_spoof) == (3, 3)
 
@@ -145,51 +152,50 @@ def test_compute_eer_from_score_set():
 # ---------------------------------------------------------------------------
 
 def _score_set(pairs):
-    return ScoreSet(entries=[ScoreEntry(u, s, k) for u, s, k in pairs])
+    return ScoreSet(entries=[ScoreEntry(u, s) for u, s in pairs])
 
 
 def test_fuse_identical_sets_idempotent():
-    a = _score_set([("u1", 1.25, "bonafide"), ("u2", -0.5, "spoof")])
+    a = _score_set([("u1", 1.25), ("u2", -0.5)])
     fused = fuse_scores(a, a, w=0.5)
     assert [e.score for e in fused.entries] == [1.25, -0.5]
 
 
 def test_fuse_arithmetic():
-    a = _score_set([("u1", 1.0, "bonafide"), ("u2", -1.0, "spoof")])
-    b = _score_set([("u1", 0.0, "bonafide"), ("u2", 0.0, "spoof")])
+    a = _score_set([("u1", 1.0), ("u2", -1.0)])
+    b = _score_set([("u1", 0.0), ("u2", 0.0)])
     fused = fuse_scores(a, b, w=0.5)
     assert [e.score for e in fused.entries] == [0.5, -0.5]
 
 
 def test_fuse_weight_extremes():
     rng = np.random.default_rng(2)
-    pairs_a = [(f"u{i}", float(rng.normal()), "bonafide") for i in range(5)]
-    pairs_b = [(u, float(rng.normal()), k) for u, _, k in pairs_a]
+    pairs_a = [(f"u{i}", float(rng.normal())) for i in range(5)]
+    pairs_b = [(u, float(rng.normal())) for u, _ in pairs_a]
     a, b = _score_set(pairs_a), _score_set(pairs_b)
     fused_a = fuse_scores(a, b, w=1.0)
     fused_b = fuse_scores(a, b, w=0.0)
-    assert [e.score for e in fused_a.entries] == [s for _, s, _ in pairs_a]
-    assert [e.score for e in fused_b.entries] == [s for _, s, _ in pairs_b]
+    assert [e.score for e in fused_a.entries] == [s for _, s in pairs_a]
+    assert [e.score for e in fused_b.entries] == [s for _, s in pairs_b]
 
 
 def test_fuse_mismatched_utts_rejected():
-    a = _score_set([("u1", 1.0, "bonafide")])
-    b = _score_set([("u2", 1.0, "bonafide")])
+    a = _score_set([("u1", 1.0)])
+    b = _score_set([("u2", 1.0)])
     with pytest.raises(DataError, match="utterance sets differ"):
         fuse_scores(a, b)
 
 
 def test_fuse_complementary_systems_beat_both():
     # system A separates trials {1,2}, system B separates {3,4}
-    keys = {"u1": "bonafide", "u2": "spoof", "u3": "bonafide", "u4": "spoof"}
-    a = _score_set([("u1", 1.0, keys["u1"]), ("u2", -1.0, keys["u2"]),
-                    ("u3", 0.1, keys["u3"]), ("u4", 0.2, keys["u4"])])
-    b = _score_set([("u1", 0.2, keys["u1"]), ("u2", 0.1, keys["u2"]),
-                    ("u3", 1.0, keys["u3"]), ("u4", -1.0, keys["u4"])])
-    eer_a = compute_eer(a).eer
-    eer_b = compute_eer(b).eer
+    records = _records({"u1": "bonafide", "u2": "spoof", "u3": "bonafide",
+                        "u4": "spoof"})
+    a = _score_set([("u1", 1.0), ("u2", -1.0), ("u3", 0.1), ("u4", 0.2)])
+    b = _score_set([("u1", 0.2), ("u2", 0.1), ("u3", 1.0), ("u4", -1.0)])
+    eer_a = compute_eer(a, records).eer
+    eer_b = compute_eer(b, records).eer
     fused = fuse_scores(a, b, w=0.5)
-    eer_f = compute_eer(fused).eer
+    eer_f = compute_eer(fused, records).eer
     # brute-force check of all three on this construction
     assert eer_a == brute_force_eer([1.0, 0.1], [-1.0, 0.2])[0]
     assert eer_b == brute_force_eer([0.2, 1.0], [0.1, -1.0])[0]
@@ -198,8 +204,8 @@ def test_fuse_complementary_systems_beat_both():
 
 
 def test_fuse_normalization_modes():
-    a = _score_set([("u1", 10.0, "bonafide"), ("u2", 0.0, "spoof")])
-    b = _score_set([("u1", 1.0, "bonafide"), ("u2", -1.0, "spoof")])
+    a = _score_set([("u1", 10.0), ("u2", 0.0)])
+    b = _score_set([("u1", 1.0), ("u2", -1.0)])
     mm = fuse_scores(a, b, w=0.5, normalize="minmax")
     assert [e.score for e in mm.entries] == [1.0, 0.0]
     zn = fuse_scores(a, b, w=0.5, normalize="znorm")
@@ -214,22 +220,21 @@ def test_fuse_normalization_modes():
 def test_score_file_round_trip(tmp_path):
     records = [TrialRecord("S", "u1", "-", "bonafide"),
                TrialRecord("S", "u2", "A01", "spoof")]
-    scores = _score_set([("u1", 0.123456789012345, "bonafide"),
-                         ("u2", -1.5, "spoof")])
+    scores = _score_set([("u2", -1.5), ("u1", 0.123456789012345)])
     path = tmp_path / "s.tsv"
     write_scores(scores, path, header_lines=["prov test"])
     back = read_scores(path, records=records)
+    assert [e.utt_id for e in back.entries] == [r.utt_id for r in records]
     assert [e.score for e in back.entries] == [0.123456789012345, -1.5]
-    assert [e.key for e in back.entries] == ["bonafide", "spoof"]
 
 
 def test_score_file_interrupted_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "s.tsv"
-    write_scores(_score_set([("u1", 1.0, "bonafide")]), path)
+    write_scores(_score_set([("u1", 1.0)]), path)
     before = path.read_bytes()
 
     fail_writes_halfway(monkeypatch)
-    entries = [(f"u{i}", float(i), "bonafide") for i in range(5)]
+    entries = [(f"u{i}", float(i)) for i in range(5)]
     with pytest.raises(OSError, match="disk full"):
         write_scores(_score_set(entries), path, header_lines=["prov test"])
     assert path.read_bytes() == before
@@ -245,7 +250,7 @@ def test_score_file_missing_utt_rejected(tmp_path):
     records = [TrialRecord("S", "u1", "-", "bonafide"),
                TrialRecord("S", "u2", "A01", "spoof")]
     path = tmp_path / "s.tsv"
-    write_scores(_score_set([("u1", 1.0, "bonafide")]), path)
+    write_scores(_score_set([("u1", 1.0)]), path)
     with pytest.raises(DataError, match="no score for utterance.*u2"):
         read_scores(path, records=records)
 
@@ -340,8 +345,7 @@ def test_score_trials_mixed_lengths_batch_contract(mixed_eval_dir, tmp_path, cm_
     ref = np.array([e.score for e in runs[1].entries])
     assert np.all(np.isfinite(ref)) and np.ptp(ref) > 0
     for bs, out in runs.items():
-        assert [(e.utt_id, e.key) for e in out.entries] == \
-            [(r.utt_id, r.key) for r in records]
+        assert [e.utt_id for e in out.entries] == [r.utt_id for r in records]
         got = np.array([e.score for e in out.entries])
         assert np.abs(got - ref).max() < 1e-6, bs
         paths = [tmp_path / f"{bs}_{i}.tsv" for i in range(2)]

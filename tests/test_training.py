@@ -160,7 +160,7 @@ def test_adam_zero_gradient_is_identity():
     before = params["x"].copy()
     opt = Adam(cfg)
     for _ in range(3):
-        opt.step(params, {"x": np.zeros(3, dtype=np.float32)}, 0.1, ["x"])
+        opt.step(params, {"x": np.zeros(3, dtype=np.float32)}, 0.1)
     np.testing.assert_array_equal(params["x"], before)
 
 
@@ -168,7 +168,7 @@ def test_adam_skips_missing_grads():
     cfg = TrainConfig()
     params = {"x": np.ones(2, dtype=np.float32), "y": np.ones(2, dtype=np.float32)}
     opt = Adam(cfg)
-    opt.step(params, {"x": np.ones(2, dtype=np.float32)}, 0.1, ["x", "y"])
+    opt.step(params, {"x": np.ones(2, dtype=np.float32)}, 0.1)
     assert np.all(params["y"] == 1.0)
     assert np.all(params["x"] != 1.0)
 
