@@ -20,8 +20,9 @@ class Cm2Net(FrontendNet):
     (MFA conv, pooling, projection, class rows) is trained.
 
     In the audio lane FBank maps pass the frozen concat and CM2's own MFA
-    conv; maps already at the tap point (e.g. simulated trajectories)
-    enter directly at the pooling stage.
+    conv, and the concat maps that training encodes pass that conv alone;
+    maps already at the tap point (e.g. simulated trajectories) enter
+    directly at the pooling stage.
     """
 
     def __init__(self, cfg: EncoderConfig):

@@ -7,8 +7,10 @@ outputs, and a 1x1 conv + ReLU down to the feature width D.  That conv output
 is the tap point both countermeasures consume.  Utterance embeddings come
 from attentive statistics pooling (weighted mean and std) plus a linear
 projection.  A cached map is either an FBank (N_MELS channels) or already at
-the tap point (mfa_dim channels); ``feature_kind`` tells them apart, and
-``FrontendNet.tap`` is the one path from either to tap-point features.
+the tap point (mfa_dim channels); ``feature_kind`` tells them apart.  CM2
+training also holds concat maps (``concat_width`` channels), each
+utterance's frozen concat computed once.  ``FrontendNet.tap`` is the one
+path from any of the three to tap-point features.
 
 Also houses parameter and FLOP accounting over plain layer lists (such as
 ``net.layers()``), used by the reporting CLI and the closed-form unit tests.
@@ -44,12 +46,20 @@ class EncoderConfig:
             raise DataError(f"dilations must be at least 1, got {min(self.dilations)}")
         if self.channels % self.res2_scale != 0:
             raise DataError("channels must be divisible by res2_scale")
-        if self.mfa_dim == N_MELS:
-            raise DataError(f"mfa_dim == N_MELS ({N_MELS}) makes feature kinds ambiguous")
+        widths = {"N_MELS": N_MELS, "mfa_dim": self.mfa_dim,
+                  "len(dilations) * channels": self.concat_width}
+        if len(set(widths.values())) < len(widths):
+            raise DataError("a map's width picks its lane, so these must differ: "
+                            + ", ".join(f"{k} = {v}" for k, v in widths.items()))
 
     @property
     def se_bottleneck(self) -> int:
         return max(self.channels // 8, 2)
+
+    @property
+    def concat_width(self) -> int:
+        """Channels of the MFA concat: one block output per dilation."""
+        return len(self.dilations) * self.channels
 
 
 def require_sizes(cfg, *names) -> None:
@@ -91,8 +101,8 @@ class FrontendNet:
                         scale=cfg.res2_scale, se_bottleneck=cfg.se_bottleneck)
             for i, d in enumerate(cfg.dilations)
         ]
-        self.mfa_conv = Conv1d(f"{head}.mfa.conv", len(cfg.dilations) * c,
-                               cfg.mfa_dim, kernel=1)
+        self.mfa_conv = Conv1d(f"{head}.mfa.conv", cfg.concat_width, cfg.mfa_dim,
+                               kernel=1)
         self.pool = AttentiveStatsPool(f"{head}.pool", cfg.mfa_dim, cfg.att_dim)
         self.proj = Linear(f"{head}.proj", 2 * cfg.mfa_dim, cfg.embed_dim)
         self.cls = ClassWeights(f"{head}.cls", 2, cfg.embed_dim)
@@ -131,13 +141,19 @@ class FrontendNet:
 
     def forward_features(self, params, x):
         """Full frontend to the MFA tap: (B, T, N_MELS) -> (B, T, D)."""
-        cat, cat_cache = self.forward_concat(params, x)
+        return self.forward_mfa(params, *self.forward_concat(params, x))
+
+    def forward_mfa(self, params, cat, cat_cache=None):
+        """MFA conv + ReLU: concat maps (B, T, 3C) -> (B, T, D)."""
         pre, c_mfa = self.mfa_conv.forward(params, cat)
         return relu(pre), (cat_cache, pre, c_mfa)
 
     def backward_features(self, params, cache, dfeats, grads):
+        """MFA conv gradients, and the concat's when it is trained; a frozen
+        concat's input gradient is never formed."""
         cat_cache, pre, c_mfa = cache
-        dcat = self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads)
+        dcat = self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads,
+                                      input_grad=self.trained)
         if self.trained:
             self.backward_concat(params, cat_cache, dcat, grads)
 
@@ -154,9 +170,11 @@ class FrontendNet:
         return self.pool.backward(params, c_pool, dstats, grads)
 
     def tap(self, params, x):
-        """Equal-length maps x (B, T, M) -> (tap-point maps, cache), by
-        ``feature_kind`` of M: FBank maps run through ``forward_features``,
-        tap-point maps come back unchanged with cache None."""
+        """Equal-length maps x (B, T, M) -> (tap-point maps, cache), by the
+        width M: concat maps run through ``forward_mfa``, FBank maps through
+        ``forward_features``, and tap-point maps come back with cache None."""
+        if x.shape[2] == self.cfg.concat_width:
+            return self.forward_mfa(params, x)
         if feature_kind(x.shape[2], self.cfg, "feature map") == "fbank":
             return self.forward_features(params, x)
         return x, None

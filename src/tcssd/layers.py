@@ -160,22 +160,29 @@ class Conv1d:
             y[:, lo:hi] += yj[:, lo + shift:hi + shift]
         return y, x
 
-    def backward(self, params, cache, dy, grads):
+    def backward(self, params, cache, dy, grads, input_grad=True):
+        """Weight and bias gradients into ``grads``; returns the input
+        gradient, or None without ``input_grad``: an input nothing
+        differentiates (such as the frozen concat) needs none."""
         x = cache
-        w_taps = self._tap_weights(params)
         bsz, t, _ = x.shape
         centre = self.kernel // 2
         dy2 = dy.reshape(bsz * t, self.out_ch)
-        dw = np.zeros((self.out_ch, self.in_ch, self.kernel), dtype=w_taps.dtype)
+        dw = np.zeros((self.out_ch, self.in_ch, self.kernel),
+                      dtype=params[f"{self.name}.w"].dtype)
         dw[:, :, centre] = dy2.T @ x.reshape(bsz * t, self.in_ch)
-        dx = (dy2 @ w_taps[centre]).reshape(bsz, t, self.in_ch)
         for j, shift, lo, hi in self._side_taps(t):
             dw[:, :, j] = (dy[:, lo:hi].reshape(-1, self.out_ch).T
                            @ x[:, lo + shift:hi + shift].reshape(-1, self.in_ch))
-            dxj = (dy2 @ w_taps[j]).reshape(bsz, t, self.in_ch)
-            dx[:, lo + shift:hi + shift] += dxj[:, lo:hi]
         grads[f"{self.name}.w"] = dw
         grads[f"{self.name}.b"] = dy.sum(axis=(0, 1))
+        if not input_grad:
+            return None
+        w_taps = self._tap_weights(params)
+        dx = (dy2 @ w_taps[centre]).reshape(bsz, t, self.in_ch)
+        for j, shift, lo, hi in self._side_taps(t):
+            dxj = (dy2 @ w_taps[j]).reshape(bsz, t, self.in_ch)
+            dx[:, lo + shift:hi + shift] += dxj[:, lo:hi]
         return dx
 
     def flops(self, n_frames: int) -> int:

@@ -255,6 +255,38 @@ def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
     return enc_cfg, cm1_cfg
 
 
+# The most bytes of frozen encodings that training holds.  Past it, a drawn
+# utterance is encoded again on each draw, to the same bits.
+ENCODED_BYTES_MAX = 1 << 30
+
+
+class _FrozenEncodings:
+    """FBank maps through a countermeasure's frozen speaker encoder, by item
+    index: each is encoded B=1 on the whole utterance, the first time the
+    sampler draws it, so utterances never drawn are never encoded.  CM1's
+    MFA conv is frozen too, so its maps go on to the tap point; CM2 trains
+    its own, so its maps stop at the concat.  An encoding is held while the
+    held ones total at most ``ENCODED_BYTES_MAX``."""
+
+    def __init__(self, cm_id: str, enc_cfg: EncoderConfig, params, fbanks):
+        frontend = FrontendNet(enc_cfg)
+        self.encode = frontend.forward_features if cm_id == "cm1" else frontend.forward_concat
+        self.params, self.fbanks = params, fbanks
+        self.held: dict[int, FeatureMap] = {}
+        self.nbytes = 0
+
+    def __getitem__(self, i: int) -> FeatureMap:
+        if i in self.held:
+            return self.held[i]
+        f = self.fbanks[i]
+        m = FeatureMap(self.encode(self.params, f.values[None].astype(np.float32))[0][0],
+                       f.frame_hop)
+        if self.nbytes + m.values.nbytes <= ENCODED_BYTES_MAX:
+            self.held[i] = m
+            self.nbytes += m.values.nbytes
+        return m
+
+
 class _BalancedSampler:
     """Class-balanced batches: half bonafide, half spoof, cyclic reshuffle."""
 
@@ -292,9 +324,10 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     the tensors that have gradients: the selected system's own, since its
     ``backward_embed`` fills no others.  A countermeasure's
     checkpoint records every ``frontend.*`` tensor as frozen; the toy
-    frontend's holds only ``frontend.*`` tensors.  With ``out_dir``, the
-    checkpoints ``init``, one per epoch and ``final`` and the tab-separated
-    ``train.log`` are saved there.
+    frontend's holds only ``frontend.*`` tensors.  On FBank maps a
+    countermeasure's steps crop ``_FrozenEncodings``.  With ``out_dir``,
+    the checkpoints ``init``, one per epoch and ``final`` and the
+    tab-separated ``train.log`` are saved there.
     """
     enc_cfg, train_cfg = cfg.encoder, cfg.train
     net = system_net(cm_id, enc_cfg, cfg.cm1)
@@ -309,8 +342,12 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     kind = kinds.pop()
     if cm_id == "frontend-toy" and kind != "fbank":
         raise DataError("frontend-toy training needs fbank-kind features")
-    if train_cfg.augment and kind != "fbank":
-        raise DataError("train.augment masks FBank maps; these maps are speaker-kind")
+    if train_cfg.augment and cm_id != "frontend-toy":
+        raise DataError("train.augment masks FBank bins, so only frontend-toy takes it; "
+                        f"{cm_id} trains on maps without them")
+    if cm_id == "cm1" and round(train_cfg.crop_min_s * FRAME_RATE) < 2:
+        raise DataError(f"train.crop_min_s must give cm1 at least 2 frames to difference "
+                        f"at {FRAME_RATE:g} frames/s, got {train_cfg.crop_min_s}")
 
     ckpt = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
     if cm_id == "frontend-toy":  # it keeps what it trains, and no untrained CM head
@@ -320,6 +357,9 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         ckpt.frozen_names = set(tensor_names(FrontendNet(enc_cfg).layers()))
     params = ckpt.tensors
     cls_name = f"{net.cls.name}.w"
+    maps = [it.features for it in items]
+    if kind == "fbank" and cm_id != "frontend-toy":  # a frozen concat: encode once
+        maps = _FrozenEncodings(cm_id, enc_cfg, params, maps)
 
     rng = np.random.default_rng(cfg.seed)
     sampler = _BalancedSampler(labels, rng)
@@ -336,9 +376,8 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         idx = sampler.batch(train_cfg.batch_size)
         batch_maps = []
         for i in idx:
-            f = items[i].features
             crop_seed = int(rng.integers(2 ** 31))
-            f = random_crop(f, train_cfg.crop_min_s, train_cfg.crop_max_s, crop_seed)
+            f = random_crop(maps[i], train_cfg.crop_min_s, train_cfg.crop_max_s, crop_seed)
             if train_cfg.augment:
                 f = spec_augment(f, cfg.augment, int(rng.integers(2 ** 31)))
             batch_maps.append(f.values)

@@ -720,6 +720,22 @@ def test_legacy_manifest_keys_checked_against_derived_values(tiny_pipeline, tmp_
         assert not (tmp_path / f"{name}.tsv").exists()
 
 
+def test_checkpoint_with_equal_lane_widths_exits_two(tiny_pipeline, tmp_path, capsys):
+    """A checkpoint whose encoder config gives two lanes one width (here
+    mfa_dim 48 = 3 dilations x 16 channels, once accepted) no longer loads."""
+    _, sim, ck, _ = tiny_pipeline
+    _legacy_checkpoint(ck / "final", tmp_path / "ck", {"encoder": {"mfa_dim": 48}})
+    out = tmp_path / "s.tsv"
+    rc = main(["score", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "tcssd score: a map's width picks its lane, so these must differ: "
+        "N_MELS = 80, mfa_dim = 48, len(dilations) * channels = 48"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("manifest", [
     "[]", "5", '{"format_version": 1, "tensors": [{}]}',
     '{"format_version": 1, "tensors": {"a": 1}}',
@@ -867,6 +883,24 @@ def test_one_frame_crops_train(tmp_path, capsys):
                  "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
                  "--steps", "1", "--set", "train.crop_min_s=0.01",
                  "--set", "train.crop_max_s=0.01"]) == 0
+
+
+@pytest.mark.parametrize("crop", [("0.01", "0.01"), ("0.014", "0.5")])
+def test_cm1_crops_below_two_frames_exit_two_before_any_output(tmp_path, capsys, crop):
+    """CM1 differences adjacent frames: a train.crop_min_s that rounds to one
+    frame is refused naming the key, before --out exists."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--n-per-class", "2"]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
+               "--steps", "1", "--set", f"train.crop_min_s={crop[0]}",
+               "--set", f"train.crop_max_s={crop[1]}"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "tcssd train: train.crop_min_s must give cm1 at least 2 frames to difference "
+        f"at 100 frames/s, got {float(crop[0])}"]
+    assert not (tmp_path / "ck").exists()
 
 
 @pytest.mark.parametrize("setting, field", [
@@ -1024,6 +1058,23 @@ def test_missing_tensor_on_fbank_maps_exits_two(argv, tiny_pipeline, tmp_path, c
     assert rc == 2
     assert capsys.readouterr().err == (
         f"tcssd {argv[0]}: missing tensor: frontend.stem.conv.w\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cm", ["1", "2"])
+def test_train_augment_for_cms_on_fbank_maps_exits_two(cm, tmp_path, capsys):
+    """SpecAugment masks FBank bins, and the countermeasures train on
+    encoded maps, which have none: the key is refused on FBank maps too,
+    in one line, before --out exists."""
+    _, feats, protocol = audio_corpus(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "ck"
+    rc = main(["train", "--cm", cm, "--protocol", str(protocol), "--features", str(feats),
+               "--out", str(out), "--steps", "1", *AUDIO_TRAIN,
+               "--set", "train.augment=true"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "train.augment" in err[0]
     assert not out.exists()
 
 

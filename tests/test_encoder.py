@@ -134,6 +134,22 @@ def test_encode_missing_tensor_rejected():
         encode_features(random_fbank(np.random.default_rng(0)), cfg, ckpt)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(channels=80, dilations=(2,)), dict(channels=40, dilations=(2, 3)),
+    dict(channels=16, dilations=(2, 3, 4), mfa_dim=48), dict(mfa_dim=80),
+])
+def test_encoder_config_refuses_equal_lane_widths(fields):
+    """A map's width picks its lane in ``FrontendNet.tap``, so the FBank,
+    tap and concat widths must all differ."""
+    cfg = {"channels": 1024, "dilations": (2, 3, 4), "mfa_dim": 1536, **fields}
+    widths = (80, cfg["mfa_dim"], len(cfg["dilations"]) * cfg["channels"])
+    with pytest.raises(DataError) as err:
+        EncoderConfig(**fields)
+    assert str(err.value) == (
+        "a map's width picks its lane, so these must differ: N_MELS = %d, "
+        "mfa_dim = %d, len(dilations) * channels = %d" % widths)
+
+
 def test_full_scale_mfa_width_matches_recurrent_input():
     # The full-scale tap width must equal the recurrent input width (1536).
     cfg = EncoderConfig()

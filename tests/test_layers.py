@@ -162,6 +162,27 @@ def test_conv1d_matches_direct_loop_and_finite_differences(kernel, dilation, t):
     assert_grads_close(loss_fn, params, grads, ["c.w", "c.b", "x"], rtol=1e-7)
 
 
+@pytest.mark.parametrize("kernel,dilation,t", [(1, 1, 9), (3, 2, 9), (3, 4, 3), (5, 1, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv1d_weight_only_backward_bit_identical(kernel, dilation, t, dtype):
+    """Without ``input_grad`` (a frozen input) the weight and bias gradients
+    are the bits of the full backward pass, and no input gradient is made."""
+    conv = Conv1d("c", 6, 4, kernel, dilation)
+    rng = np.random.default_rng(kernel * 100 + dilation * 10 + t)
+    params = {}
+    conv.init(params, rng, dtype=dtype)
+    params["c.b"] = rng.standard_normal(4).astype(dtype)
+    _, cache = conv.forward(params, rng.standard_normal((3, t, 6)).astype(dtype))
+    dy = rng.standard_normal((3, t, 4)).astype(dtype)
+    full, weights_only = {}, {}
+    assert conv.backward(params, cache, dy, full).shape == (3, t, 6)
+    assert conv.backward(params, cache, dy, weights_only, input_grad=False) is None
+    assert sorted(weights_only) == sorted(full) == ["c.b", "c.w"]
+    for name in full:
+        assert weights_only[name].dtype == full[name].dtype == dtype
+        assert weights_only[name].tobytes() == full[name].tobytes(), name
+
+
 @pytest.mark.parametrize("t", [1, 3, 9])
 def test_channel_norm_matches_textbook_formula_and_finite_differences(t):
     norm = ChannelNorm("n", 5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_grads_close
+from tcssd import training
 from tcssd.analysis import SimConfig, simulate_trajectories
 from tcssd.checkpoint import load_checkpoint
 from tcssd.cm_distribution import Cm2Net
@@ -13,7 +14,7 @@ from tcssd.cm_temporal import Cm1Net
 from tcssd.config import toy_config
 from tcssd.encoder import FrontendNet
 from tcssd.errors import DataError, TrainingError
-from tcssd.frontend import N_MELS
+from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import tensor_names
 from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
@@ -295,6 +296,97 @@ def test_train_cm2_on_fbank_kind_updates_mfa_conv():
         assert np.array_equal(ckpt.tensors[name], init.tensors[name])
 
 
+def unequal_fbank_items(n_per_class=3, seed=9):
+    """80-channel simulated maps standing in for FBanks, each of its own
+    length (25, 27, ... frames)."""
+    items = sim_items(n_per_class=n_per_class, seed=seed, dim=80, n_frames=40)
+    for k, it in enumerate(items):
+        it.features = FeatureMap(it.features.values[:25 + 2 * k], it.features.frame_hop)
+    return items
+
+
+def record_concat_shapes(monkeypatch):
+    """The input shape of every ``FrontendNet.forward_concat`` call, in order."""
+    shapes = []
+    concat = FrontendNet.forward_concat
+
+    def recording(self, params, x):
+        shapes.append(x.shape)
+        return concat(self, params, x)
+
+    monkeypatch.setattr(FrontendNet, "forward_concat", recording)
+    return shapes
+
+
+def record_crop_lengths(monkeypatch):
+    """The frame count of every map ``train`` crops, in order."""
+    lengths = []
+    crop = training.random_crop
+
+    def recording(f, *args):
+        lengths.append(f.values.shape[0])
+        return crop(f, *args)
+
+    monkeypatch.setattr(training, "random_crop", recording)
+    return lengths
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("cm_id", ["cm1", "cm2"])
+def test_cm_training_encodes_each_drawn_fbank_utterance_once(cm_id, steps, monkeypatch):
+    """A countermeasure's concat is frozen: it runs once per utterance the
+    sampler draws, B=1 on the whole map, before its first crop; utterances
+    never drawn are never encoded."""
+    shapes = record_concat_shapes(monkeypatch)
+    lengths = record_crop_lengths(monkeypatch)
+    items = unequal_fbank_items()  # lengths all differ, so a length names an item
+    train(cm_id, items, tiny_run_cfg(max_steps=steps, batch_size=4))
+    assert len(lengths) == 4 * steps
+    drawn = list(dict.fromkeys(lengths))
+    assert shapes == [(1, t, N_MELS) for t in drawn]
+    assert len(drawn) == (4 if steps == 1 else len(items))
+
+
+def test_encodings_past_the_byte_bound_are_made_again_to_the_same_bits(monkeypatch):
+    """With no room to hold an encoding, every draw encodes its utterance
+    anew, and training ends on the same bits."""
+    items, cfg = unequal_fbank_items(), tiny_run_cfg(max_steps=3, batch_size=4)
+    held, _ = train("cm2", items, cfg)
+    shapes = record_concat_shapes(monkeypatch)
+    monkeypatch.setattr(training, "ENCODED_BYTES_MAX", 0)
+    bounded, _ = train("cm2", items, cfg)
+    assert len(shapes) == 3 * 4
+    assert held.tensors.keys() == bounded.tensors.keys()
+    for name in held.tensors:
+        assert held.tensors[name].tobytes() == bounded.tensors[name].tobytes(), name
+
+
+def test_frontend_toy_runs_its_concat_on_every_step(monkeypatch):
+    """The toy frontend trains its concat, so each step runs it on the batch."""
+    shapes = record_concat_shapes(monkeypatch)
+    train("frontend-toy", unequal_fbank_items(), tiny_run_cfg(max_steps=3, batch_size=4))
+    assert [(b, m) for b, _, m in shapes] == [(4, N_MELS)] * 3
+
+
+@pytest.mark.parametrize("cm_id, width", [("cm1", "mfa_dim"), ("cm2", "concat_width")])
+def test_embed_of_frozen_encoding_equals_embed_of_fbank(cm_id, width):
+    """On a whole, uncropped map, a countermeasure embeds the encoding that
+    training crops (CM1's at the tap, CM2's at the concat) to the same bits
+    as the FBank map that scoring reads."""
+    cfg = tiny_run_cfg()
+    net = system_net(cm_id, cfg.encoder, cfg.cm1)
+    params = build_checkpoint(cfg.encoder, cfg.cm1, seed=3).tensors
+    params["cm2.mfa.conv.w"] = params["cm2.mfa.conv.w"] * np.float32(1.5)  # CM2's own
+    items = unequal_fbank_items()
+    encoded = training._FrozenEncodings(cm_id, cfg.encoder, params,
+                                        [it.features for it in items])
+    for k, it in enumerate(items):
+        x = it.features.values[None].astype(np.float32)
+        enc = encoded[k].values[None]
+        assert enc.shape == (1, x.shape[1], getattr(cfg.encoder, width))
+        assert net.embed(params, enc)[0].tobytes() == net.embed(params, x)[0].tobytes()
+
+
 @pytest.fixture(scope="module")
 def toy_frontend_final(tmp_path_factory):
     """A trained toy frontend's ``final`` checkpoint, as loaded from disk."""
@@ -355,7 +447,7 @@ def test_build_checkpoint_cm2_starts_as_frontend_copy():
 
 @pytest.mark.parametrize("cm_id, kind", [
     ("cm1", "fbank"), ("cm1", "speaker"), ("cm2", "fbank"), ("cm2", "speaker"),
-    ("frontend-toy", "fbank"),
+    ("frontend-toy", "fbank"), ("cm1", "concat"), ("cm2", "concat"),
 ])
 def test_backward_embed_fills_exactly_own_trainable_grads(cm_id, kind):
     """The net's own tensors get gradients (the class rows get theirs from
@@ -364,7 +456,7 @@ def test_backward_embed_fills_exactly_own_trainable_grads(cm_id, kind):
     enc, cm1 = cfg.encoder, cfg.cm1
     net = system_net(cm_id, enc, cm1)
     params = build_checkpoint(enc, cm1, seed=0).tensors
-    width = N_MELS if kind == "fbank" else enc.mfa_dim
+    width = {"fbank": N_MELS, "speaker": enc.mfa_dim, "concat": enc.concat_width}[kind]
     x = np.random.default_rng(0).standard_normal((2, 12, width)).astype(np.float32)
     emb, cache = net.embed(params, x)
     grads = {}
