@@ -41,8 +41,10 @@ class SimConfig:
     def __post_init__(self):
         if self.dim < 2 or self.n_frames < 2:
             raise DataError("dim and n_frames must be >= 2")
-        if min(self.drift_sigma, self.noise_sigma, self.base_scale) < 0:
-            raise DataError("scales must be non-negative")
+        for key in ("drift_sigma", "noise_sigma", "base_scale"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise DataError(f"sim.{key} must be finite and not negative, "
+                                f"got {getattr(self, key)}")
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -244,15 +244,20 @@ def save_feature_map(f: FeatureMap, path) -> None:
     """Write the binary cache: magic, 6 LE uint32 header fields (version, T,
     M, hop, frame length, FFT size), LE float32.  Frame length and FFT size
     are ``compute_fbank``'s FRAME_LEN and N_FFT, or 0 for a hop-0 map; any
-    other hop is refused before writing, as ``load_feature_map`` would."""
+    other hop, and any value that is not finite as float32, is refused before
+    writing, as ``load_feature_map`` would refuse it."""
     if f.frame_hop not in (FRAME_HOP, 0):
         raise DataError(f"feature map hop {f.frame_hop} cannot be cached: only "
                         f"{FRAME_HOP} and 0 load")
-    t, m = f.values.shape
+    with np.errstate(over="ignore"):  # a float32 overflow is refused just below
+        values = np.ascontiguousarray(f.values, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise DataError(f"non-finite values in feature map for {path}")
+    t, m = values.shape
     frame_len, n_fft = (FRAME_LEN, N_FFT) if f.frame_hop else (0, 0)
     header = FEATURE_MAGIC + struct.pack(
         "<6I", FEATURE_VERSION, t, m, f.frame_hop, frame_len, n_fft)
-    write_bytes(path, header + np.ascontiguousarray(f.values, dtype="<f4").tobytes())
+    write_bytes(path, header + values.tobytes())
 
 
 def load_feature_map(path) -> FeatureMap:

@@ -62,10 +62,18 @@ class TrainConfig:
     augment: bool = False
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise DataError("epochs and batch_size must be positive")
-        if self.base_lr <= 0 or self.warmup_steps <= 0:
-            raise DataError("base_lr and warmup_steps must be positive")
+        for key, ok, need in (
+                ("epochs", self.epochs >= 1, "at least 1"),
+                ("warmup_steps", self.warmup_steps >= 1, "at least 1"),
+                ("batch_size", self.batch_size >= 2, "at least 2"),  # a batch is half spoof
+                ("base_lr", 0 < self.base_lr < np.inf, "finite and positive"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps", 0 < self.eps < np.inf, "finite and positive"),
+                ("weight_decay", 0 <= self.weight_decay < np.inf,
+                 "finite and not negative")):
+            if not ok:
+                raise DataError(f"train.{key} must be {need}, got {getattr(self, key)}")
         if self.max_steps < 0:
             raise DataError(f"max_steps must be at least 0, got {self.max_steps}")
         if not 0 < self.crop_min_s <= self.crop_max_s:
@@ -322,9 +330,9 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
 
     ``cfg.seed`` seeds the initialization and the generator.  Adam steps
     the tensors that have gradients: the selected system's own, since its
-    ``backward_embed`` fills no others.  A countermeasure's
-    checkpoint records every ``frontend.*`` tensor as frozen; the toy
-    frontend's holds only ``frontend.*`` tensors.  On FBank maps a
+    ``backward_embed`` fills no others.  The checkpoints hold the system's
+    own tensors and, for a countermeasure, every ``frontend.*`` tensor, all
+    frozen: no other system's head.  On FBank maps a
     countermeasure's steps crop ``_FrozenEncodings``.  With ``out_dir``,
     the checkpoints ``init``, one per epoch and ``final`` and the
     tab-separated ``train.log`` are saved there.
@@ -348,13 +356,18 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     if cm_id == "cm1" and round(train_cfg.crop_min_s * FRAME_RATE) < 2:
         raise DataError(f"train.crop_min_s must give cm1 at least 2 frames to difference "
                         f"at {FRAME_RATE:g} frames/s, got {train_cfg.crop_min_s}")
+    if init_ckpt is not None:  # tensor shapes alone miss a change of dilations
+        init_enc, run_enc = config_dict(checkpoint_configs(init_ckpt)[0]), config_dict(enc_cfg)
+        differ = [f"encoder.{k} {v} != {run_enc[k]}" for k, v in init_enc.items()
+                  if v != run_enc[k]]
+        if differ:
+            raise DataError("the init checkpoint's encoder config differs from this "
+                            f"run's: {', '.join(differ)}")
 
-    ckpt = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
-    if cm_id == "frontend-toy":  # it keeps what it trains, and no untrained CM head
-        ckpt = Checkpoint({n: ckpt.tensors[n] for n in tensor_names(net.layers())},
-                          config=ckpt.config)
-    else:
-        ckpt.frozen_names = set(tensor_names(FrontendNet(enc_cfg).layers()))
+    own = tensor_names(net.layers())
+    frozen = set(tensor_names(FrontendNet(enc_cfg).layers())).difference(own)
+    full = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
+    ckpt = Checkpoint({n: full.tensors[n] for n in frozen.union(own)}, frozen, full.config)
     params = ckpt.tensors
     cls_name = f"{net.cls.name}.w"
     maps = [it.features for it in items]

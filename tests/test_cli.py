@@ -297,15 +297,17 @@ def test_simulate_bytes_pinned(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def tiny_pipeline(tmp_path_factory):
-    """simulate -> train(5 steps) -> score for CLI contract checks."""
+    """simulate -> train(5 steps) -> score for CLI contract checks.  The
+    CM1 run's checkpoints are ``ck``; the CM2 run's, unscored, ``ck2``."""
     tmp = tmp_path_factory.mktemp("cli_pipe")
     sim = tmp / "sim"
     assert main(["simulate", "--out", str(sim), "--seed", "3",
                  "--n-per-class", "6"]) == 0
     ck = tmp / "ck"
-    assert main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
-                 "--features", str(sim / "features"), "--out", str(ck),
-                 "--seed", "3", "--steps", "5"]) == 0
+    for cm, out in (("1", ck), ("2", tmp / "ck2")):
+        assert main(["train", "--cm", cm, "--protocol", str(sim / "protocol.txt"),
+                     "--features", str(sim / "features"), "--out", str(out),
+                     "--seed", "3", "--steps", "5"]) == 0
     scores = tmp / "s1.tsv"
     assert main(["score", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
                  "--features", str(sim / "features"),
@@ -601,7 +603,9 @@ def strip_checkpoint(src, dst, drop):
 ])
 def test_missing_tensor_on_tap_point_maps_exits_two(tiny_pipeline, tmp_path, capsys,
                                                     argv, tensor):
-    _, sim, ck, _ = tiny_pipeline
+    tmp, sim, ck, _ = tiny_pipeline
+    if tensor.startswith("cm2."):  # only the CM2 run's checkpoint holds CM2
+        ck = tmp / "ck2"
     strip_checkpoint(ck / "final", tmp_path / "ck", lambda name: name == tensor)
     out = tmp_path / "out.tsv"
     rc = main([*argv, "--protocol", str(sim / "protocol.txt"),
@@ -616,7 +620,8 @@ def test_missing_tensor_on_tap_point_maps_exits_two(tiny_pipeline, tmp_path, cap
 def test_tap_point_lane_reads_no_frontend_tensor(cm, tiny_pipeline, tmp_path, capsys):
     """Tap-point maps pass neither the frontend nor CM2's MFA conv, so a
     checkpoint without those tensors scores them as the full one does."""
-    _, sim, ck, _ = tiny_pipeline
+    tmp, sim, ck, _ = tiny_pipeline
+    ck = {"1": ck, "2": tmp / "ck2"}[cm]  # the run that trained system ``cm``
     strip_checkpoint(ck / "final", tmp_path / "ck",
                      lambda name: name.startswith(("frontend.", "cm2.mfa.conv.")))
     bodies = []
@@ -628,6 +633,23 @@ def test_tap_point_lane_reads_no_frontend_tensor(cm, tiny_pipeline, tmp_path, ca
         bodies.append([l for l in out.read_text().splitlines() if not l.startswith("#")])
     assert len(bodies[0]) == 12
     assert bodies[1] == bodies[0]
+
+
+@pytest.mark.parametrize("cm, trained, system", [("2", "ck", "cm2"), ("1", "ck2", "cm1")])
+def test_score_with_the_other_systems_checkpoint_exits_two(cm, trained, system,
+                                                           tiny_pipeline, tmp_path, capsys):
+    """A countermeasure's checkpoint holds the frozen frontend and its own
+    head, not the other system's: scoring it as the other stops at the
+    first tensor that system reads, in one line, and writes nothing."""
+    tmp, sim, _, _ = tiny_pipeline
+    out = tmp_path / "s.tsv"
+    rc = main(["score", "--cm", cm, "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--ckpt", str(tmp / trained / "final"),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"tcssd score: missing tensor: {system}.")
+    assert os.listdir(tmp_path) == []
 
 
 def test_train_augment_on_tap_point_maps_exits_two(tiny_pipeline, tmp_path, capsys):
@@ -852,6 +874,44 @@ def test_bad_crop_lengths_exit_two_before_any_checkpoint(tmp_path, capsys, crop)
     assert not (tmp_path / "ck").exists()
 
 
+@pytest.mark.parametrize("setting", [
+    "train.epochs=0", "train.warmup_steps=0",
+    "train.batch_size=1", "train.batch_size=0", "train.base_lr=nan", "train.base_lr=inf",
+    "train.base_lr=0", "train.beta1=1.5", "train.beta1=-0.1", "train.beta2=1",
+    "train.eps=0", "train.eps=nan", "train.weight_decay=-5", "train.weight_decay=inf"])
+def test_training_constants_that_train_wrongly_exit_two_before_any_checkpoint(
+        tmp_path, capsys, setting):
+    """A batch of one holds no spoof, a non-finite learning rate writes NaN
+    weights, and Adam's betas, eps and weight decay have ranges outside
+    which it diverges or stalls: each is refused with the config, in one
+    line naming the key, before --out exists."""
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--n-per-class", "2"]) == 0
+    capsys.readouterr()
+    rc = main(["train", "--cm", "2", "--protocol", str(sim / "protocol.txt"),
+               "--features", str(sim / "features"), "--out", str(tmp_path / "ck"),
+               "--steps", "1", "--set", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert setting.partition("=")[0] in err
+    assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("setting", ["sim.noise_sigma=nan", "sim.base_scale=inf",
+                                     "sim.drift_sigma=-1"])
+def test_simulate_scales_outside_the_finite_non_negative_exit_two(tmp_path, capsys,
+                                                                  setting):
+    """A NaN or infinite scale made maps that every reader refuses: the
+    simulator refuses it, naming the key, and writes nothing."""
+    rc = main(["simulate", "--out", str(tmp_path / "sim"), "--n-per-class", "2",
+               "--set", setting])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and setting.partition("=")[0] in err[0]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("cm", ["1", "2"])
 @pytest.mark.parametrize("setting", ["train.crop_min_s=0.001", "train.crop_min_s=0.005",
                                      "train.crop_max_s=inf", "train.crop_max_s=1e17"])
@@ -1058,6 +1118,26 @@ def test_missing_tensor_on_fbank_maps_exits_two(argv, tiny_pipeline, tmp_path, c
     assert rc == 2
     assert capsys.readouterr().err == (
         f"tcssd {argv[0]}: missing tensor: frontend.stem.conv.w\n")
+    assert not out.exists()
+
+
+def test_init_checkpoint_of_another_encoder_config_exits_two(tmp_path, capsys):
+    """Tensor shapes do not change with the dilations, so a frontend trained
+    at 2,3,4 would load into a run at 5,6,7 and be recorded under the
+    wrong config: the init checkpoint's encoder config must be the run's."""
+    _, feats, protocol = audio_corpus(tmp_path)
+    common = ["train", "--protocol", str(protocol), "--features", str(feats),
+              "--steps", "1", *AUDIO_TRAIN]
+    assert main([*common, "--cm", "frontend-toy", "--out", str(tmp_path / "fe")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "ck"
+    rc = main([*common, "--cm", "2", "--out", str(out),
+               "--init-ckpt", str(tmp_path / "fe" / "final"),
+               "--set", "encoder.dilations=5,6,7"])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "tcssd train: the init checkpoint's encoder config differs from this run's: "
+        "encoder.dilations [2, 3, 4] != [5, 6, 7]"]
     assert not out.exists()
 
 

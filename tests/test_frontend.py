@@ -349,12 +349,25 @@ def test_cache_truncated_rejected(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_cache_non_finite_rejected_naming_file(tmp_path, bad):
-    values = np.ones((10, 8), dtype=np.float32)
-    values[3, 5] = bad
     path = tmp_path / "utt7.fea"
-    save_feature_map(FeatureMap(values=values), path)
+    save_feature_map(FeatureMap(values=np.ones((10, 8), dtype=np.float32)), path)
+    blob = bytearray(path.read_bytes())  # the writer refuses it, so patch it in
+    at = len(blob) - 4 * (10 * 8 - (3 * 8 + 5))
+    blob[at:at + 4] = np.float32(bad).tobytes()
+    path.write_bytes(bytes(blob))
     with pytest.raises(DataError, match=r"non-finite values in feature file: .*utt7\.fea"):
         load_feature_map(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_cache_writer_refuses_values_the_reader_refuses(tmp_path, bad):
+    """A value that is not finite, or not as float32 (1e39), would not load,
+    so nothing is written."""
+    values = np.ones((10, 8))
+    values[3, 5] = bad
+    with pytest.raises(DataError, match=r"non-finite values in feature map for .*x\.fea"):
+        save_feature_map(FeatureMap(values=values), tmp_path / "x.fea")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_empty_map_rejected_naming_file(tmp_path):

@@ -397,10 +397,28 @@ def toy_frontend_final(tmp_path_factory):
     return load_checkpoint(out / "final")
 
 
-def test_frontend_toy_checkpoint_holds_only_frontend_tensors(toy_frontend_final):
-    names = set(toy_frontend_final.tensors)
-    assert names == set(tensor_names(FrontendNet(tiny_run_cfg().encoder).layers()))
-    assert all(name.startswith("frontend.") for name in names)
+def test_frontend_toy_checkpoint_holds_only_frontend_tensors(toy_frontend_final, tmp_path):
+    """One rule for every system: each checkpoint ``train`` writes holds the
+    net's own tensors, plus, for a countermeasure, every ``frontend.*``
+    tensor, and exactly those are frozen.  The toy frontend's holds only
+    ``frontend.*`` tensors, none frozen; no checkpoint holds another
+    system's head."""
+    cfg = tiny_run_cfg(max_steps=3, batch_size=4)  # 6 items: 2 steps per epoch
+    frontend = set(tensor_names(FrontendNet(cfg.encoder).layers()))
+    assert set(toy_frontend_final.tensors) == frontend
+    assert all(name.startswith("frontend.") for name in frontend)
+    items = sim_items(n_per_class=3, seed=8, dim=80, n_frames=30)
+    for cm_id in ("cm1", "cm2", "frontend-toy"):
+        out = tmp_path / cm_id
+        train(cm_id, items, cfg, out_dir=str(out))
+        own = set(tensor_names(system_net(cm_id, cfg.encoder, cfg.cm1).layers()))
+        frozen = set() if cm_id == "frontend-toy" else frontend
+        saved = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert saved == ["epoch_0001", "final", "init"], cm_id
+        for name in saved:
+            ckpt = load_checkpoint(out / name)
+            assert set(ckpt.tensors) == own | frozen, (cm_id, name)
+            assert ckpt.frozen_names == frozen, (cm_id, name)
 
 
 def test_cm2_from_toy_frontend_starts_at_its_trained_head(toy_frontend_final, tmp_path):
