@@ -19,7 +19,7 @@ from .checkpoint import Checkpoint
 from .encoder import EncoderConfig, FrontendNet
 from .errors import DataError
 from .files import write_text
-from .frontend import FRAME_RATE, SAMPLE_RATE, FeatureMap, compute_fbank
+from .frontend import FRAME_RATE, SAMPLE_RATE, FeatureMap, compute_fbank, frame_count
 
 SEGMENT_FRAMES_DEFAULT = 50  # 0.5 s at 10 ms frames
 
@@ -67,37 +67,28 @@ def _cosine_matrix(embeddings: list[np.ndarray]) -> np.ndarray:
 def tc_similarity_matrix(samples: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint,
                          k: int = 8, seg_dur: float = 0.5,
                          seed: int = 0) -> SimilarityMatrix:
-    """Cosine matrix of k random ``seg_dur``-second segment embeddings, in time order.
-
-    Segment starts are uniform over the utterance (overlap permitted) and
-    sorted ascending; each segment's FBank runs through ``FrontendNet.embed``
-    (the frozen encoder, attentive pooling and projection).
-    """
-    if k < 2:
-        raise DataError("need at least 2 segments")
-    net = FrontendNet(cfg)
-    dur = len(samples) / SAMPLE_RATE
-    if dur < seg_dur:
-        raise DataError(f"utterance ({dur:.3f} s) shorter than segment ({seg_dur} s)")
-    rng = np.random.default_rng(seed)
-    starts = np.sort(rng.uniform(0.0, dur - seg_dur, size=k))
-    seg_len = int(round(seg_dur * SAMPLE_RATE))
-    embeddings = []
-    for t0 in starts:
-        i0 = int(round(t0 * SAMPLE_RATE))
-        fbank = compute_fbank(samples[i0:i0 + seg_len]).values
-        emb, _ = net.embed(ckpt.tensors, fbank[None])
-        embeddings.append(emb[0])
-    return SimilarityMatrix(values=_cosine_matrix(embeddings), segment_times=starts)
+    """Cosine matrix of k random ``seg_dur``-second segment embeddings, in time order:
+    windows of the utterance's FBank drawn by ``tc_similarity_matrix_features``
+    and embedded in one ``FrontendNet.embed`` batch."""
+    seg_frames = round(seg_dur * FRAME_RATE)
+    t = frame_count(len(samples))
+    if t < seg_frames:
+        raise DataError(f"utterance ({len(samples) / SAMPLE_RATE:.3f} s, {t} FBank frames) "
+                        f"shorter than segment ({seg_dur} s, {seg_frames} frames)")
+    return tc_similarity_matrix_features(
+        compute_fbank(samples).values, k=k, seg_frames=seg_frames, seed=seed,
+        embed=lambda windows: FrontendNet(cfg).embed(ckpt.tensors, windows)[0])
 
 
 def tc_similarity_matrix_features(values: np.ndarray, k: int = 8,
                                   seg_frames: int = SEGMENT_FRAMES_DEFAULT,
-                                  seed: int = 0) -> SimilarityMatrix:
-    """Feature-map variant for (T, D) maps already at the tap point.
+                                  seed: int = 0, embed=None) -> SimilarityMatrix:
+    """Cosine matrix of k random ``seg_frames``-frame windows of a (T, D) map.
 
-    Segment embeddings are plain frame means of k random frame windows
-    (sorted by start), which is all the simulator lane needs.
+    Window starts are uniform over the map (overlap permitted) and sorted
+    ascending.  ``embed`` maps the stacked windows (k, seg_frames, D) to k
+    embeddings; without it each window's embedding is its frame mean, which
+    is all the simulator lane needs.
     """
     t = values.shape[0]
     if k < 2:
@@ -108,9 +99,9 @@ def tc_similarity_matrix_features(values: np.ndarray, k: int = 8,
         raise DataError(f"map has {t} frames, segment needs {seg_frames}")
     rng = np.random.default_rng(seed)
     starts = np.sort(rng.integers(0, t - seg_frames + 1, size=k))
-    embeddings = [values[s0:s0 + seg_frames].mean(axis=0) for s0 in starts]
-    times = starts.astype(np.float64) / FRAME_RATE
-    return SimilarityMatrix(values=_cosine_matrix(embeddings), segment_times=times)
+    windows = np.stack([values[s0:s0 + seg_frames] for s0 in starts])
+    embeddings = embed(windows) if embed else [w.mean(axis=0) for w in windows]
+    return SimilarityMatrix(_cosine_matrix(embeddings), starts / FRAME_RATE)
 
 
 def tc_statistic(m: SimilarityMatrix) -> tuple[float, float]:
@@ -165,13 +156,17 @@ def simulate_trajectories(cfg: SimConfig, n_utts_per_class: int, seed: int):
             norm = np.linalg.norm(base)
             base = base / norm * cfg.base_scale
             frames = np.tile(base, (cfg.n_frames, 1))
-            if key == "bonafide":
-                steps = rng.normal(0.0, cfg.drift_sigma, size=(cfg.n_frames, cfg.dim))
-                frames = frames + np.cumsum(steps, axis=0)
-            frames = frames + rng.normal(0.0, cfg.noise_sigma,
-                                         size=(cfg.n_frames, cfg.dim))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if key == "bonafide":
+                    steps = rng.normal(0.0, cfg.drift_sigma, size=(cfg.n_frames, cfg.dim))
+                    frames = frames + np.cumsum(steps, axis=0)
+                noise = rng.normal(0.0, cfg.noise_sigma, size=(cfg.n_frames, cfg.dim))
+                frames = (frames + noise).astype(np.float32)
+            if not np.isfinite(frames).all():
+                raise DataError("simulated frames overflow float32; lower sim.base_scale, "
+                                "sim.drift_sigma or sim.noise_sigma")
             utt = f"SIM_{'T' if key == 'bonafide' else 'S'}_{i:06d}"
-            out.append((utt, FeatureMap(frames.astype(np.float32), frame_hop=0), key))
+            out.append((utt, FeatureMap(frames, frame_hop=0), key))
     return out
 
 

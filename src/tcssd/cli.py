@@ -282,10 +282,11 @@ def _cmd_analyze_dist(args, cfg):
 
 
 def _cmd_simulate(args, cfg):
+    simulated = simulate_trajectories(cfg.sim, args.n_per_class, cfg.seed)
     fea_dir = os.path.join(args.out, "features")
     os.makedirs(fea_dir, exist_ok=True)
     records = []
-    for utt, f, key in simulate_trajectories(cfg.sim, args.n_per_class, cfg.seed):
+    for utt, f, key in simulated:
         save_feature_map(f, os.path.join(fea_dir, f"{utt}.fea"))
         attack = "-" if key == "bonafide" else "SIM01"
         records.append(TrialRecord(speaker_id="SIMSPK", utt_id=utt,

@@ -32,6 +32,9 @@ class Cm1Config:
 
     def __post_init__(self):
         require_sizes(self, "hidden", "n_layers", "fc1_out", "fc2_out")
+        for key in ("input_gain", "carry_bias"):
+            if not np.isfinite(getattr(self, key)):
+                raise DataError(f"cm1.{key} must be finite, got {getattr(self, key)}")
 
 
 class Cm1Net:

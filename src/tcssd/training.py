@@ -40,10 +40,10 @@ class AamConfig:
     scale: float = 30.0
 
     def __post_init__(self):
-        if not 0.0 <= self.margin < np.pi / 2:
-            raise DataError("margin must be in [0, pi/2)")
-        if self.scale <= 0:
-            raise DataError("scale must be positive")
+        for key, ok, need in (("margin", 0.0 <= self.margin < np.pi / 2, "in [0, pi/2)"),
+                              ("scale", 0 < self.scale < np.inf, "finite and positive")):
+            if not ok:
+                raise DataError(f"aam.{key} must be {need}, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import rank_auc
+from tcssd import analysis
 from tcssd.analysis import (SimConfig, SimilarityMatrix, cosine_similarity,
                             pca_project, simulate_trajectories,
                             tc_similarity_matrix, tc_similarity_matrix_features,
                             tc_statistic)
 from tcssd.cm_temporal import Cm1Config
 from tcssd.config import toy_config
+from tcssd.encoder import FrontendNet
 from tcssd.errors import DataError
+from tcssd.frontend import compute_fbank, frame_count
 from tcssd.training import build_checkpoint
 
 
@@ -64,6 +67,49 @@ def test_tc_matrix_audio_lane():
     assert m.values.shape == (4, 4)
     np.testing.assert_allclose(m.values, m.values.T, atol=1e-7)
     np.testing.assert_allclose(np.diag(m.values), 1.0, atol=1e-7)
+
+
+def test_tc_matrix_audio_lane_embeds_fbank_windows_in_one_batch(monkeypatch):
+    """The utterance's FBank is computed once and its k windows go through
+    one ``FrontendNet.embed`` call, each window a slice of that FBank."""
+    enc = toy_config().encoder
+    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
+                                           fc1_out=8, fc2_out=8), seed=0)
+    w = np.random.default_rng(4).uniform(-0.4, 0.4, 16000 * 3)
+    fbank_calls, embed_inputs = [], []
+    real_fbank, real_embed = analysis.compute_fbank, FrontendNet.embed
+
+    def counting_fbank(samples):
+        fbank_calls.append(len(samples))
+        return real_fbank(samples)
+
+    def counting_embed(self, params, x):
+        embed_inputs.append(x)
+        return real_embed(self, params, x)
+
+    monkeypatch.setattr(analysis, "compute_fbank", counting_fbank)
+    monkeypatch.setattr(FrontendNet, "embed", counting_embed)
+    m = tc_similarity_matrix(w, k=6, seg_dur=0.5, seed=2, cfg=enc, ckpt=ckpt)
+    assert fbank_calls == [len(w)]
+    assert len(embed_inputs) == 1 and embed_inputs[0].shape == (6, 50, 80)
+    values = compute_fbank(w).values
+    for window, t0 in zip(embed_inputs[0], m.segment_times):
+        s0 = round(t0 * 100)
+        np.testing.assert_array_equal(window, values[s0:s0 + 50])
+
+
+def test_tc_matrix_lanes_draw_the_same_segments():
+    """For one seed, k, segment length and frame count, the --wav and
+    --features lanes start their segments at the same times."""
+    enc = toy_config().encoder
+    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
+                                           fc1_out=8, fc2_out=8), seed=0)
+    w = np.random.default_rng(5).uniform(-0.4, 0.4, 16000 * 2)
+    s = np.random.default_rng(6).standard_normal((frame_count(len(w)), 24)) + 3.0
+    for seed in range(3):
+        m_wav = tc_similarity_matrix(w, k=5, seg_dur=0.3, seed=seed, cfg=enc, ckpt=ckpt)
+        m_fea = tc_similarity_matrix_features(s, k=5, seg_frames=30, seed=seed)
+        np.testing.assert_array_equal(m_wav.segment_times, m_fea.segment_times)
 
 
 def test_tc_matrix_too_short_utterance_rejected():
@@ -197,6 +243,14 @@ def test_pca_sign_convention_deterministic():
     for axis in range(2):
         col = a[:, axis]
         assert col.max() != 0 or col.min() == 0
+
+
+def test_pca_of_one_dimensional_embeddings_pads_the_second_axis_with_zeros():
+    x = np.array([[1.0], [4.0], [-2.0], [0.5]])
+    proj = pca_project(x)
+    assert proj.shape == (4, 2)
+    np.testing.assert_array_equal(proj[:, 1], 0.0)
+    np.testing.assert_allclose(proj[:, 0], x[:, 0] - x.mean(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

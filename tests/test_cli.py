@@ -148,6 +148,55 @@ def test_evaluate_hand_case(tmp_path, capsys):
     assert "# tcssd" in out and "config=" in out and "seed=" in out
 
 
+@pytest.mark.parametrize("body, message", [
+    ("u1\tthree\n", "bad score 'three'"), ("u1\tnan\n", "non-finite score"),
+    ("u1\t3\nu1\t2\n", "duplicate utt_id 'u1'"),
+    ("u1\t3\nu2\t1\nu9\t0\n", "unknown utterance(s) u9")])
+def test_evaluate_refuses_bad_score_files(body, message, tmp_path, capsys):
+    protocol = tmp_path / "p.txt"
+    protocol.write_text("S u1 - - bonafide\nS u2 - A01 spoof\n")
+    scores = tmp_path / "s.tsv"
+    scores.write_text(body)
+    assert main(["evaluate", "--scores", str(scores), "--protocol", str(protocol)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and message in err
+    assert sorted(os.listdir(tmp_path)) == ["p.txt", "s.tsv"]
+
+
+def test_fuse_normalizes_constant_scores_to_zero(tmp_path, capsys):
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    a.write_text("u1\t2.5\nu2\t2.5\nu3\t2.5\n")
+    b.write_text("u1\t-1\nu2\t-1\nu3\t-1\n")
+    for mode in ("minmax", "znorm"):
+        out = tmp_path / f"{mode}.tsv"
+        assert main(["fuse", "--a", str(a), "--b", str(b), "--normalize", mode,
+                     "--w", "0.3", "--out", str(out)]) == 0
+        body = [l.split("\t") for l in out.read_text().splitlines()
+                if not l.startswith("#")]
+        assert [u for u, _ in body] == ["u1", "u2", "u3"]
+        assert all(float(v) == 0.0 for _, v in body)
+
+
+def test_set_without_equals_exits_two_writing_nothing(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--out", str(out), "--n-per-class", "2", "--set", "foo"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["tcssd simulate: --set expects KEY=VALUE, got 'foo'"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "exactly one of --wav or --features"),
+    (["--wav", "u.wav", "--features", "u.fea"], "exactly one of --wav or --features"),
+    (["--wav", "u.wav"], "--wav analysis needs --ckpt")])
+def test_analyze_tc_lane_flags_exit_two_writing_nothing(argv, message, tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    assert main(["analyze-tc", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert not out.exists()
+
+
 def test_simulate_twice_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--out", str(a), "--seed", "7",
@@ -205,7 +254,7 @@ def test_extract_refuses_duplicate_stems_before_writing(tmp_path, capsys):
 
 def test_sizes_below_one_exit_two_and_write_no_output(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "sim"), "--n-per-class", "0"]) == 2
-    assert not (tmp_path / "sim" / "protocol.txt").exists()
+    assert not (tmp_path / "sim").exists()
     fea = tmp_path / "u.fea"
     save_feature_map(FeatureMap(values=np.ones((60, 24), dtype=np.float32)), fea)
     out = tmp_path / "m.txt"
@@ -652,6 +701,32 @@ def test_score_with_the_other_systems_checkpoint_exits_two(cm, trained, system,
     assert os.listdir(tmp_path) == []
 
 
+def test_score_batch_size_zero_exits_two_writing_nothing(tiny_pipeline, tmp_path, capsys):
+    _, sim, ck, _ = tiny_pipeline
+    out = tmp_path / "s.tsv"
+    assert main(["score", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+                 "--features", str(sim / "features"), "--ckpt", str(ck / "final"),
+                 "--out", str(out), "--batch-size", "0"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "batch_size must be >= 1" in err
+    assert not out.exists()
+
+
+def test_train_on_mixed_fbank_and_tap_point_maps_exits_two(tiny_pipeline, tmp_path,
+                                                           capsys):
+    _, sim, _, _ = tiny_pipeline
+    feats = tmp_path / "feats"
+    shutil.copytree(sim / "features", feats)
+    fbank = np.random.default_rng(0).standard_normal((200, 80)).astype(np.float32)
+    save_feature_map(FeatureMap(values=fbank), feats / "SIM_T_000000.fea")
+    out = tmp_path / "ck"
+    assert main(["train", "--cm", "2", "--protocol", str(sim / "protocol.txt"),
+                 "--features", str(feats), "--out", str(out), "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "mixes fbank and speaker feature kinds" in err
+    assert not out.exists()
+
+
 def test_train_augment_on_tap_point_maps_exits_two(tiny_pipeline, tmp_path, capsys):
     """SpecAugment masks FBank maps; on tap-point maps the key is refused
     rather than ignored under a new config hash."""
@@ -878,7 +953,9 @@ def test_bad_crop_lengths_exit_two_before_any_checkpoint(tmp_path, capsys, crop)
     "train.epochs=0", "train.warmup_steps=0",
     "train.batch_size=1", "train.batch_size=0", "train.base_lr=nan", "train.base_lr=inf",
     "train.base_lr=0", "train.beta1=1.5", "train.beta1=-0.1", "train.beta2=1",
-    "train.eps=0", "train.eps=nan", "train.weight_decay=-5", "train.weight_decay=inf"])
+    "train.eps=0", "train.eps=nan", "train.weight_decay=-5", "train.weight_decay=inf",
+    "aam.scale=nan", "aam.scale=inf", "aam.margin=nan", "cm1.input_gain=nan",
+    "cm1.carry_bias=inf"])
 def test_training_constants_that_train_wrongly_exit_two_before_any_checkpoint(
         tmp_path, capsys, setting):
     """A batch of one holds no spoof, a non-finite learning rate writes NaN
@@ -899,11 +976,12 @@ def test_training_constants_that_train_wrongly_exit_two_before_any_checkpoint(
 
 
 @pytest.mark.parametrize("setting", ["sim.noise_sigma=nan", "sim.base_scale=inf",
-                                     "sim.drift_sigma=-1"])
+                                     "sim.drift_sigma=-1", "sim.base_scale=1e39"])
 def test_simulate_scales_outside_the_finite_non_negative_exit_two(tmp_path, capsys,
                                                                   setting):
-    """A NaN or infinite scale made maps that every reader refuses: the
-    simulator refuses it, naming the key, and writes nothing."""
+    """A NaN or infinite scale, or one whose frames overflow float32, made
+    maps that every reader refuses: the simulator refuses it, naming the
+    key, and writes nothing."""
     rc = main(["simulate", "--out", str(tmp_path / "sim"), "--n-per-class", "2",
                "--set", setting])
     assert rc == 2
