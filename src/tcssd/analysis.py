@@ -71,6 +71,8 @@ def tc_similarity_matrix(samples: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoi
     windows of the utterance's FBank drawn by ``tc_similarity_matrix_features``
     and embedded in one ``FrontendNet.embed`` batch."""
     seg_frames = round(seg_dur * FRAME_RATE)
+    if seg_frames < 2:  # ChannelNorm over one frame embeds every window alike
+        raise DataError(f"segment ({seg_dur} s, {seg_frames} frames) needs at least 2 frames")
     t = frame_count(len(samples))
     if t < seg_frames:
         raise DataError(f"utterance ({len(samples) / SAMPLE_RATE:.3f} s, {t} FBank frames) "

@@ -29,9 +29,8 @@ from .encoder import (FrontendNet, count_parameters, describe_frontend,
                       estimate_flops)
 from .errors import TcssdError
 from .files import write_text
-from .frontend import (FRAME_LEN, FRAME_RATE, SAMPLE_RATE, compute_fbank,
-                       load_feature_map, load_waveform, save_feature_map,
-                       save_waveform, trim_silence)
+from .frontend import (FRAME_RATE, compute_fbank, frame_count, load_feature_map,
+                       load_waveform, save_feature_map, save_waveform, trim_silence)
 from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
                       embed_trials, fuse_scores, parse_protocol, read_scores,
                       score_trials, serialize_protocol, write_scores)
@@ -186,6 +185,11 @@ def _cmd_extract(args, cfg):
             raise TcssdError(f"stem '{stem}' of {wav_path} already comes from "
                              f"{sources[stem]}; both would write {stem}.fea")
         sources[stem] = wav_path
+    for wav_path in sources.values():  # every input is read and checked before --out is made
+        n = len(load_waveform(wav_path))
+        if frame_count(n) < 1:
+            raise TcssdError(f"waveform too short for FBank: {wav_path} has {n} samples, "
+                             "less than one frame")
     os.makedirs(args.out, exist_ok=True)
     for stem, wav_path in sources.items():
         f = compute_fbank(load_waveform(wav_path))
@@ -195,6 +199,8 @@ def _cmd_extract(args, cfg):
 
 
 def _cmd_trim(args, cfg):
+    if not args.top_db > 0:  # frames are kept above -top_db dB, and none is above 0
+        raise TcssdError(f"--top-db must be positive, got {args.top_db}")
     samples = load_waveform(args.input)
     trimmed = trim_silence(samples, top_db=args.top_db)
     if trimmed.size == 0:
@@ -243,7 +249,8 @@ def _cmd_evaluate(args, cfg):
 def _cmd_analyze_tc(args, cfg):
     if (args.wav is None) == (args.features is None):
         raise TcssdError("analyze-tc needs exactly one of --wav or --features")
-    shortest = FRAME_LEN / SAMPLE_RATE if args.wav is not None else 1 / FRAME_RATE
+    # a --wav window is embedded, and ChannelNorm over one frame embeds every window alike
+    shortest = (2 if args.wav is not None else 1) / FRAME_RATE
     if not shortest <= args.seg_dur < np.inf:
         raise TcssdError(f"--seg-dur must be finite and at least {shortest:g} s, "
                          f"got {args.seg_dur}")

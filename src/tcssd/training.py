@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -270,8 +271,8 @@ ENCODED_BYTES_MAX = 1 << 30
 
 class _FrozenEncodings:
     """FBank maps through a countermeasure's frozen speaker encoder, by item
-    index: each is encoded B=1 on the whole utterance, the first time the
-    sampler draws it, so utterances never drawn are never encoded.  CM1's
+    index: each is encoded B=1 on the whole utterance, the first time a
+    batch draws it, so utterances never drawn are never encoded.  CM1's
     MFA conv is frozen too, so its maps go on to the tap point; CM2 trains
     its own, so its maps stop at the concat.  An encoding is held while the
     held ones total at most ``ENCODED_BYTES_MAX``."""
@@ -295,32 +296,12 @@ class _FrozenEncodings:
         return m
 
 
-class _BalancedSampler:
-    """Class-balanced batches: half bonafide, half spoof, cyclic reshuffle."""
-
-    def __init__(self, labels, rng: np.random.Generator):
-        self.rng = rng
-        self.pools = {
-            LABEL_BONAFIDE: np.flatnonzero(np.asarray(labels) == LABEL_BONAFIDE),
-            LABEL_SPOOF: np.flatnonzero(np.asarray(labels) == LABEL_SPOOF),
-        }
-        self.order = {k: rng.permutation(v) for k, v in self.pools.items()}
-        self.pos = {k: 0 for k in self.pools}
-
-    def _take(self, label: int, n: int):
-        out = []
-        while len(out) < n:
-            if self.pos[label] >= len(self.order[label]):
-                self.order[label] = self.rng.permutation(self.pools[label])
-                self.pos[label] = 0
-            out.append(int(self.order[label][self.pos[label]]))
-            self.pos[label] += 1
-        return out
-
-    def batch(self, batch_size: int):
-        n_bona = batch_size - batch_size // 2
-        return self._take(LABEL_BONAFIDE, n_bona) + self._take(
-            LABEL_SPOOF, batch_size // 2)
+def _cycled(pool: np.ndarray, order: np.ndarray, rng: np.random.Generator):
+    """The indices of ``order``, then of a fresh permutation of ``pool`` each
+    time a pass runs out, drawn only when its first index is needed."""
+    while True:
+        yield from order.tolist()
+        order = rng.permutation(pool)
 
 
 def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
@@ -368,6 +349,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     frozen = set(tensor_names(FrontendNet(enc_cfg).layers())).difference(own)
     full = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
     ckpt = Checkpoint({n: full.tensors[n] for n in frozen.union(own)}, frozen, full.config)
+    del full  # other systems' heads: not kept, so not held through the run
     params = ckpt.tensors
     cls_name = f"{net.cls.name}.w"
     maps = [it.features for it in items]
@@ -375,8 +357,11 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         maps = _FrozenEncodings(cm_id, enc_cfg, params, maps)
 
     rng = np.random.default_rng(cfg.seed)
-    sampler = _BalancedSampler(labels, rng)
-    steps_per_epoch = max(1, int(np.ceil(len(items) / train_cfg.batch_size)))
+    pools = [np.flatnonzero(labels == c) for c in (LABEL_BONAFIDE, LABEL_SPOOF)]
+    # first passes drawn now, bonafide first: drawn lazily, they would shift every later draw
+    bonafide, spoof = [_cycled(p, rng.permutation(p), rng) for p in pools]
+    b = train_cfg.batch_size
+    steps_per_epoch = max(1, int(np.ceil(len(items) / b)))
     total_steps = train_cfg.max_steps or train_cfg.epochs * steps_per_epoch
     opt = Adam(train_cfg)
     log: list[LogEntry] = []
@@ -386,7 +371,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         save_checkpoint(ckpt, os.path.join(out_dir, "init"))
 
     for step in range(1, total_steps + 1):
-        idx = sampler.batch(train_cfg.batch_size)
+        idx = [*islice(bonafide, b - b // 2), *islice(spoof, b // 2)]
         batch_maps = []
         for i in idx:
             crop_seed = int(rng.integers(2 ** 31))

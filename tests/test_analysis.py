@@ -121,6 +121,18 @@ def test_tc_matrix_too_short_utterance_rejected():
         tc_similarity_matrix(w, seg_dur=0.5, cfg=enc, ckpt=ckpt)
 
 
+@pytest.mark.parametrize("seg_dur", [0.01, 0.0])
+def test_tc_matrix_refuses_segments_below_two_frames(seg_dur):
+    """A one-frame window embeds to the same vector wherever it starts."""
+    enc = toy_config().encoder
+    ckpt = build_checkpoint(enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8), seed=0)
+    w = np.random.default_rng(5).uniform(-0.4, 0.4, 16000 * 2)
+    with pytest.raises(DataError, match="needs at least 2 frames"):
+        tc_similarity_matrix(w, seg_dur=seg_dur, cfg=enc, ckpt=ckpt)
+    m = tc_similarity_matrix(w, k=4, seg_dur=0.02, cfg=enc, ckpt=ckpt)
+    assert tc_statistic(m)[1] > 0
+
+
 @pytest.mark.parametrize("seg_frames", [0, -5])
 def test_tc_matrix_features_refuses_segments_below_one_frame(seg_frames):
     s = np.ones((60, 24), dtype=np.float32)

@@ -217,6 +217,18 @@ def test_trim_all_zero_exits_two(tmp_path, capsys):
     assert "empty after trim" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("top_db", ["nan", "0", "-5"])
+def test_trim_top_db_that_drops_every_frame_exits_two(top_db, tmp_path, capsys):
+    """Frames are kept above -top_db dB of the loudest, and none is above
+    0 dB, so a --top-db that is not positive would trim everything."""
+    src, dst = tmp_path / "a.wav", tmp_path / "o.wav"
+    save_waveform(0.1 * np.random.default_rng(0).standard_normal(16000), src)
+    assert main(["trim", "--top-db", top_db, str(src), str(dst)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcssd trim: --top-db must be positive, got {float(top_db)}"]
+    assert not dst.exists()
+
+
 def test_trim_tone_keeps_tone(tmp_path, capsys):
     t = np.arange(8000) / 16000.0
     tone = 0.8 * np.sin(2 * np.pi * 440 * t)
@@ -249,6 +261,20 @@ def test_extract_refuses_duplicate_stems_before_writing(tmp_path, capsys):
     assert main(["extract", "--wav", *map(str, wavs), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "'u'" in err and str(wavs[0]) in err and str(wavs[1]) in err
+    assert not out.exists()
+
+
+def test_extract_refuses_a_short_wav_before_writing(tmp_path, capsys):
+    """A WAV too short for one FBank frame is named, and nothing is written,
+    not even the caches of the WAVs before it."""
+    rng = np.random.default_rng(0)
+    wavs = [tmp_path / f"{stem}.wav" for stem in "abc"]
+    for wav, n in zip(wavs, (16000, 100, 16000)):
+        save_waveform(rng.uniform(-0.3, 0.3, n), wav)
+    out = tmp_path / "fe"
+    assert main(["extract", "--wav", *map(str, wavs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(wavs[1]) in err[0] and "100 samples" in err[0]
     assert not out.exists()
 
 
@@ -454,7 +480,7 @@ def test_analyze_tc_non_finite_seg_dur_exits_two(seg_dur, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("lane, seg_dur, shortest", [
-    ("--wav", "0.01", "0.025"),      # one FBank window: 400 samples
+    ("--wav", "0.01", "0.02"),       # two FBank frames: ChannelNorm over one is constant
     ("--features", "0.004", "0.01"),  # one frame at 100 frames/s
 ])
 def test_analyze_tc_too_short_seg_dur_names_the_flag(lane, seg_dur, shortest,

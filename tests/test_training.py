@@ -1,5 +1,6 @@
 """AAM-softmax, schedule, optimizer, and training-loop contracts."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -226,6 +227,31 @@ def test_train_cm2_freezes_frontend():
                               before["cm2.pool.att.fc1.w"])
 
 
+def test_train_drops_the_tensors_it_does_not_keep(monkeypatch):
+    """By the first optimizer step, a cm2 run holds none of the CM1 head
+    that ``build_checkpoint`` made alongside the tensors it keeps."""
+    cm1_refs = []
+    build, step = training.build_checkpoint, Adam.step
+
+    def recording_build(*args, **kwargs):
+        full = build(*args, **kwargs)
+        cm1_refs.extend(weakref.ref(t) for n, t in full.tensors.items()
+                        if n.startswith("cm1."))
+        return full
+
+    alive = []
+
+    def checking_step(self, params, grads, lr):
+        if self.t == 0:
+            alive.extend(n for n, ref in enumerate(cm1_refs) if ref() is not None)
+        return step(self, params, grads, lr)
+
+    monkeypatch.setattr(training, "build_checkpoint", recording_build)
+    monkeypatch.setattr(Adam, "step", checking_step)
+    train("cm2", sim_items(n_per_class=2, seed=3), tiny_run_cfg(max_steps=2))
+    assert cm1_refs and alive == []
+
+
 def test_train_single_class_rejected():
     cfg = tiny_run_cfg()
     items = [it for it in sim_items(4, seed=4) if it.label == LABEL_BONAFIDE]
@@ -345,6 +371,23 @@ def test_cm_training_encodes_each_drawn_fbank_utterance_once(cm_id, steps, monke
     drawn = list(dict.fromkeys(lengths))
     assert shapes == [(1, t, N_MELS) for t in drawn]
     assert len(drawn) == (4 if steps == 1 else len(items))
+
+
+def test_batch_draw_order_is_pinned(monkeypatch):
+    """Each batch is bonafide then spoof, each class through a fresh
+    permutation per pass.  Both first permutations come before step 1,
+    bonafide first; a class's next one is drawn when it runs out, mid-batch
+    here (3 bonafide and 5 spoof against 4 of each per step)."""
+    lengths = record_crop_lengths(monkeypatch)
+    items = sim_items(n_per_class=5, seed=11)
+    items = items[:3] + items[5:]
+    for k, it in enumerate(items):  # tap-point maps of 25 + k frames: a length names an item
+        it.features = FeatureMap(it.features.values[:25 + k], it.features.frame_hop)
+    train("cm2", items, tiny_run_cfg(max_steps=4, batch_size=8))
+    assert [t - 25 for t in lengths] == [2, 0, 1, 1, 5, 7, 6, 4,
+                                         2, 0, 2, 1, 3, 5, 4, 6,
+                                         0, 0, 1, 2, 7, 3, 6, 5,
+                                         2, 0, 1, 0, 4, 7, 3, 3]
 
 
 def test_encodings_past_the_byte_bound_are_made_again_to_the_same_bits(monkeypatch):
