@@ -144,15 +144,16 @@ class FrontendNet:
         return self.forward_mfa(params, *self.forward_concat(params, x))
 
     def forward_mfa(self, params, cat, cat_cache=None):
-        """MFA conv + ReLU: concat maps (B, T, 3C) -> (B, T, D)."""
-        pre, c_mfa = self.mfa_conv.forward(params, cat)
-        return relu(pre), (cat_cache, pre, c_mfa)
+        """MFA conv + in-place ReLU: concat maps (B, T, 3C) -> (B, T, D)."""
+        feats, c_mfa = self.mfa_conv.forward(params, cat)
+        return np.maximum(feats, 0, out=feats), (cat_cache, feats, c_mfa)
 
     def backward_features(self, params, cache, dfeats, grads):
         """MFA conv gradients, and the concat's when it is trained; a frozen
-        concat's input gradient is never formed."""
-        cat_cache, pre, c_mfa = cache
-        dcat = self.mfa_conv.backward(params, c_mfa, dfeats * (pre > 0), grads,
+        concat's input gradient is never formed.  ``feats > 0`` equals the
+        conv output's ``> 0`` for every float, NaN and -0 included."""
+        cat_cache, feats, c_mfa = cache
+        dcat = self.mfa_conv.backward(params, c_mfa, dfeats * (feats > 0), grads,
                                       input_grad=self.trained)
         if self.trained:
             self.backward_concat(params, cat_cache, dcat, grads)

@@ -224,6 +224,8 @@ def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
 
     Inputs shorter than min_dur are wrap-padded (repeating from the start)
     to exactly min_dur; the drawn duration is capped at the input length.
+    A crop that lies inside the input is a view of it: callers must not
+    write into the result (``spec_augment`` copies).
     """
     t = f.values.shape[0]
     if t == 0:
@@ -236,7 +238,7 @@ def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
     else:
         length = min(int(rng.integers(min_frames, max_frames + 1)), t)
         start = int(rng.integers(0, t - length + 1))
-        values = f.values[start:start + length].copy()
+        values = f.values[start:start + length]
     return FeatureMap(values=values, frame_hop=f.frame_hop)
 
 

@@ -485,12 +485,12 @@ class Gru:
         """x: (B, T, input_dim) -> (h_seq of last layer (B, T, H), cache).
 
         The time loops of forward and backward run time-major: every
-        per-step operand is a contiguous (B, H) block of an array allocated
-        once per layer, and each GEMM writes into a buffer.  They keep the
-        operation order of the gate equations, so results are bit-identical
-        to the plain step; toy training is chaotic enough that one ulp per
-        step changes the trained weights.  Each layer runs in its own call,
-        so its temporaries are freed before the next layer's are made.
+        per-step operand is a (B, H) block, rows contiguous, of an array
+        allocated once per layer, and each GEMM writes into a buffer.  They
+        keep the operation order of the gate equations, so results are
+        bit-identical to the plain step; toy training is chaotic enough that
+        one ulp per step changes the trained weights.  Each layer runs in its
+        own call, so its temporaries are freed before the next layer's are made.
         """
         caches = []
         inp = x
@@ -537,22 +537,21 @@ class Gru:
             h_next += zh
         return hs[1:].transpose(1, 0, 2), (inp, hs, zr_seq, omz_seq, n_seq)
 
-    def backward(self, params, caches, dh_seq, grads):
-        """dh_seq: (B, T, H) external gradient on the last layer's outputs."""
+    def backward(self, params, caches, dh_seq, grads, input_grad=True):
+        """dh_seq: (B, T, H) external gradient on the last layer's outputs ->
+        the input gradient, or None without ``input_grad`` (a frozen input)."""
         d_seq = dh_seq
         for l in reversed(range(self.n_layers)):
-            d_seq = self._backward_layer(params, l, caches[l], d_seq, grads)
+            d_seq = self._backward_layer(params, l, caches[l], d_seq, grads,
+                                         input_grad or l > 0)
         return d_seq
 
-    def _backward_layer(self, params, l, cache, d_seq, grads):
+    def _backward_layer(self, params, l, cache, d_seq, grads, input_grad):
         hd = self.hidden
         inp, hs, zr_seq = cache[:3]
         w_ih, w_hh, _, _ = self._weights(params, l)
         b, t, _ = inp.shape
-        # Back to (B, T, 3H): the GEMMs and the bias sum below see the same
-        # shapes and row order as with a batch-major loop.
-        da_seq = self._step_grads(cache, w_hh, d_seq).transpose(2, 1, 0, 3).reshape(
-            b, t, 3 * hd)
+        da_seq = self._step_grads(cache, w_hh, d_seq)
         # Weight gradients as one GEMM each over all B*T frames.
         da2 = da_seq.reshape(b * t, 3 * hd)
         grads[f"{self.name}.l{l}.w_ih"] = da2.T @ inp.reshape(b * t, -1)
@@ -564,11 +563,12 @@ class Gru:
         dbias = da_seq.sum(axis=(0, 1))
         grads[f"{self.name}.l{l}.b_ih"] = dbias
         grads[f"{self.name}.l{l}.b_hh"] = dbias.copy()
-        return da_seq @ w_ih
+        return da_seq @ w_ih if input_grad else None
 
     def _step_grads(self, cache, w_hh, d_seq):
-        """The reverse time loop -> pre-activation gradients (3, T, B, H),
-        blocks [z, r, n]."""
+        """The reverse time loop -> pre-activation gradients (B, T, 3H),
+        blocks [z, r, n], in a batch-major loop's row order; each step
+        writes its (B, H) blocks through a (3, T, B, H) view."""
         hd = self.hidden
         _, hs, zr_seq, omz_seq, n_seq = cache
         u_z, u_r, u_n = w_hh[:hd], w_hh[hd:2 * hd], w_hh[2 * hd:]
@@ -581,8 +581,8 @@ class Gru:
         hmn_seq = h_prev_seq - n_seq
         omn2_seq = 1.0 - n_seq * n_seq
         omr_seq = 1.0 - r_seq
-        da = np.empty((3, t, b, hd), dtype=n_seq.dtype)
-        da_z_seq, da_r_seq, da_n_seq = da
+        da = np.empty((b, t, 3, hd), dtype=n_seq.dtype)
+        da_z_seq, da_r_seq, da_n_seq = da.transpose(2, 1, 0, 3)
         carry = np.zeros((b, hd), dtype=n_seq.dtype)
         dh, dz, dn, drh, tmp, tmp2 = np.empty((6, b, hd), dtype=n_seq.dtype)
         for ti in reversed(range(t)):
@@ -605,7 +605,7 @@ class Gru:
             np.dot(da_r, u_r, out=tmp2)
             tmp += tmp2
             carry += tmp
-        return da
+        return da.reshape(b, t, 3 * hd)
 
     def flops(self, n_frames: int) -> int:
         total = 0

@@ -22,8 +22,7 @@ from .cm_temporal import Cm1Config, Cm1Net
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
 from .files import write_text
-from .frontend import (FRAME_RATE, N_MELS, FeatureMap, random_crop, spec_augment,
-                       wrap_pad)
+from .frontend import FRAME_RATE, N_MELS, FeatureMap, random_crop, spec_augment
 from .layers import init_layers, tensor_names
 
 if TYPE_CHECKING:
@@ -372,15 +371,20 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
 
     for step in range(1, total_steps + 1):
         idx = [*islice(bonafide, b - b // 2), *islice(spoof, b // 2)]
-        batch_maps = []
+        crops = []  # views of the maps, where a crop lies inside its map
         for i in idx:
             crop_seed = int(rng.integers(2 ** 31))
             f = random_crop(maps[i], train_cfg.crop_min_s, train_cfg.crop_max_s, crop_seed)
             if train_cfg.augment:
                 f = spec_augment(f, cfg.augment, int(rng.integers(2 ** 31)))
-            batch_maps.append(f.values)
-        max_t = max(v.shape[0] for v in batch_maps)
-        x = np.stack([wrap_pad(v, max_t) for v in batch_maps]).astype(np.float32)
+            crops.append(f.values)
+        # One float32 batch array, each crop wrap-padded straight into its
+        # row; the crops are not held through forward and backward.
+        frames = np.arange(max(v.shape[0] for v in crops))
+        x = np.empty((len(crops), len(frames), crops[0].shape[1]), dtype=np.float32)
+        for row, v in zip(x, crops):
+            np.take(v, frames, axis=0, mode="wrap", out=row)
+        del crops, f
         y = labels[idx]
 
         grads: dict[str, np.ndarray] = {}

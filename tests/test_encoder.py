@@ -16,7 +16,7 @@ from tcssd.encoder import (EncoderConfig, FrontendNet, count_parameters,
 from tcssd.errors import CheckpointError, DataError
 from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import (AttentiveStatsPool, ClassWeights, Conv1d, Gru, Linear,
-                          init_layers, tensor_names)
+                          init_layers, relu, tensor_names)
 
 
 def make_toy_checkpoint(seed=0):
@@ -90,6 +90,36 @@ def test_frontend_embed_gradients_match_finite_differences():
 
     assert_directional_grads_close(loss_fn, params, grads, names,
                                    np.random.default_rng(23))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mfa_relu_mask_from_activation_equals_pre_activation_mask(dtype):
+    """``forward_mfa`` keeps only the activation; masking with it gives the
+    MFA conv the gradients of the pre-activation mask, bit for bit, with
+    exact zeros, -0.0 and NaN in the conv output."""
+    net = Cm2Net(toy_config().encoder)
+    params = init_layers([net.mfa_conv], np.random.default_rng(24), dtype=dtype)
+    rng = np.random.default_rng(25)
+    cat = rng.standard_normal((2, 12, net.cfg.concat_width)).astype(dtype)
+    dfeats = rng.standard_normal((2, 12, net.cfg.mfa_dim)).astype(dtype)
+    conv, pre = net.mfa_conv.forward, []
+
+    def forward(params, x):
+        y, cache = conv(params, x)
+        y[:, 0::3, 0], y[:, 1::3, 0], y[:, :, 1] = 0.0, -0.0, np.nan
+        pre.append(y.copy())
+        return y, cache
+
+    net.mfa_conv.forward = forward
+    feats, cache = net.forward_mfa(params, cat)
+    (pre,) = pre
+    assert np.signbit(pre[:, 1::3, 0]).all() and feats.tobytes() == relu(pre).tobytes()
+    grads, want = {}, {}
+    net.backward_features(params, cache, dfeats, grads)
+    net.mfa_conv.backward(params, cat, dfeats * (pre > 0), want, input_grad=False)
+    assert grads.keys() == want.keys()
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,15 @@ def test_crop_short_input_wrap_padded():
     np.testing.assert_array_equal(out.values[100:], f.values)
 
 
+def test_crop_inside_the_input_is_a_view():
+    """A crop that lies inside its input is not copied; a short input's
+    wrap-padded crop is a new array."""
+    f = FeatureMap(values=np.random.default_rng(2).standard_normal((1000, 4)).astype(np.float32))
+    assert np.shares_memory(random_crop(f, seed=5).values, f.values)
+    short = FeatureMap(values=f.values[:100])
+    assert not np.shares_memory(random_crop(short, seed=5).values, f.values)
+
+
 def test_crop_full_length_identity():
     f = FeatureMap(values=np.random.default_rng(1).standard_normal((300, 4)).astype(np.float32))
     out = random_crop(f, min_dur=3.0, max_dur=3.0, seed=9)

@@ -122,6 +122,25 @@ def test_gru_two_layers_bit_identical_to_chained_reference(b, t, i_dim, h_dim):
     assert np.array_equal(dx, want_dx)
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_gru_backward_without_input_grad_gives_the_same_weight_grads(n_layers):
+    """``input_grad=False`` skips only layer 0's input gradient: every weight
+    gradient keeps its bits, and nothing is returned."""
+    gru = Gru("g", 6, 8, n_layers=n_layers, input_gain=5.0, carry_bias=3.0)
+    rng = np.random.default_rng(n_layers)
+    params = {}
+    gru.init(params, rng)
+    x = (rng.standard_normal((5, 13, 6)) * 0.5).astype(np.float32)
+    dh_seq = rng.standard_normal((5, 13, 8)).astype(np.float32)
+    _, caches = gru.forward(params, x)
+    full, weights_only = {}, {}
+    assert gru.backward(params, caches, dh_seq, full).shape == x.shape
+    assert gru.backward(params, caches, dh_seq, weights_only, input_grad=False) is None
+    assert full.keys() == weights_only.keys()
+    for name in full:
+        assert full[name].tobytes() == weights_only[name].tobytes(), name
+
+
 def reference_conv(x, w, b, dilation):
     """Oracle: same-padded dilated conv as a direct loop over output frames
     and taps; a tap that falls outside [0, T) reads zeros."""

@@ -1,5 +1,6 @@
 """AAM-softmax, schedule, optimizer, and training-loop contracts."""
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from tcssd.cm_temporal import Cm1Net
 from tcssd.config import toy_config
 from tcssd.encoder import FrontendNet
 from tcssd.errors import DataError, TrainingError
-from tcssd.frontend import N_MELS, FeatureMap
+from tcssd.frontend import N_MELS, FeatureMap, wrap_pad
 from tcssd.layers import tensor_names
 from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
@@ -428,6 +429,111 @@ def test_embed_of_frozen_encoding_equals_embed_of_fbank(cm_id, width):
         enc = encoded[k].values[None]
         assert enc.shape == (1, x.shape[1], getattr(cfg.encoder, width))
         assert net.embed(params, enc)[0].tobytes() == net.embed(params, x)[0].tobytes()
+
+
+def record_batches(monkeypatch):
+    """Per step, the array the net's ``embed`` receives and its oracle: the
+    step's crops (after SpecAugment, when on) wrap-padded to the longest,
+    stacked and cast to float32, as separate copies."""
+    crops, batches = [], []
+    crop, augment, make_net = training.random_crop, training.spec_augment, training.system_net
+
+    def cropping(*args):
+        out = crop(*args)
+        crops.append(out.values)
+        return out
+
+    def augmenting(*args):
+        out = augment(*args)
+        crops[-1] = out.values
+        return out
+
+    def making(*args):
+        net = make_net(*args)
+        embed = net.embed
+
+        def embedding(params, x):
+            max_t = max(v.shape[0] for v in crops)
+            want = np.stack([wrap_pad(v, max_t) for v in crops]).astype(np.float32)
+            batches.append((x.copy(), want))
+            crops.clear()
+            return embed(params, x)
+
+        net.embed = embedding
+        return net
+
+    monkeypatch.setattr(training, "random_crop", cropping)
+    monkeypatch.setattr(training, "spec_augment", augmenting)
+    monkeypatch.setattr(training, "system_net", making)
+    return batches
+
+
+@pytest.mark.parametrize("cm_id, lane", [
+    ("cm1", "tap"), ("cm2", "tap"), ("cm1", "fbank"), ("cm2", "fbank"),
+    ("frontend-toy", "fbank"),
+])
+def test_batch_array_equals_stacked_wrap_padded_crops(cm_id, lane, monkeypatch):
+    """Each step's batch holds the bits of its crops wrap-padded to the
+    longest, stacked and cast to float32, on maps of unequal lengths with
+    one shorter than the crop floor (20 frames), which wraps."""
+    if lane == "tap":
+        items = sim_items(n_per_class=3, seed=12)
+        for k, it in enumerate(items):
+            it.features = FeatureMap(it.features.values[:25 + 3 * k], it.features.frame_hop)
+    else:
+        items = unequal_fbank_items()
+    items[0].features = FeatureMap(items[0].features.values[:12], items[0].features.frame_hop)
+    batches = record_batches(monkeypatch)
+    train(cm_id, items, tiny_run_cfg(max_steps=4, batch_size=4,
+                                     augment=cm_id == "frontend-toy"))
+    assert len(batches) == 4
+    for x, want in batches:
+        assert x.shape == want.shape and x.dtype == want.dtype
+        assert x.tobytes() == want.tobytes()
+
+
+def test_batch_assembly_holds_one_batch_copy(monkeypatch):
+    """From a step's first crop to its ``embed``, traced memory peaks under
+    1.5 times the batch's bytes: the crops are views written straight into
+    one float32 array, not copied, stacked and cast (three batch copies).
+    CM2 crops concat-width encodings; step 1 encodes all 8 utterances, so
+    step 2 is measured."""
+    items = sim_items(n_per_class=4, seed=13, dim=N_MELS, n_frames=400)
+    for k, it in enumerate(items):
+        it.features = FeatureMap(it.features.values[:300 + 10 * k], it.features.frame_hop)
+    crop, make_net, seen = training.random_crop, training.system_net, {"steps": 0}
+
+    def cropping(*args):
+        if seen["steps"] == 1 and "base" not in seen:
+            tracemalloc.reset_peak()
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+        return crop(*args)
+
+    def making(*args):
+        net = make_net(*args)
+        embed = net.embed
+
+        def embedding(params, x):
+            seen["steps"] += 1
+            if seen["steps"] == 1:
+                return embed(params, x)
+            seen["peak"] = tracemalloc.get_traced_memory()[1] - seen["base"]
+            seen["nbytes"] = x.nbytes
+            raise StopIteration
+
+        net.embed = embedding
+        return net
+
+    monkeypatch.setattr(training, "random_crop", cropping)
+    monkeypatch.setattr(training, "system_net", making)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StopIteration):
+            train("cm2", items, tiny_run_cfg(max_steps=2, batch_size=8, crop_min_s=2.0,
+                                             crop_max_s=4.0))
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] < 1.5 * seen["nbytes"], (seen["peak"], seen["nbytes"])
 
 
 @pytest.fixture(scope="module")
