@@ -63,7 +63,7 @@ class Cm1Net:
     def backward_embed(self, params, cache, demb, grads):
         """Gradients of CM1's own tensors; the frozen frontend needs none,
         so the GRU's input gradient is never formed."""
-        self.backward(params, cache, demb, grads, input_grad=False)
+        self.backward(params, cache, demb, grads)
 
     def forward(self, params, diffs):
         """diffs: (B, T-1, D) difference sequences -> (embeddings, cache)."""
@@ -74,14 +74,14 @@ class Cm1Net:
         emb, c2 = self.fc2.forward(params, r1)
         return emb, (gru_cache, h_seq.shape, f1, c1, c2)
 
-    def backward(self, params, cache, demb, grads, input_grad=True):
+    def backward(self, params, cache, demb, grads):
         gru_cache, h_shape, f1, c1, c2 = cache
         dr1 = self.fc2.backward(params, c2, demb, grads)
         df1 = dr1 * (f1 > 0)
         dh_last = self.fc1.backward(params, c1, df1, grads)
         dh_seq = np.zeros(h_shape, dtype=dh_last.dtype)
         dh_seq[:, -1] = dh_last
-        return self.gru.backward(params, gru_cache, dh_seq, grads, input_grad)
+        self.gru.backward(params, gru_cache, dh_seq, grads, input_grad=False)
 
 
 def difference_sequence(values: np.ndarray) -> np.ndarray:

@@ -210,13 +210,6 @@ def spec_augment(f: FeatureMap, policy: AugmentPolicy, seed: int) -> FeatureMap:
     return FeatureMap(values=out, frame_hop=f.frame_hop)
 
 
-def wrap_pad(values: np.ndarray, length: int) -> np.ndarray:
-    """``length`` frames of ``values``, repeating from the start (no copy if equal)."""
-    if values.shape[0] == length:
-        return values
-    return values[np.arange(length) % values.shape[0]]
-
-
 def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
                 seed: int = 0) -> FeatureMap:
     """Contiguous slice of uniform duration in [min_dur, max_dur] seconds
@@ -234,7 +227,7 @@ def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
     max_frames = int(round(max_dur * FRAME_RATE))
     rng = np.random.default_rng(seed)
     if t < min_frames:
-        values = wrap_pad(f.values, min_frames)
+        values = np.take(f.values, np.arange(min_frames), axis=0, mode="wrap")
     else:
         length = min(int(rng.integers(min_frames, max_frames + 1)), t)
         start = int(rng.integers(0, t - length + 1))

@@ -352,8 +352,10 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     params = ckpt.tensors
     cls_name = f"{net.cls.name}.w"
     maps = [it.features for it in items]
+    held = range(len(maps))  # maps kept through the run: a crop may stay a view
     if kind == "fbank" and cm_id != "frontend-toy":  # a frozen concat: encode once
         maps = _FrozenEncodings(cm_id, enc_cfg, params, maps)
+        held = maps.held
 
     rng = np.random.default_rng(cfg.seed)
     pools = [np.flatnonzero(labels == c) for c in (LABEL_BONAFIDE, LABEL_SPOOF)]
@@ -371,20 +373,22 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
 
     for step in range(1, total_steps + 1):
         idx = [*islice(bonafide, b - b // 2), *islice(spoof, b // 2)]
-        crops = []  # views of the maps, where a crop lies inside its map
+        crops = []
         for i in idx:
             crop_seed = int(rng.integers(2 ** 31))
             f = random_crop(maps[i], train_cfg.crop_min_s, train_cfg.crop_max_s, crop_seed)
             if train_cfg.augment:
                 f = spec_augment(f, cfg.augment, int(rng.integers(2 ** 31)))
-            crops.append(f.values)
+            # a crop of an encoding not held is copied, so the encoding is freed
+            crops.append(f.values if i in held else f.values.copy())
+            del f
         # One float32 batch array, each crop wrap-padded straight into its
         # row; the crops are not held through forward and backward.
         frames = np.arange(max(v.shape[0] for v in crops))
         x = np.empty((len(crops), len(frames), crops[0].shape[1]), dtype=np.float32)
         for row, v in zip(x, crops):
             np.take(v, frames, axis=0, mode="wrap", out=row)
-        del crops, f
+        del crops
         y = labels[idx]
 
         grads: dict[str, np.ndarray] = {}

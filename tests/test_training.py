@@ -16,7 +16,7 @@ from tcssd.cm_temporal import Cm1Net
 from tcssd.config import toy_config
 from tcssd.encoder import FrontendNet
 from tcssd.errors import DataError, TrainingError
-from tcssd.frontend import N_MELS, FeatureMap, wrap_pad
+from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import tensor_names
 from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
@@ -454,7 +454,7 @@ def record_batches(monkeypatch):
 
         def embedding(params, x):
             max_t = max(v.shape[0] for v in crops)
-            want = np.stack([wrap_pad(v, max_t) for v in crops]).astype(np.float32)
+            want = np.stack([v[np.arange(max_t) % len(v)] for v in crops]).astype(np.float32)
             batches.append((x.copy(), want))
             crops.clear()
             return embed(params, x)
@@ -534,6 +534,54 @@ def test_batch_assembly_holds_one_batch_copy(monkeypatch):
     finally:
         tracemalloc.stop()
     assert seen["peak"] < 1.5 * seen["nbytes"], (seen["peak"], seen["nbytes"])
+
+
+def test_crops_of_encodings_not_held_free_them(monkeypatch):
+    """Past ``ENCODED_BYTES_MAX`` no encoding is held, and each crop of one
+    is copied, so the encoding is freed before the next is made.  From
+    step 2's first encoding to its ``embed``, traced memory peaks under
+    the largest peak of one encoding plus 1.5 times the batch's bytes (the
+    crops), not with the step's whole encodings alive (8 x 0.38 MB here)."""
+    monkeypatch.setattr(training, "ENCODED_BYTES_MAX", 0)
+    items = sim_items(n_per_class=4, seed=14, dim=N_MELS, n_frames=2000)
+    getitem, make_net = training._FrozenEncodings.__getitem__, training.system_net
+    seen = {"steps": 0, "encode": 0, "peak": 0}
+
+    def encoding(self, i):
+        if seen["steps"] == 1 and "base" not in seen:
+            tracemalloc.reset_peak()
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+        current, peak = tracemalloc.get_traced_memory()
+        seen["peak"] = max(seen["peak"], peak)
+        tracemalloc.reset_peak()
+        m = getitem(self, i)
+        seen["encode"] = max(seen["encode"], tracemalloc.get_traced_memory()[1] - current)
+        return m
+
+    def making(*args):
+        net = make_net(*args)
+        embed = net.embed
+
+        def embedding(params, x):
+            seen["steps"] += 1
+            if seen["steps"] == 1:
+                return embed(params, x)
+            seen["peak"] = max(seen["peak"], tracemalloc.get_traced_memory()[1]) - seen["base"]
+            seen["nbytes"] = x.nbytes
+            raise StopIteration
+
+        net.embed = embedding
+        return net
+
+    monkeypatch.setattr(training._FrozenEncodings, "__getitem__", encoding)
+    monkeypatch.setattr(training, "system_net", making)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StopIteration):
+            train("cm2", items, tiny_run_cfg(max_steps=2))
+    finally:
+        tracemalloc.stop()
+    assert seen["peak"] < seen["encode"] + 1.5 * seen["nbytes"], seen
 
 
 @pytest.fixture(scope="module")
