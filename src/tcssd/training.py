@@ -190,32 +190,42 @@ class LogEntry:
         return f"{self.step}\t{self.lr:.10g}\t{self.loss:.10g}"
 
 
-def build_checkpoint(enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
+def build_checkpoint(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, seed: int,
                      init_from: Checkpoint | None = None) -> Checkpoint:
-    """Fresh full checkpoint: frontend, CM1 head, CM2 head (copied tail).
-
-    Tensors in ``init_from`` take precedence.  Each CM2 tensor it lacks
-    (MFA conv, pooling, projection, class rows) starts as a copy of its
-    ``frontend.*`` twin, mirroring retraining from pretrained weights.
-    """
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    init_layers(FrontendNet(enc_cfg).layers(), rng, params)
-    init_layers(Cm1Net(cm1_cfg, enc_cfg).layers(), rng, params)
-    twins = {name: "frontend." + name.removeprefix("cm2.")
-             for name in tensor_names(Cm2Net(enc_cfg).layers())}
+    """The checkpoint a ``cm_id`` run starts from: every ``frontend.*``
+    tensor, frozen unless ``cm_id`` is the toy frontend, and the system's
+    own.  The frontend is drawn first, then CM1's head for ``cm1``; CM2's
+    head starts as a copy of its ``frontend.*`` twins.  ``init_from`` must
+    hold this run's encoder config; each of its tensors that the run keeps
+    takes precedence once its shape is checked, and the others are neither
+    checked nor carried."""
+    net = system_net(cm_id, enc_cfg, cm1_cfg)
+    own = tensor_names(net.layers())
+    # the toy frontend's own layers are the frontend's, and CM2's head is copied
+    drawn = FrontendNet(enc_cfg).layers() + (net.layers() if cm_id == "cm1" else [])
+    params = init_layers(drawn, np.random.default_rng(seed))
+    twins = {name: "frontend." + name.removeprefix("cm2.") for name in own if cm_id == "cm2"}
     init = {} if init_from is None else init_from.tensors
+    if init_from is not None:  # tensor shapes alone miss a change of dilations
+        init_enc, run_enc = config_dict(checkpoint_configs(init_from)[0]), config_dict(enc_cfg)
+        differ = [f"encoder.{k} {v} != {run_enc[k]}" for k, v in init_enc.items()
+                  if v != run_enc[k]]
+        if differ:
+            raise DataError("the init checkpoint's encoder config differs from this "
+                            f"run's: {', '.join(differ)}")
     for name, tensor in init.items():
         expected = params.get(twins.get(name, name))
-        if expected is not None and expected.shape != tensor.shape:
+        if expected is None:  # a tensor this run does not keep
+            continue
+        if expected.shape != tensor.shape:
             raise DataError(f"init checkpoint tensor {name} has shape "
                             f"{tensor.shape}, expected {expected.shape}")
         params[name] = tensor.copy()
-    for name, twin in twins.items():
+    for name, twin in twins.items():  # after init, so a copy starts at an init frontend
         if name not in init:
             params[name] = params[twin].copy()
     config = {"encoder": config_dict(enc_cfg), "cm1": config_dict(cm1_cfg)}
-    return Checkpoint(tensors=params, frozen_names=set(), config=config)
+    return Checkpoint(tensors=params, frozen_names=set(params).difference(own), config=config)
 
 
 def system_net(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config):
@@ -250,7 +260,7 @@ def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
         if "dilations" in enc:
             enc["dilations"] = tuple(enc["dilations"])
         enc_cfg, cm1_cfg = EncoderConfig(**enc), Cm1Config(**cm1)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint config incomplete: {exc}") from None
     for key, stored, source, derived in (
             ("encoder.n_blocks", n_blocks, "len(encoder.dilations)",
@@ -308,14 +318,14 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     """Train one system under run config ``cfg``; return (final checkpoint,
     training log).
 
-    ``cfg.seed`` seeds the initialization and the generator.  Adam steps
-    the tensors that have gradients: the selected system's own, since its
-    ``backward_embed`` fills no others.  The checkpoints hold the system's
-    own tensors and, for a countermeasure, every ``frontend.*`` tensor, all
-    frozen: no other system's head.  On FBank maps a
-    countermeasure's steps crop ``_FrozenEncodings``.  With ``out_dir``,
-    the checkpoints ``init``, one per epoch and ``final`` and the
-    tab-separated ``train.log`` are saved there.
+    ``cfg.seed`` seeds the initialization and the generator.  The run
+    starts from ``build_checkpoint(cm_id, ...)``, so its checkpoints hold
+    what that holds: the system's own tensors and every ``frontend.*``
+    tensor.  Adam steps the tensors that have gradients: the selected
+    system's own, since its ``backward_embed`` fills no others.  On FBank
+    maps a countermeasure's steps crop ``_FrozenEncodings``.  With
+    ``out_dir``, the checkpoints ``init``, one per epoch and ``final`` and
+    the tab-separated ``train.log`` are saved there.
     """
     enc_cfg, train_cfg = cfg.encoder, cfg.train
     net = system_net(cm_id, enc_cfg, cfg.cm1)
@@ -336,19 +346,8 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     if cm_id == "cm1" and round(train_cfg.crop_min_s * FRAME_RATE) < 2:
         raise DataError(f"train.crop_min_s must give cm1 at least 2 frames to difference "
                         f"at {FRAME_RATE:g} frames/s, got {train_cfg.crop_min_s}")
-    if init_ckpt is not None:  # tensor shapes alone miss a change of dilations
-        init_enc, run_enc = config_dict(checkpoint_configs(init_ckpt)[0]), config_dict(enc_cfg)
-        differ = [f"encoder.{k} {v} != {run_enc[k]}" for k, v in init_enc.items()
-                  if v != run_enc[k]]
-        if differ:
-            raise DataError("the init checkpoint's encoder config differs from this "
-                            f"run's: {', '.join(differ)}")
 
-    own = tensor_names(net.layers())
-    frozen = set(tensor_names(FrontendNet(enc_cfg).layers())).difference(own)
-    full = build_checkpoint(enc_cfg, cfg.cm1, seed=cfg.seed, init_from=init_ckpt)
-    ckpt = Checkpoint({n: full.tensors[n] for n in frozen.union(own)}, frozen, full.config)
-    del full  # other systems' heads: not kept, so not held through the run
+    ckpt = build_checkpoint(cm_id, enc_cfg, cfg.cm1, cfg.seed, init_from=init_ckpt)
     params = ckpt.tensors
     cls_name = f"{net.cls.name}.w"
     maps = [it.features for it in items]

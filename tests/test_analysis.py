@@ -59,8 +59,8 @@ def test_tc_matrix_features_symmetric_unit_diagonal():
 
 def test_tc_matrix_audio_lane():
     enc = toy_config().encoder
-    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
-                                           fc1_out=8, fc2_out=8), seed=0)
+    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
+                            seed=0)
     rng = np.random.default_rng(1)
     w = rng.uniform(-0.4, 0.4, 16000 * 2)
     m = tc_similarity_matrix(w, k=4, seg_dur=0.5, seed=3, cfg=enc, ckpt=ckpt)
@@ -73,8 +73,8 @@ def test_tc_matrix_audio_lane_embeds_fbank_windows_in_one_batch(monkeypatch):
     """The utterance's FBank is computed once and its k windows go through
     one ``FrontendNet.embed`` call, each window a slice of that FBank."""
     enc = toy_config().encoder
-    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
-                                           fc1_out=8, fc2_out=8), seed=0)
+    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
+                            seed=0)
     w = np.random.default_rng(4).uniform(-0.4, 0.4, 16000 * 3)
     fbank_calls, embed_inputs = [], []
     real_fbank, real_embed = analysis.compute_fbank, FrontendNet.embed
@@ -102,8 +102,8 @@ def test_tc_matrix_lanes_draw_the_same_segments():
     """For one seed, k, segment length and frame count, the --wav and
     --features lanes start their segments at the same times."""
     enc = toy_config().encoder
-    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
-                                           fc1_out=8, fc2_out=8), seed=0)
+    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
+                            seed=0)
     w = np.random.default_rng(5).uniform(-0.4, 0.4, 16000 * 2)
     s = np.random.default_rng(6).standard_normal((frame_count(len(w)), 24)) + 3.0
     for seed in range(3):
@@ -114,8 +114,8 @@ def test_tc_matrix_lanes_draw_the_same_segments():
 
 def test_tc_matrix_too_short_utterance_rejected():
     enc = toy_config().encoder
-    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
-                                           fc1_out=8, fc2_out=8), seed=0)
+    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
+                            seed=0)
     w = np.zeros(4000)  # 0.25 s
     with pytest.raises(DataError, match="shorter than segment"):
         tc_similarity_matrix(w, seg_dur=0.5, cfg=enc, ckpt=ckpt)
@@ -125,7 +125,8 @@ def test_tc_matrix_too_short_utterance_rejected():
 def test_tc_matrix_refuses_segments_below_two_frames(seg_dur):
     """A one-frame window embeds to the same vector wherever it starts."""
     enc = toy_config().encoder
-    ckpt = build_checkpoint(enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8), seed=0)
+    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
+                            seed=0)
     w = np.random.default_rng(5).uniform(-0.4, 0.4, 16000 * 2)
     with pytest.raises(DataError, match="needs at least 2 frames"):
         tc_similarity_matrix(w, seg_dur=seg_dur, cfg=enc, ckpt=ckpt)

@@ -540,7 +540,7 @@ def test_score_with_nan_weight_exits_two_writing_nothing(tiny_pipeline, tmp_path
                                                          capsys):
     _, sim, _, _ = tiny_pipeline
     cfg = toy_config()
-    ckpt = build_checkpoint(cfg.encoder, cfg.cm1, seed=0)
+    ckpt = build_checkpoint("cm2", cfg.encoder, cfg.cm1, seed=0)
     ckpt.tensors["cm2.proj.w"][0, 0] = np.nan
     save_checkpoint(ckpt, tmp_path / "ck")
     out = tmp_path / "s.tsv"
@@ -1242,6 +1242,69 @@ def test_init_checkpoint_of_another_encoder_config_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "tcssd train: the init checkpoint's encoder config differs from this run's: "
         "encoder.dilations [2, 3, 4] != [5, 6, 7]"]
+    assert not out.exists()
+
+
+def sim_train_argv(sim, out, *extra):
+    return ["train", "--protocol", str(sim / "protocol.txt"), "--features",
+            str(sim / "features"), "--out", str(out), "--seed", "3", "--steps", "1", *extra]
+
+
+def test_init_tensor_of_another_shape_exits_two(tiny_pipeline, tmp_path, capsys):
+    """A tensor the run keeps must have the shape the run's would: one
+    line naming it and both shapes, before --out exists."""
+    _, sim, _, _ = tiny_pipeline
+    cfg = toy_config()
+    init = build_checkpoint("cm2", cfg.encoder, cfg.cm1, seed=0)
+    want = init.tensors["cm2.proj.w"].shape
+    init.tensors["cm2.proj.w"] = np.zeros((3, 3), dtype=np.float32)
+    save_checkpoint(init, tmp_path / "init")
+    capsys.readouterr()
+    out = tmp_path / "ck"
+    assert main(sim_train_argv(sim, out, "--cm", "2", "--init-ckpt",
+                               str(tmp_path / "init"))) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcssd train: init checkpoint tensor cm2.proj.w has shape (3, 3), expected {want}"]
+    assert not out.exists()
+
+
+def test_cm2_from_cm1_init_neither_checks_nor_carries_its_head(tiny_pipeline, tmp_path):
+    """A cm1 checkpoint's head is no part of a cm2 run, so a CM1 width
+    that differs from it is no reason to refuse the init."""
+    _, sim, ck, _ = tiny_pipeline
+    out = tmp_path / "ck"
+    assert main(sim_train_argv(sim, out, "--cm", "2", "--init-ckpt", str(ck / "final"),
+                               "--set", "cm1.hidden=16")) == 0
+    init = load_checkpoint(ck / "final")
+    for name in ("init", "epoch_0001", "final"):
+        saved = load_checkpoint(out / name)
+        assert not [n for n in saved.tensors if n.startswith("cm1.")], name
+        for n in saved.frozen_names:
+            assert np.array_equal(saved.tensors[n], init.tensors[n]), (name, n)
+
+
+@pytest.mark.parametrize("command", ["score", "train"])
+def test_corrupt_manifest_config_exits_two(command, tiny_pipeline, tmp_path, capsys):
+    """A manifest whose encoder config is not an object: one line, and
+    nothing written."""
+    tmp, sim, _, _ = tiny_pipeline
+    shutil.copytree(tmp / "ck2" / "final", tmp_path / "bad")
+    manifest = tmp_path / "bad" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["config"]["encoder"] = "xy"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "score":
+        argv = ["score", "--cm", "2", "--protocol", str(sim / "protocol.txt"),
+                "--features", str(sim / "features"), "--ckpt", str(tmp_path / "bad"),
+                "--out", str(out)]
+    else:
+        argv = sim_train_argv(sim, out, "--cm", "2", "--init-ckpt", str(tmp_path / "bad"))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"tcssd {command}: checkpoint config incomplete: ")
     assert not out.exists()
 
 

@@ -14,8 +14,8 @@ from tcssd.training import AamConfig, aam_softmax_loss, build_checkpoint, system
 
 def toy_checkpoint(seed=0):
     cfg = toy_config().encoder
-    ckpt = build_checkpoint(cfg, Cm1Config(hidden=8,
-                                           fc1_out=8, fc2_out=8), seed=seed)
+    ckpt = build_checkpoint("cm2", cfg, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
+                            seed=seed)
     return cfg, ckpt
 
 

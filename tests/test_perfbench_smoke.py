@@ -70,7 +70,7 @@ def test_traced_cm2_names_stay_on_the_hot_path(tmp_path, capsys):
     either to be non-zero, so a refactor that routes around them would
     silently zero those metrics; this pins them through a tiny ``score``."""
     cfg = toy_config()
-    save_checkpoint(build_checkpoint(cfg.encoder, cfg.cm1, seed=0), tmp_path / "ck")
+    save_checkpoint(build_checkpoint("cm2", cfg.encoder, cfg.cm1, seed=0), tmp_path / "ck")
     rng = np.random.default_rng(0)
     lengths = [30, 30, 30, 25]  # at --batch-size 2: chunks of 2, 1 and 1 maps
     (tmp_path / "p.txt").write_text("".join(

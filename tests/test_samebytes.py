@@ -28,6 +28,7 @@ def test_tree_against_itself_is_all_same(tmp_path):
     items = [line.split("  ")[-1] for line in verdicts]
     for name in ("sim7/ck1/final/weights.bin", "sim13/cm2_b1.tsv",
                  "audio/fe/final/manifest.json", "audio/ck2i_b32.tsv",
+                 "audio/ck2from1_b32.tsv", "sim7/cm2from1_b32.tsv",
                  "audio/trimmed.wav", "audio/dist.tsv"):
         assert name in items, name
     commands = {item.strip("[]").split()[1] for item in items if item.startswith("[")}

@@ -270,22 +270,24 @@ def sim_eval_dir(tmp_path_factory):
         attack = "-" if key == "bonafide" else "SIM01"
         records.append(TrialRecord("SIMSPK", utt, attack, key))
     enc = toy_config().encoder
-    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
-                                           fc1_out=8, fc2_out=8), seed=0)
-    # As manifests stored it before the block count and CM1's input width
-    # were derived from encoder.dilations and encoder.mfa_dim.
-    ckpt.config = {"encoder": {"n_mels": 80, "channels": 16, "n_blocks": 3,
-                               "dilations": [2, 3, 4], "res2_scale": 8,
-                               "mfa_dim": 24, "embed_dim": 32, "att_dim": 8},
-                   "cm1": {"input_dim": 24, "hidden": 8, "n_layers": 2,
-                           "fc1_out": 8, "fc2_out": 8}}
-    return tmp, records, ckpt
+    ckpts = {}
+    for cm_id in ("cm1", "cm2"):
+        ckpt = build_checkpoint(cm_id, enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8), seed=0)
+        # As manifests stored it before the block count and CM1's input width
+        # were derived from encoder.dilations and encoder.mfa_dim.
+        ckpt.config = {"encoder": {"n_mels": 80, "channels": 16, "n_blocks": 3,
+                                   "dilations": [2, 3, 4], "res2_scale": 8,
+                                   "mfa_dim": 24, "embed_dim": 32, "att_dim": 8},
+                       "cm1": {"input_dim": 24, "hidden": 8, "n_layers": 2,
+                               "fc1_out": 8, "fc2_out": 8}}
+        ckpts[cm_id] = ckpt
+    return tmp, records, ckpts
 
 
 def test_score_trials_batch_invariance(sim_eval_dir):
-    tmp, records, ckpt = sim_eval_dir
-    one = score_trials("cm1", records, tmp, ckpt, batch_size=1)
-    three = score_trials("cm1", records, tmp, ckpt, batch_size=3)
+    tmp, records, ckpts = sim_eval_dir
+    one = score_trials("cm1", records, tmp, ckpts["cm1"], batch_size=1)
+    three = score_trials("cm1", records, tmp, ckpts["cm1"], batch_size=3)
     assert len(one.entries) == len(records)
     for a, b in zip(one.entries, three.entries):
         assert a.utt_id == b.utt_id
@@ -293,14 +295,14 @@ def test_score_trials_batch_invariance(sim_eval_dir):
 
 
 def test_score_trials_missing_feature_named(sim_eval_dir, tmp_path):
-    _, records, ckpt = sim_eval_dir
+    _, records, ckpts = sim_eval_dir
     with pytest.raises(DataError, match=records[0].utt_id):
-        score_trials("cm1", records, tmp_path, ckpt)
+        score_trials("cm1", records, tmp_path, ckpts["cm1"])
 
 
 def test_score_trials_cm2(sim_eval_dir):
-    tmp, records, ckpt = sim_eval_dir
-    out = score_trials("cm2", records, tmp, ckpt)
+    tmp, records, ckpts = sim_eval_dir
+    out = score_trials("cm2", records, tmp, ckpts["cm2"])
     assert len(out.entries) == len(records)
     assert all(np.isfinite(e.score) for e in out.entries)
 
@@ -329,17 +331,17 @@ def mixed_eval_dir(tmp_path_factory):
                                  tmp / f"{utt}.fea")
                 attack = "-" if key == "bonafide" else "SIM01"
                 records.append(TrialRecord("SPK", utt, attack, key))
-    enc = toy_config().encoder
-    ckpt = build_checkpoint(enc, Cm1Config(hidden=8,
-                                           fc1_out=8, fc2_out=8), seed=3)
-    return tmp, records, ckpt
+    enc, cm1_cfg = toy_config().encoder, Cm1Config(hidden=8, fc1_out=8, fc2_out=8)
+    ckpts = {cm_id: build_checkpoint(cm_id, enc, cm1_cfg, seed=3) for cm_id in ("cm1", "cm2")}
+    return tmp, records, ckpts
 
 
 @pytest.mark.parametrize("cm_id", ["cm1", "cm2"])
 def test_score_trials_mixed_lengths_batch_contract(mixed_eval_dir, tmp_path, cm_id):
     """Any batch size: protocol order, scores within 1e-6 of one-at-a-time
     scoring, and byte-identical score files from two calls."""
-    tmp, records, ckpt = mixed_eval_dir
+    tmp, records, ckpts = mixed_eval_dir
+    ckpt = ckpts[cm_id]
     runs = {bs: score_trials(cm_id, records, tmp, ckpt, batch_size=bs)
             for bs in (1, 3, DEFAULT_SCORE_BATCH)}
     ref = np.array([e.score for e in runs[1].entries])

@@ -1,7 +1,6 @@
 """AAM-softmax, schedule, optimizer, and training-loop contracts."""
 
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +16,8 @@ from tcssd.config import toy_config
 from tcssd.encoder import FrontendNet
 from tcssd.errors import DataError, TrainingError
 from tcssd.frontend import N_MELS, FeatureMap
-from tcssd.layers import tensor_names
-from tcssd.training import (Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
+from tcssd.layers import Gru, init_layers, tensor_names
+from tcssd.training import (CM_IDS, Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
                             build_checkpoint, lr_schedule, system_net, train)
 
@@ -216,7 +215,7 @@ def test_train_deterministic_given_seed():
 def test_train_cm2_freezes_frontend():
     cfg = tiny_run_cfg(max_steps=5)
     items = sim_items(n_per_class=4, seed=3)
-    init = build_checkpoint(cfg.encoder, cfg.cm1, seed=cfg.seed)
+    init = build_checkpoint("cm2", cfg.encoder, cfg.cm1, seed=cfg.seed)
     before = {k: v.copy() for k, v in init.tensors.items()}
     ckpt, _ = train("cm2", items, cfg, init_ckpt=init)
     for name in ckpt.frozen_names:
@@ -228,29 +227,60 @@ def test_train_cm2_freezes_frontend():
                               before["cm2.pool.att.fc1.w"])
 
 
-def test_train_drops_the_tensors_it_does_not_keep(monkeypatch):
-    """By the first optimizer step, a cm2 run holds none of the CM1 head
-    that ``build_checkpoint`` made alongside the tensors it keeps."""
-    cm1_refs = []
-    build, step = training.build_checkpoint, Adam.step
+def three_system_build(enc_cfg, cm1_cfg, seed, init):
+    """The oracle: every system drawn at once, as one checkpoint held all
+    three.  The frontend, then CM1's head; ``init``'s tensors take
+    precedence, and each CM2 tensor it lacks copies its frontend twin."""
+    rng = np.random.default_rng(seed)
+    params = init_layers(FrontendNet(enc_cfg).layers(), rng)
+    init_layers(Cm1Net(cm1_cfg, enc_cfg).layers(), rng, params)
+    params.update({name: tensor.copy() for name, tensor in init.items()})
+    for name in tensor_names(Cm2Net(enc_cfg).layers()):
+        if name not in init:
+            params[name] = params["frontend." + name.removeprefix("cm2.")].copy()
+    return params
 
-    def recording_build(*args, **kwargs):
-        full = build(*args, **kwargs)
-        cm1_refs.extend(weakref.ref(t) for n, t in full.tensors.items()
-                        if n.startswith("cm1."))
-        return full
 
-    alive = []
+@pytest.mark.parametrize("cm_id", CM_IDS)
+def test_build_checkpoint_keeps_the_three_system_builds_bits(cm_id, monkeypatch):
+    """A run's checkpoint holds exactly the system's own tensors and the
+    frontend's, with the frontend frozen unless it is the system, and each
+    tensor has the three-system build's bits, fresh and from a cm1 init
+    (whose head a cm2 or toy-frontend run neither checks nor carries).
+    Only a cm1 build draws CM1's head."""
+    cfg = tiny_run_cfg()
+    frontend = set(tensor_names(FrontendNet(cfg.encoder).layers()))
+    own = set(tensor_names(system_net(cm_id, cfg.encoder, cfg.cm1).layers()))
+    inits = (None, build_checkpoint("cm1", cfg.encoder, cfg.cm1, seed=6))
+    oracles = [three_system_build(cfg.encoder, cfg.cm1, 5, {} if i is None else i.tensors)
+               for i in inits]
+    gru_inits, gru_init = [], Gru.init
 
-    def checking_step(self, params, grads, lr):
-        if self.t == 0:
-            alive.extend(n for n, ref in enumerate(cm1_refs) if ref() is not None)
-        return step(self, params, grads, lr)
+    def counting_init(self, *args):
+        gru_inits.append(self.name)
+        return gru_init(self, *args)
 
-    monkeypatch.setattr(training, "build_checkpoint", recording_build)
-    monkeypatch.setattr(Adam, "step", checking_step)
-    train("cm2", sim_items(n_per_class=2, seed=3), tiny_run_cfg(max_steps=2))
-    assert cm1_refs and alive == []
+    monkeypatch.setattr(Gru, "init", counting_init)
+    for init, oracle in zip(inits, oracles):
+        ckpt = build_checkpoint(cm_id, cfg.encoder, cfg.cm1, seed=5, init_from=init)
+        assert set(ckpt.tensors) == own | frontend
+        assert ckpt.frozen_names == frontend - own
+        for name, tensor in ckpt.tensors.items():
+            assert tensor.dtype == oracle[name].dtype, name
+            assert tensor.tobytes() == oracle[name].tobytes(), name
+    assert gru_inits == (["cm1.gru"] * 2 if cm_id == "cm1" else [])
+
+
+def test_init_tensor_of_another_shape_is_named():
+    """A tensor the run keeps must have the shape the run's would."""
+    cfg = tiny_run_cfg()
+    init = build_checkpoint("cm2", cfg.encoder, cfg.cm1, seed=0)
+    want = init.tensors["cm2.proj.w"].shape
+    init.tensors["cm2.proj.w"] = np.zeros((3, 3), dtype=np.float32)
+    with pytest.raises(DataError) as info:
+        build_checkpoint("cm2", cfg.encoder, cfg.cm1, seed=0, init_from=init)
+    assert str(info.value) == (f"init checkpoint tensor cm2.proj.w has shape (3, 3), "
+                               f"expected {want}")
 
 
 def test_train_single_class_rejected():
@@ -275,7 +305,7 @@ def test_train_unknown_system_rejected():
 def test_train_nan_loss_aborts():
     cfg = tiny_run_cfg(max_steps=5)
     items = sim_items(n_per_class=4, seed=5)
-    init = build_checkpoint(cfg.encoder, cfg.cm1, seed=cfg.seed)
+    init = build_checkpoint("cm1", cfg.encoder, cfg.cm1, seed=cfg.seed)
     init.tensors["cm1.fc1.w"][0, 0] = np.nan
     with pytest.raises(TrainingError, match="non-finite loss"):
         train("cm1", items, cfg, init_ckpt=init)
@@ -315,7 +345,7 @@ def test_train_frontend_toy_on_fbank_kind():
 def test_train_cm2_on_fbank_kind_updates_mfa_conv():
     cfg = tiny_run_cfg(max_steps=3, batch_size=4)
     items = sim_items(n_per_class=3, seed=9, dim=80, n_frames=30)
-    init = build_checkpoint(cfg.encoder, cfg.cm1, seed=cfg.seed)
+    init = build_checkpoint("cm2", cfg.encoder, cfg.cm1, seed=cfg.seed)
     before = init.tensors["cm2.mfa.conv.w"].copy()
     ckpt, _ = train("cm2", items, cfg, init_ckpt=init)
     assert not np.array_equal(ckpt.tensors["cm2.mfa.conv.w"], before)
@@ -419,8 +449,9 @@ def test_embed_of_frozen_encoding_equals_embed_of_fbank(cm_id, width):
     as the FBank map that scoring reads."""
     cfg = tiny_run_cfg()
     net = system_net(cm_id, cfg.encoder, cfg.cm1)
-    params = build_checkpoint(cfg.encoder, cfg.cm1, seed=3).tensors
-    params["cm2.mfa.conv.w"] = params["cm2.mfa.conv.w"] * np.float32(1.5)  # CM2's own
+    params = build_checkpoint(cm_id, cfg.encoder, cfg.cm1, seed=3).tensors
+    if cm_id == "cm2":  # CM2's own conv, apart from its frontend twin
+        params["cm2.mfa.conv.w"] = params["cm2.mfa.conv.w"] * np.float32(1.5)
     items = unequal_fbank_items()
     encoded = training._FrozenEncodings(cm_id, cfg.encoder, params,
                                         [it.features for it in items])
@@ -625,7 +656,7 @@ def test_cm2_from_toy_frontend_starts_at_its_trained_head(toy_frontend_final, tm
     items = sim_items(n_per_class=3, seed=9, dim=80, n_frames=30)
     train("cm2", items, cfg, out_dir=str(tmp_path), init_ckpt=toy_frontend_final)
     init = load_checkpoint(tmp_path / "init")
-    fresh = build_checkpoint(cfg.encoder, cfg.cm1, seed=cfg.seed)
+    fresh = build_checkpoint("cm2", cfg.encoder, cfg.cm1, seed=cfg.seed)
     for name in tensor_names(Cm2Net(cfg.encoder).layers()):
         twin = "frontend." + name.removeprefix("cm2.")
         assert np.array_equal(init.tensors[name], toy_frontend_final.tensors[twin]), name
@@ -637,7 +668,7 @@ def test_cm1_from_toy_frontend_starts_at_its_own_seed(toy_frontend_final, tmp_pa
     items = sim_items(n_per_class=3, seed=9, dim=80, n_frames=30)
     train("cm1", items, cfg, out_dir=str(tmp_path), init_ckpt=toy_frontend_final)
     init = load_checkpoint(tmp_path / "init")
-    own = build_checkpoint(cfg.encoder, cfg.cm1, seed=4)
+    own = build_checkpoint("cm1", cfg.encoder, cfg.cm1, seed=4)
     cm1_names = tensor_names(Cm1Net(cfg.cm1, cfg.encoder).layers())
     for name in cm1_names:
         assert np.array_equal(init.tensors[name], own.tensors[name]), name
@@ -648,7 +679,7 @@ def test_cm1_from_toy_frontend_starts_at_its_own_seed(toy_frontend_final, tmp_pa
 def test_build_checkpoint_cm2_starts_as_frontend_copy():
     cfg = tiny_run_cfg()
     enc, cm1 = cfg.encoder, cfg.cm1
-    ckpt = build_checkpoint(enc, cm1, seed=3)
+    ckpt = build_checkpoint("cm2", enc, cm1, seed=3)
     copied = [n for n in ckpt.tensors if n.startswith("cm2.")]
     assert sorted(copied) == sorted(tensor_names(Cm2Net(enc).layers())) == sorted(
         ["cm2.mfa.conv.w", "cm2.mfa.conv.b", "cm2.pool.att.fc1.w",
@@ -670,7 +701,7 @@ def test_backward_embed_fills_exactly_own_trainable_grads(cm_id, kind):
     cfg = tiny_run_cfg()
     enc, cm1 = cfg.encoder, cfg.cm1
     net = system_net(cm_id, enc, cm1)
-    params = build_checkpoint(enc, cm1, seed=0).tensors
+    params = build_checkpoint(cm_id, enc, cm1, seed=0).tensors
     width = {"fbank": N_MELS, "speaker": enc.mfa_dim, "concat": enc.concat_width}[kind]
     x = np.random.default_rng(0).standard_normal((2, 12, width)).astype(np.float32)
     emb, cache = net.embed(params, x)

@@ -14,10 +14,16 @@ The list covers:
 * the README desk recipe at two seeds: ``simulate``, ``train`` for both
   countermeasures, ``score`` at batch sizes 1, 7, 32 and the whole
   protocol, ``fuse``, ``evaluate`` of every score file, and both analyses;
+  also cm2 trained from the cm1 checkpoint and scored at batch size 32;
 * the audio lane on WAVs written by ``perfbench/workloads.write_wav_split``:
   ``trim``, ``extract``, frontend-toy with SpecAugment, cm1 and cm2 with
-  and without ``--init-ckpt``, their scores, and both analyses;
+  and without ``--init-ckpt`` of the frontend, cm2 from the initialised
+  cm1 checkpoint, their scores, and both analyses;
 * ``count-params`` and ``flops`` at both presets.
+
+A cm1 checkpoint holds a head that a cm2 run neither checks nor keeps, so
+the two cm2-from-cm1 runs compare what a run takes from an init
+checkpoint of another system.
 
 One line per output file and per command (exit code, stdout and stderr)
 says ``same`` or ``DIFF`` with the sha256 prefixes, or names the tree that
@@ -74,6 +80,11 @@ def commands(inputs: str, sizes: dict) -> list[list[str]]:
                 cmds.append(["score", "--cm", cm, *ev, "--ckpt", f"{d}/ck{cm}/final",
                              "--out", f"{d}/cm{cm}_b{batch}.tsv", "--seed", s,
                              "--batch-size", batch])
+        # cm2 from the cm1 checkpoint, whose head the run neither checks nor keeps
+        cmds += [["train", "--cm", "2", *tr, "--out", f"{d}/ck2from1", "--seed", s, *steps,
+                  "--init-ckpt", f"{d}/ck1/final"],
+                 ["score", "--cm", "2", *ev, "--ckpt", f"{d}/ck2from1/final",
+                  "--out", f"{d}/cm2from1_b32.tsv", "--seed", s, "--batch-size", "32"]]
         cmds += [["fuse", "--a", f"{d}/cm1_b32.tsv", "--b", f"{d}/cm2_b32.tsv",
                   "--w", "0.5", "--out", f"{d}/fused.tsv"],
                  ["fuse", "--a", f"{d}/cm1_b1.tsv", "--b", f"{d}/cm2_b1.tsv",
@@ -108,6 +119,10 @@ def commands(inputs: str, sizes: dict) -> list[list[str]]:
                              "--batch-size", batch])
             cmds.append(["evaluate", "--scores", f"audio/{name}_b32.tsv",
                          "--protocol", ev[1]])
+    cmds += [["train", "--cm", "2", *tr, "--out", "audio/ck2from1", "--seed", s, *a_steps,
+              "--init-ckpt", "audio/ck1i/final"],
+             ["score", "--cm", "2", *ev, "--ckpt", "audio/ck2from1/final",
+              "--out", "audio/ck2from1_b32.tsv", "--seed", s, "--batch-size", "32"]]
     first_eval = os.path.splitext(os.path.basename(wavs("eval")[0]))[0]
     cmds += [["analyze-tc", "--wav", wavs("eval")[0], "--ckpt", "audio/fe/final",
               "--k", "4", "--seg-dur", "0.2", "--seed", s, "--out", "audio/tc_wav.txt"],
