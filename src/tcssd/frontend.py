@@ -216,19 +216,23 @@ def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
     at FRAME_RATE frames per second.
 
     Inputs shorter than min_dur are wrap-padded (repeating from the start)
-    to exactly min_dur; the drawn duration is capped at the input length.
-    A crop that lies inside the input is a view of it: callers must not
-    write into the result (``spec_augment`` copies).
+    to exactly min_dur; the drawn duration is capped at the input length,
+    so an input of at most min_dur comes out the same for every seed, and
+    only a longer one seeds a generator.  A crop that lies inside the
+    input is a view of it: callers must not write into the result
+    (``spec_augment`` copies).
     """
     t = f.values.shape[0]
     if t == 0:
         raise DataError("empty feature map")
     min_frames = int(round(min_dur * FRAME_RATE))
     max_frames = int(round(max_dur * FRAME_RATE))
-    rng = np.random.default_rng(seed)
     if t < min_frames:
         values = np.take(f.values, np.arange(min_frames), axis=0, mode="wrap")
+    elif t == min_frames:
+        values = f.values
     else:
+        rng = np.random.default_rng(seed)
         length = min(int(rng.integers(min_frames, max_frames + 1)), t)
         start = int(rng.integers(0, t - length + 1))
         values = f.values[start:start + length]

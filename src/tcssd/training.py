@@ -394,6 +394,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         emb, cache = net.embed(params, x)
         loss, demb, dw = aam_softmax_loss(emb, y, params[cls_name], cfg.aam)
         net.backward_embed(params, cache, demb, grads)
+        del cache, x  # so the next step's forward runs without this one's
         grads[cls_name] = dw
 
         lr = lr_schedule(step, train_cfg)

@@ -326,6 +326,11 @@ def test_crop_full_length_identity():
     f = FeatureMap(values=np.random.default_rng(1).standard_normal((300, 4)).astype(np.float32))
     out = random_crop(f, min_dur=3.0, max_dur=3.0, seed=9)
     np.testing.assert_array_equal(out.values, f.values)
+    # a map of exactly min_dur is the only crop a longer max_dur allows
+    for seed in range(20):
+        out = random_crop(f, min_dur=3.0, max_dur=4.0, seed=seed)
+        np.testing.assert_array_equal(out.values, f.values)
+        assert np.shares_memory(out.values, f.values)
 
 
 def test_crop_empty_rejected():

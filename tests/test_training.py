@@ -1,6 +1,7 @@
 """AAM-softmax, schedule, optimizer, and training-loop contracts."""
 
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -613,6 +614,42 @@ def test_crops_of_encodings_not_held_free_them(monkeypatch):
     finally:
         tracemalloc.stop()
     assert seen["peak"] < seen["encode"] + 1.5 * seen["nbytes"], seen
+
+
+def cache_arrays(obj):
+    """Every array in a forward cache, through its nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in cache_arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("cm_id", ["cm1", "cm2"])
+def test_a_step_holds_only_its_own_activations(cm_id, monkeypatch):
+    """When step k+1's ``embed`` is entered, step k's batch array and every
+    array of its forward cache are already freed, so two steps' activations
+    are never alive at once."""
+    make_net, refs, seen = training.system_net, [], {"checked": 0}
+
+    def making(*args):
+        net = make_net(*args)
+        embed = net.embed
+
+        def embedding(params, x):
+            alive = [r for r in refs if r() is not None]
+            assert not alive, f"{len(alive)} of {len(refs)} arrays of the last step alive"
+            seen["checked"] += bool(refs)
+            emb, cache = embed(params, x)
+            refs[:] = [weakref.ref(a) for a in [x, *cache_arrays(cache)]]
+            return emb, cache
+
+        net.embed = embedding
+        return net
+
+    monkeypatch.setattr(training, "system_net", making)
+    train(cm_id, sim_items(n_per_class=4, seed=15), tiny_run_cfg(max_steps=3))
+    assert seen["checked"] == 2 and len(refs) > 1
 
 
 @pytest.fixture(scope="module")
