@@ -8,6 +8,7 @@ name so identical checkpoints serialize byte-identically.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -58,26 +59,17 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     blobs = []
     for name in sorted(ckpt.tensors):
         arr = np.ascontiguousarray(ckpt.tensors[name], dtype="<f4")
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "offset": offset,
-            "frozen": name in ckpt.frozen_names,
-        })
+        entries.append((name, arr.shape, offset, name in ckpt.frozen_names))
         offset += arr.size
         blobs.append(arr.tobytes())
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config": ckpt.config,
-        "tensors": entries,
-    }
+    manifest = _render_manifest(json.dumps(ckpt.config, sort_keys=True), tuple(entries))
     path = os.fspath(path)
     tmp, old = f"{path}.tmp", f"{path}.old"
     shutil.rmtree(tmp, ignore_errors=True)  # left by an interrupted save
     os.makedirs(tmp)
     try:
         with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            fh.write(manifest)
         with open(os.path.join(tmp, WEIGHTS_NAME), "wb") as fh:
             fh.write(b"".join(blobs))
         if os.path.exists(path):
@@ -87,6 +79,21 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)  # only after a failed write
     shutil.rmtree(old, ignore_errors=True)
+
+
+@functools.lru_cache(maxsize=1)
+def _render_manifest(config_json: str, entries: tuple) -> str:
+    """``manifest.json``'s text for a compact config dump and (name, shape,
+    offset, frozen) entries.  The indented dump runs Python's pure-Python
+    encoder, most of a save; a run's checkpoints share one manifest, so
+    the last one rendered is kept."""
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "config": json.loads(config_json),
+        "tensors": [{"name": name, "shape": list(shape), "offset": offset, "frozen": frozen}
+                    for name, shape, offset, frozen in entries],
+    }
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 def _valid_entry(entry) -> bool:

@@ -491,6 +491,9 @@ class Gru:
         bit-identical to the plain step; toy training is chaotic enough that
         one ulp per step changes the trained weights.  Each layer runs in its
         own call, so its temporaries are freed before the next layer's are made.
+        A layer's cache is ``(inp, hs, zr_seq, n_seq)``: its input, then
+        h_0..h_T, [z, r] and n per step, four (T, B, H)-sized arrays; 1 - z
+        lives in a (B, H) step buffer, which the backward refills.
         """
         caches = []
         inp = x
@@ -511,7 +514,6 @@ class Gru:
         zr_seq = np.empty((t, 2, b, hd), dtype=inp.dtype)  # [z, r] per step
         z_seq, r_seq = zr_seq[:, 0], zr_seq[:, 1]
         n_seq = np.empty((t, b, hd), dtype=inp.dtype)
-        omz_seq = np.empty_like(n_seq)  # 1 - z, which backward reuses
         u_zr_t = w_hh[:2 * hd].T
         u_n_t = w_hh[2 * hd:].T
         b_hzr = b_hh[:2 * hd]
@@ -519,7 +521,7 @@ class Gru:
         a_zr = np.empty((b, 2 * hd), dtype=inp.dtype)
         # a_zr's [z | r] columns as (B, 2, H), written to the step's [z, r].
         a_zr3, zr_out = a_zr.reshape(b, 2, hd), zr_seq.transpose(0, 2, 1, 3)
-        a_n, rh, zh = np.empty((3, b, hd), dtype=inp.dtype)
+        a_n, rh, zh, omz = np.empty((4, b, hd), dtype=inp.dtype)
         for ti in range(t):
             h = hs[ti]
             np.dot(h, u_zr_t, out=a_zr)
@@ -531,11 +533,11 @@ class Gru:
             np.add(a_n_in[ti], a_n, out=a_n)
             a_n += b_hn
             n = np.tanh(a_n, out=n_seq[ti])
-            np.subtract(1.0, z_seq[ti], out=omz_seq[ti])
+            np.subtract(1.0, z_seq[ti], out=omz)
             np.multiply(z_seq[ti], h, out=zh)
-            h_next = np.multiply(omz_seq[ti], n, out=hs[ti + 1])
+            h_next = np.multiply(omz, n, out=hs[ti + 1])
             h_next += zh
-        return hs[1:].transpose(1, 0, 2), (inp, hs, zr_seq, omz_seq, n_seq)
+        return hs[1:].transpose(1, 0, 2), (inp, hs, zr_seq, n_seq)
 
     def backward(self, params, caches, dh_seq, grads, input_grad=True):
         """dh_seq: (B, T, H) external gradient on the last layer's outputs ->
@@ -548,18 +550,21 @@ class Gru:
 
     def _backward_layer(self, params, l, cache, d_seq, grads, input_grad):
         hd = self.hidden
-        inp, hs, zr_seq = cache[:3]
+        inp, hs, zr_seq, _ = cache
         w_ih, w_hh, _, _ = self._weights(params, l)
         b, t, _ = inp.shape
         da_seq = self._step_grads(cache, w_hh, d_seq)
         # Weight gradients as one GEMM each over all B*T frames.
         da2 = da_seq.reshape(b * t, 3 * hd)
         grads[f"{self.name}.l{l}.w_ih"] = da2.T @ inp.reshape(b * t, -1)
-        h_prev_seq = hs[:-1]
-        rh2 = (zr_seq[:, 1] * h_prev_seq).transpose(1, 0, 2).reshape(b * t, hd)
-        dw_zr = da2[:, :2 * hd].T @ h_prev_seq.transpose(1, 0, 2).reshape(b * t, hd)
+        # h_prev batch-major, then r * h_prev in place: a copy, since at B=1
+        # the batch-major view would be hs itself.
+        hp = hs[:-1].transpose(1, 0, 2).copy()
+        dw_zr = da2[:, :2 * hd].T @ hp.reshape(b * t, hd)
+        hp *= zr_seq[:, 1].transpose(1, 0, 2)
         grads[f"{self.name}.l{l}.w_hh"] = np.concatenate(
-            [dw_zr, da2[:, 2 * hd:].T @ rh2], axis=0)
+            [dw_zr, da2[:, 2 * hd:].T @ hp.reshape(b * t, hd)], axis=0)
+        del hp  # before the input gradient is made
         dbias = da_seq.sum(axis=(0, 1))
         grads[f"{self.name}.l{l}.b_ih"] = dbias
         grads[f"{self.name}.l{l}.b_hh"] = dbias.copy()
@@ -568,35 +573,40 @@ class Gru:
     def _step_grads(self, cache, w_hh, d_seq):
         """The reverse time loop -> pre-activation gradients (B, T, 3H),
         blocks [z, r, n], in a batch-major loop's row order; each step
-        writes its (B, H) blocks through a (3, T, B, H) view."""
+        writes its (B, H) blocks through a (3, T, B, H) view.
+
+        The step's element-wise factors h_prev - n, 1 - r and 1 - n*n are
+        staged for all steps at once in the z, r and n slots of that same
+        buffer (same bits, fewer calls inside the loop); each step reads its
+        slot before writing its gradient there.  1 - z is refilled per step
+        in a (B, H) buffer, and d_seq's step is read in place."""
         hd = self.hidden
-        _, hs, zr_seq, omz_seq, n_seq = cache
+        _, hs, zr_seq, n_seq = cache
         u_z, u_r, u_n = w_hh[:hd], w_hh[hd:2 * hd], w_hh[2 * hd:]
         t, b, _ = n_seq.shape
         h_prev_seq = hs[:-1]
         z_seq, r_seq = zr_seq[:, 0], zr_seq[:, 1]
-        d_t = np.ascontiguousarray(d_seq.transpose(1, 0, 2))
-        # The step's element-wise factors of h_prev, n and r, for all steps
-        # at once: same bits, fewer calls inside the loop.
-        hmn_seq = h_prev_seq - n_seq
-        omn2_seq = 1.0 - n_seq * n_seq
-        omr_seq = 1.0 - r_seq
         da = np.empty((b, t, 3, hd), dtype=n_seq.dtype)
         da_z_seq, da_r_seq, da_n_seq = da.transpose(2, 1, 0, 3)
+        np.subtract(h_prev_seq, n_seq, out=da_z_seq)
+        np.subtract(1.0, r_seq, out=da_r_seq)
+        np.multiply(n_seq, n_seq, out=da_n_seq)
+        np.subtract(1.0, da_n_seq, out=da_n_seq)
         carry = np.zeros((b, hd), dtype=n_seq.dtype)
-        dh, dz, dn, drh, tmp, tmp2 = np.empty((6, b, hd), dtype=n_seq.dtype)
+        dh, dz, dn, drh, omz, tmp, tmp2 = np.empty((7, b, hd), dtype=n_seq.dtype)
         for ti in reversed(range(t)):
-            z, r, omz = z_seq[ti], r_seq[ti], omz_seq[ti]
+            z, r = z_seq[ti], r_seq[ti]
             da_z, da_r, da_n = da_z_seq[ti], da_r_seq[ti], da_n_seq[ti]
-            np.add(d_t[ti], carry, out=dh)
-            np.multiply(dh, hmn_seq[ti], out=dz)
+            np.subtract(1.0, z, out=omz)
+            np.add(d_seq[:, ti], carry, out=dh)
+            np.multiply(dh, da_z, out=dz)  # h_prev - n
             np.multiply(dh, omz, out=dn)
             np.multiply(dh, z, out=carry)  # dh_prev
-            np.multiply(dn, omn2_seq[ti], out=da_n)
+            np.multiply(dn, da_n, out=da_n)  # 1 - n*n
             np.dot(da_n, u_n, out=drh)
             np.multiply(drh, h_prev_seq[ti], out=tmp)
             tmp *= r
-            np.multiply(tmp, omr_seq[ti], out=da_r)
+            np.multiply(tmp, da_r, out=da_r)  # 1 - r
             np.multiply(drh, r, out=tmp)
             carry += tmp
             np.multiply(dz, z, out=tmp)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tcssd
-from tcssd import cli
+from tcssd import training
 from tcssd.analysis import tc_similarity_matrix_features, write_similarity_matrix
 from tcssd.checkpoint import load_checkpoint, save_checkpoint
 from tcssd.cli import _build_parser, main
@@ -376,7 +376,7 @@ def test_heap_policy_changes_no_output_and_may_be_missing(tmp_path, monkeypatch,
     a run still exits 0 with the same bytes and stdout; setting the policy
     again gives what setting it once gave."""
     def run(out):
-        cli._keep_heap_mapped.cache_clear()
+        training._keep_heap_mapped.cache_clear()
         sim, ck = out / "sim", out / "ck"
         assert main(["simulate", "--out", str(sim), "--seed", "5", "--n-per-class", "4"]) == 0
         assert main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
@@ -388,13 +388,13 @@ def test_heap_policy_changes_no_output_and_may_be_missing(tmp_path, monkeypatch,
         return dir_snapshot(out), capsys.readouterr().out.replace(str(out), "OUT")
 
     with_policy = run(tmp_path / "a")
-    monkeypatch.setattr(cli, "_libc_mallopt", lambda: None)
+    monkeypatch.setattr(training, "_libc_mallopt", lambda: None)
     assert run(tmp_path / "b") == with_policy
-    assert cli._keep_heap_mapped() is False
+    assert training._keep_heap_mapped() is False
     monkeypatch.undo()
-    cli._keep_heap_mapped.cache_clear()
-    once = cli._keep_heap_mapped()
-    assert cli._keep_heap_mapped.__wrapped__() == once
+    training._keep_heap_mapped.cache_clear()
+    once = training._keep_heap_mapped()
+    assert training._keep_heap_mapped.__wrapped__() == once
 
 
 @pytest.fixture(scope="module")

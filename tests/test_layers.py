@@ -3,6 +3,8 @@ the frontend's frame-laid element-wise ops, and direct-formula oracles plus
 finite-difference gradients for the frontend's convolution and
 normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,23 +124,55 @@ def test_gru_two_layers_bit_identical_to_chained_reference(b, t, i_dim, h_dim):
     assert np.array_equal(dx, want_dx)
 
 
-@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
 def test_gru_backward_without_input_grad_gives_the_same_weight_grads(n_layers):
     """``input_grad=False`` skips only layer 0's input gradient: every weight
-    gradient keeps its bits, and nothing is returned."""
-    gru = Gru("g", 6, 8, n_layers=n_layers, input_gain=5.0, carry_bias=3.0)
-    rng = np.random.default_rng(n_layers)
+    gradient keeps its bits, and nothing is returned.  Neither backward call
+    writes into ``h_seq`` or the cache, at B=1 too, where a batch-major view
+    of a layer's h_prev is the cached array itself."""
+    for b in (1, 5):
+        gru = Gru("g", 6, 8, n_layers=n_layers, input_gain=5.0, carry_bias=3.0)
+        rng = np.random.default_rng(n_layers + 10 * b)
+        params = {}
+        gru.init(params, rng)
+        x = (rng.standard_normal((b, 13, 6)) * 0.5).astype(np.float32)
+        dh_seq = rng.standard_normal((b, 13, 8)).astype(np.float32)
+        h_seq, caches = gru.forward(params, x)
+        held = [a.tobytes() for a in (h_seq, *(a for c in caches for a in c))]
+        full, weights_only = {}, {}
+        assert gru.backward(params, caches, dh_seq, full).shape == x.shape
+        assert gru.backward(params, caches, dh_seq, weights_only, input_grad=False) is None
+        assert [a.tobytes() for a in (h_seq, *(a for c in caches for a in c))] == held
+        assert full.keys() == weights_only.keys()
+        for name in full:
+            assert full[name].tobytes() == weights_only[name].tobytes(), (b, name)
+
+
+def test_gru_cache_and_backward_peak_in_step_sized_arrays():
+    """At the toy CM1 shape, a two-layer forward's cache holds four
+    (T, B, H)-sized arrays per layer (h_0..h_T, z and r, n), and a
+    weight-only backward peaks at most 5.5 such arrays above its entry:
+    its factors are staged in its own gradient buffer."""
+    b, t, i_dim, h_dim = 32, 199, 24, 32
+    unit = b * t * h_dim * 4
+    gru = Gru("g", i_dim, h_dim, n_layers=2)
+    rng = np.random.default_rng(4)
     params = {}
     gru.init(params, rng)
-    x = (rng.standard_normal((5, 13, 6)) * 0.5).astype(np.float32)
-    dh_seq = rng.standard_normal((5, 13, 8)).astype(np.float32)
-    _, caches = gru.forward(params, x)
-    full, weights_only = {}, {}
-    assert gru.backward(params, caches, dh_seq, full).shape == x.shape
-    assert gru.backward(params, caches, dh_seq, weights_only, input_grad=False) is None
-    assert full.keys() == weights_only.keys()
-    for name in full:
-        assert full[name].tobytes() == weights_only[name].tobytes(), name
+    x = rng.standard_normal((b, t, i_dim)).astype(np.float32)
+    dh_seq = rng.standard_normal((b, t, h_dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        h_seq, caches = gru.forward(params, x)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gru.backward(params, caches, dh_seq, {}, input_grad=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (held - entry) / unit <= 8.1
+    assert (peak - held) / unit <= 5.5
 
 
 def reference_conv(x, w, b, dilation):

@@ -1,5 +1,6 @@
 """AAM-softmax, schedule, optimizer, and training-loop contracts."""
 
+import json
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_grads_close
-from tcssd import training
+from tcssd import checkpoint, training
 from tcssd.analysis import SimConfig, simulate_trajectories
 from tcssd.checkpoint import load_checkpoint
 from tcssd.cm_distribution import Cm2Net
@@ -650,6 +651,78 @@ def test_a_step_holds_only_its_own_activations(cm_id, monkeypatch):
     monkeypatch.setattr(training, "system_net", making)
     train(cm_id, sim_items(n_per_class=4, seed=15), tiny_run_cfg(max_steps=3))
     assert seen["checked"] == 2 and len(refs) > 1
+
+
+def test_cm1_batch_is_freed_before_backward(monkeypatch):
+    """CM1's forward cache holds its differences, not the batch, so ``train``
+    frees the batch array before ``backward_embed`` runs."""
+    make_net, refs, seen = training.system_net, [], {"checked": 0}
+
+    def making(*args):
+        net = make_net(*args)
+        embed, backward_embed = net.embed, net.backward_embed
+
+        def embedding(params, x):
+            refs[:] = [weakref.ref(x)]
+            return embed(params, x)
+
+        def backward(*args):
+            assert refs[0]() is None, "the batch array is alive in backward"
+            seen["checked"] += 1
+            return backward_embed(*args)
+
+        net.embed, net.backward_embed = embedding, backward
+        return net
+
+    monkeypatch.setattr(training, "system_net", making)
+    train("cm1", sim_items(n_per_class=4, seed=16), tiny_run_cfg(max_steps=2))
+    assert seen["checked"] == 2
+
+
+def test_train_sets_the_heap_policy_once(monkeypatch):
+    """Called directly, not through the CLI, ``train`` sets glibc's mmap
+    and trim thresholds, each once per process."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(training, "_libc_mallopt", lambda: mallopt)
+    training._keep_heap_mapped.cache_clear()
+    try:
+        items, cfg = sim_items(n_per_class=2, seed=17), tiny_run_cfg(max_steps=1)
+        train("cm2", items, cfg)
+        train("cm2", items, cfg)
+        assert training._keep_heap_mapped() is True
+    finally:
+        training._keep_heap_mapped.cache_clear()
+    assert calls == list(training.HEAP_THRESHOLDS.items())
+
+
+def test_manifest_rendered_once_per_layout(tmp_path):
+    """Checkpoints of cm1, cm2 and cm1 again, each saved twice in turn: every
+    manifest is a fresh indented dump's text, and the second save of one
+    checkpoint renders nothing."""
+    cfg = tiny_run_cfg()
+    checkpoint._render_manifest.cache_clear()
+    for k, cm_id in enumerate(("cm1", "cm2", "cm1")):
+        ckpt = build_checkpoint(cm_id, cfg.encoder, cfg.cm1, seed=k)
+        entries, offset = [], 0
+        for name in sorted(ckpt.tensors):
+            shape = ckpt.tensors[name].shape
+            entries.append({"name": name, "shape": list(shape), "offset": offset,
+                            "frozen": name in ckpt.frozen_names})
+            offset += int(np.prod(shape))
+        want = json.dumps({"format_version": checkpoint.FORMAT_VERSION,
+                           "config": ckpt.config, "tensors": entries},
+                          indent=2, sort_keys=True) + "\n"
+        for rep in range(2):
+            out = tmp_path / f"{k}_{rep}"
+            checkpoint.save_checkpoint(ckpt, out)
+            assert (out / checkpoint.MANIFEST_NAME).read_text() == want, (cm_id, rep)
+        info = checkpoint._render_manifest.cache_info()
+        assert (info.misses, info.hits) == (k + 1, k + 1)
 
 
 @pytest.fixture(scope="module")
