@@ -32,6 +32,10 @@ class RunConfig:
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
     sim: SimConfig = field(default_factory=SimConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise DataError(f"seed must be at least 0, got {self.seed}")
+
 
 def toy_config() -> RunConfig:
     """Desk-scale preset used by the simulator pipeline and the tests.
@@ -86,18 +90,15 @@ def apply_flat_overrides(cfg: RunConfig, flat: dict[str, str]) -> RunConfig:
     top_updates: dict = {}
     for key, value in flat.items():
         if key == "seed":
-            top_updates["seed"] = int(value)
-            continue
-        section, _, fname = key.partition(".")
-        if section not in _SECTIONS or not fname:
-            raise DataError(f"unknown config key '{key}'")
-        sub = getattr(cfg, section)
-        field_types = {f.name: f.type for f in dataclasses.fields(sub)}
-        if fname not in field_types:
-            raise DataError(f"unknown config key '{key}'")
-        current = getattr(sub, fname)
+            updates, fname, current = top_updates, key, cfg.seed
+        else:
+            section, _, fname = key.partition(".")
+            sub = getattr(cfg, section) if section in _SECTIONS else None
+            if sub is None or fname not in {f.name for f in dataclasses.fields(sub)}:
+                raise DataError(f"unknown config key '{key}'")
+            updates, current = section_updates[section], getattr(sub, fname)
         try:
-            section_updates[section][fname] = _coerce(value, type(current))
+            updates[fname] = _coerce(value, type(current))
         except ValueError as exc:
             raise DataError(f"bad value for '{key}': {exc}") from None
     new_sections = {s: replace(getattr(cfg, s), **updates) if updates

@@ -24,7 +24,7 @@ from .cm_temporal import Cm1Config, Cm1Net
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
 from .files import write_text
-from .frontend import FRAME_RATE, N_MELS, FeatureMap, random_crop, spec_augment
+from .frontend import FRAME_RATE, FeatureMap, random_crop, spec_augment
 from .layers import init_layers, tensor_names
 
 if TYPE_CHECKING:
@@ -200,7 +200,8 @@ def build_checkpoint(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, see
     head starts as a copy of its ``frontend.*`` twins.  ``init_from`` must
     hold this run's encoder config; each of its tensors that the run keeps
     takes precedence once its shape is checked, and the others are neither
-    checked nor carried."""
+    checked nor carried.  The config records the encoder's section and,
+    for ``cm1`` only, CM1's."""
     net = system_net(cm_id, enc_cfg, cm1_cfg)
     own = tensor_names(net.layers())
     # the toy frontend's own layers are the frontend's, and CM2's head is copied
@@ -226,14 +227,18 @@ def build_checkpoint(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config, see
     for name, twin in twins.items():  # after init, so a copy starts at an init frontend
         if name not in init:
             params[name] = params[twin].copy()
-    config = {"encoder": config_dict(enc_cfg), "cm1": config_dict(cm1_cfg)}
+    config = {"encoder": config_dict(enc_cfg)}
+    if cm_id == "cm1":
+        config["cm1"] = config_dict(cm1_cfg)
     return Checkpoint(tensors=params, frozen_names=set(params).difference(own), config=config)
 
 
-def system_net(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config):
+def system_net(cm_id: str, enc_cfg: EncoderConfig, cm1_cfg: Cm1Config | None):
     """The net of system ``cm_id``.  Only the toy frontend trains its concat;
     CM1 holds a frozen frontend, and CM2 is one with a head of its own."""
     if cm_id == "cm1":
+        if cm1_cfg is None:
+            raise DataError("no cm1 config: only a cm1 checkpoint records one")
         return Cm1Net(cm1_cfg, enc_cfg)
     if cm_id == "cm2":
         return Cm2Net(enc_cfg)
@@ -247,32 +252,16 @@ def config_dict(cfg) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
-def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config]:
-    """The encoder and CM1 configs a checkpoint was built with.
-
-    Manifests written before the block count, CM1's input width and the
-    FBank width were derived or fixed store them as ``encoder.n_blocks``,
-    ``cm1.input_dim`` and ``encoder.n_mels``; each is accepted only when it
-    equals the derived value.
-    """
+def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config | None]:
+    """The encoder config a checkpoint was built with, and CM1's, which
+    only a cm1 checkpoint records (None for the others)."""
     try:
-        enc, cm1 = dict(ckpt.config["encoder"]), dict(ckpt.config["cm1"])
-        n_blocks, n_mels = enc.pop("n_blocks", None), enc.pop("n_mels", None)
-        input_dim = cm1.pop("input_dim", None)
+        enc, cm1 = dict(ckpt.config["encoder"]), ckpt.config.get("cm1")
         if "dilations" in enc:
             enc["dilations"] = tuple(enc["dilations"])
-        enc_cfg, cm1_cfg = EncoderConfig(**enc), Cm1Config(**cm1)
+        return EncoderConfig(**enc), None if cm1 is None else Cm1Config(**cm1)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint config incomplete: {exc}") from None
-    for key, stored, source, derived in (
-            ("encoder.n_blocks", n_blocks, "len(encoder.dilations)",
-             len(enc_cfg.dilations)),
-            ("encoder.n_mels", n_mels, "frontend.N_MELS", N_MELS),
-            ("cm1.input_dim", input_dim, "encoder.mfa_dim", enc_cfg.mfa_dim)):
-        if stored not in (None, derived):
-            raise DataError(
-                f"checkpoint {key} ({stored}) must equal {source} ({derived})")
-    return enc_cfg, cm1_cfg
 
 
 # The most bytes of frozen encodings that training holds.  Past it, a drawn

@@ -741,8 +741,10 @@ def test_tap_point_lane_reads_no_frontend_tensor(cm, tiny_pipeline, tmp_path, ca
 def test_score_with_the_other_systems_checkpoint_exits_two(cm, trained, system,
                                                            tiny_pipeline, tmp_path, capsys):
     """A countermeasure's checkpoint holds the frozen frontend and its own
-    head, not the other system's: scoring it as the other stops at the
-    first tensor that system reads, in one line, and writes nothing."""
+    head, not the other system's, and only a cm1 checkpoint records CM1's
+    config: scoring a cm1 checkpoint as cm2 stops at the first tensor CM2
+    reads, and a cm2 checkpoint as cm1 at the missing config, in one line,
+    writing nothing."""
     tmp, sim, _, _ = tiny_pipeline
     out = tmp_path / "s.tsv"
     rc = main(["score", "--cm", cm, "--protocol", str(sim / "protocol.txt"),
@@ -750,7 +752,8 @@ def test_score_with_the_other_systems_checkpoint_exits_two(cm, trained, system,
                "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"tcssd score: missing tensor: {system}.")
+    want = {"cm2": "missing tensor: cm2.", "cm1": "no cm1 config: "}[system]
+    assert len(err) == 1 and err[0].startswith(f"tcssd score: {want}")
     assert os.listdir(tmp_path) == []
 
 
@@ -831,8 +834,9 @@ def _legacy_checkpoint(src, dst, stored):
 
 
 def test_checkpoint_input_dim_mismatch_exits_two(tiny_pipeline, tmp_path, capsys):
-    """A manifest that stores cm1.input_dim 32 beside a 24-wide tap is
-    refused where it is loaded."""
+    """CM1's input width is encoder.mfa_dim, so a manifest that stores
+    cm1.input_dim (here 32 beside a 24-wide tap) is refused where it is
+    loaded, in one line naming the key."""
     _, sim, ck, _ = tiny_pipeline
     _legacy_checkpoint(ck / "final", tmp_path / "ck", {"cm1": {"input_dim": 32}})
     out = tmp_path / "s.tsv"
@@ -840,34 +844,31 @@ def test_checkpoint_input_dim_mismatch_exits_two(tiny_pipeline, tmp_path, capsys
                "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
                "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "cm1.input_dim" in err and "encoder.mfa_dim" in err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'input_dim'" in err[0]
     assert not out.exists()
 
 
 def test_legacy_manifest_keys_checked_against_derived_values(tiny_pipeline, tmp_path,
                                                              capsys):
-    """Stored encoder.n_blocks, encoder.n_mels and cm1.input_dim load when
-    they equal the derived values (same scores); a wrong block count or an
-    FBank width other than N_MELS (80) exits 2."""
-    _, sim, ck, scores = tiny_pipeline
+    """Manifests written before the block count, the FBank width and CM1's
+    input width were derived stored encoder.n_blocks, encoder.n_mels and
+    cm1.input_dim.  Each is refused in one line naming it, even where it
+    equals the value derived from encoder.dilations, frontend.N_MELS or
+    encoder.mfa_dim, and nothing is written."""
+    _, sim, ck, _ = tiny_pipeline
     args = ["--protocol", str(sim / "protocol.txt"), "--features", str(sim / "features"),
             "--seed", "3"]
-    _legacy_checkpoint(ck / "final", tmp_path / "ok",
-                       {"encoder": {"n_blocks": 3, "n_mels": 80}, "cm1": {"input_dim": 24}})
-    assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / "ok"),
-                 "--out", str(tmp_path / "ok.tsv")]) == 0
-    assert (tmp_path / "ok.tsv").read_bytes() == scores.read_bytes()
-    for name, stored, keys in (
-            ("bad", {"n_blocks": 4}, ("encoder.n_blocks", "encoder.dilations")),
-            ("mels", {"n_mels": 64}, ("encoder.n_mels", "frontend.N_MELS"))):
-        _legacy_checkpoint(ck / "final", tmp_path / name, {"encoder": stored})
+    for section, key, derived in (("encoder", "n_blocks", 3), ("encoder", "n_mels", 80),
+                                  ("cm1", "input_dim", 24)):
+        _legacy_checkpoint(ck / "final", tmp_path / key, {section: {key: derived}})
         capsys.readouterr()
-        assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / name),
-                     "--out", str(tmp_path / f"{name}.tsv")]) == 2
-        err = capsys.readouterr().err
-        assert all(key in err for key in keys)
-        assert not (tmp_path / f"{name}.tsv").exists()
+        out = tmp_path / f"{key}.tsv"
+        assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / key),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"'{key}'" in err[0], err
+        assert not out.exists()
 
 
 def test_checkpoint_with_equal_lane_widths_exits_two(tiny_pipeline, tmp_path, capsys):
@@ -1308,6 +1309,64 @@ def test_cm2_from_cm1_init_neither_checks_nor_carries_its_head(tiny_pipeline, tm
         assert not [n for n in saved.tensors if n.startswith("cm1.")], name
         for n in saved.frozen_names:
             assert np.array_equal(saved.tensors[n], init.tensors[n]), (name, n)
+
+
+def test_cm2_manifest_records_no_cm1_setting(tiny_pipeline, tmp_path):
+    """A cm2 run reads no cm1 setting and its manifests record none, so
+    --set cm1.hidden=16 leaves every manifest.json byte as it was."""
+    _, sim, _, _ = tiny_pipeline
+    for name, extra in (("plain", []), ("set", ["--set", "cm1.hidden=16"])):
+        assert main(sim_train_argv(sim, tmp_path / name, "--cm", "2", *extra)) == 0
+    for ck in ("init", "epoch_0001", "final"):
+        plain, seen = (tmp_path / name / ck / "manifest.json" for name in ("plain", "set"))
+        assert seen.read_bytes() == plain.read_bytes(), ck
+
+
+def test_cm2_checkpoint_serves_its_encoder(tiny_pipeline, tmp_path, capsys):
+    """A cm2 checkpoint records no cm1 config, and what reads only its
+    encoder still runs on it: analyze-dist, analyze-tc --wav, and a cm1
+    run that starts from its frozen frontend."""
+    tmp, sim, _, _ = tiny_pipeline
+    ck2 = tmp / "ck2" / "final"
+    assert "cm1" not in json.loads((ck2 / "manifest.json").read_text())["config"]
+    wav = tmp_path / "u.wav"
+    save_waveform(0.1 * np.random.default_rng(0).standard_normal(16000), wav)
+    for argv in (["analyze-dist", "--protocol", str(sim / "protocol.txt"), "--features",
+                  str(sim / "features"), "--ckpt", str(ck2), "--out", str(tmp_path / "p.tsv")],
+                 ["analyze-tc", "--wav", str(wav), "--ckpt", str(ck2), "--k", "3",
+                  "--out", str(tmp_path / "m.txt")],
+                 sim_train_argv(sim, tmp_path / "ck1", "--cm", "1", "--init-ckpt", str(ck2))):
+        assert main(argv) == 0, capsys.readouterr().err
+    init, cm1 = load_checkpoint(ck2), load_checkpoint(tmp_path / "ck1" / "final")
+    assert cm1.config["cm1"] and cm1.frozen_names
+    for name in cm1.frozen_names:
+        assert np.array_equal(cm1.tensors[name], init.tensors[name]), name
+
+
+@pytest.mark.parametrize("form, value, want", [
+    ("flag", "-5", "seed must be at least 0, got -5"),
+    ("set", "-1", "seed must be at least 0, got -1"),
+    ("set", "abc", "bad value for 'seed': "),
+    ("file", "-1", "seed must be at least 0, got -1"),
+    ("file", "abc", "bad value for 'seed': "),
+], ids=["flag_negative", "set_negative", "set_not_int", "file_negative", "file_not_int"])
+def test_bad_seed_exits_two_before_out_exists(form, value, want, tiny_pipeline,
+                                              tmp_path, capsys):
+    """A seed is a generator's non-negative integer, whichever way it is
+    given: one line on stderr, and train's --out is not made."""
+    _, sim, _, _ = tiny_pipeline
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"seed = {value}\n")
+    given = {"flag": ["--seed", value], "set": ["--set", f"seed={value}"],
+             "file": ["--config", str(conf)]}[form]
+    out = tmp_path / "ck"
+    argv = ["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+            "--features", str(sim / "features"), "--out", str(out), "--steps", "1", *given]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"tcssd train: {want}"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["score", "train"])

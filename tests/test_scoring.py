@@ -270,17 +270,8 @@ def sim_eval_dir(tmp_path_factory):
         attack = "-" if key == "bonafide" else "SIM01"
         records.append(TrialRecord("SIMSPK", utt, attack, key))
     enc = toy_config().encoder
-    ckpts = {}
-    for cm_id in ("cm1", "cm2"):
-        ckpt = build_checkpoint(cm_id, enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8), seed=0)
-        # As manifests stored it before the block count and CM1's input width
-        # were derived from encoder.dilations and encoder.mfa_dim.
-        ckpt.config = {"encoder": {"n_mels": 80, "channels": 16, "n_blocks": 3,
-                                   "dilations": [2, 3, 4], "res2_scale": 8,
-                                   "mfa_dim": 24, "embed_dim": 32, "att_dim": 8},
-                       "cm1": {"input_dim": 24, "hidden": 8, "n_layers": 2,
-                               "fc1_out": 8, "fc2_out": 8}}
-        ckpts[cm_id] = ckpt
+    cm1_cfg = Cm1Config(hidden=8, fc1_out=8, fc2_out=8)
+    ckpts = {cm_id: build_checkpoint(cm_id, enc, cm1_cfg, seed=0) for cm_id in ("cm1", "cm2")}
     return tmp, records, ckpts
 
 

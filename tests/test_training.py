@@ -21,7 +21,8 @@ from tcssd.frontend import N_MELS, FeatureMap
 from tcssd.layers import Gru, init_layers, tensor_names
 from tcssd.training import (CM_IDS, Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
-                            build_checkpoint, lr_schedule, system_net, train)
+                            build_checkpoint, checkpoint_configs, lr_schedule,
+                            system_net, train)
 
 
 def plain_softmax_ce(emb, labels, w, scale=1.0):
@@ -799,6 +800,20 @@ def test_build_checkpoint_cm2_starts_as_frontend_copy():
         twin = ckpt.tensors["frontend." + name[len("cm2."):]]
         assert ckpt.tensors[name] is not twin
         assert ckpt.tensors[name].tobytes() == twin.tobytes()
+
+
+@pytest.mark.parametrize("cm_id", CM_IDS)
+def test_manifest_records_only_the_configs_its_system_reads(cm_id, tmp_path):
+    """Every system reads the encoder config; only a cm1 checkpoint holds
+    CM1's head, so only its manifest records CM1's config."""
+    cfg = tiny_run_cfg()
+    checkpoint.save_checkpoint(build_checkpoint(cm_id, cfg.encoder, cfg.cm1, seed=0),
+                               tmp_path / "ck")
+    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+    assert sorted(manifest["config"]) == (["cm1", "encoder"] if cm_id == "cm1"
+                                          else ["encoder"])
+    assert checkpoint_configs(load_checkpoint(tmp_path / "ck")) == (
+        cfg.encoder, cfg.cm1 if cm_id == "cm1" else None)
 
 
 @pytest.mark.parametrize("cm_id, kind", [
