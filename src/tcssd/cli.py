@@ -11,6 +11,8 @@ seed); binary outputs get a sidecar ``provenance.txt`` or a line on stdout.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 
@@ -34,8 +36,7 @@ from .frontend import (FRAME_RATE, compute_fbank, frame_count, load_feature_map,
 from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
                       embed_trials, fuse_scores, parse_protocol, read_scores,
                       score_trials, serialize_protocol, write_scores)
-from .training import (LABEL_BONAFIDE, LABEL_SPOOF, TrainItem, _keep_heap_mapped,
-                       checkpoint_configs, train)
+from .training import LABEL_BONAFIDE, LABEL_SPOOF, TrainItem, checkpoint_configs, train
 
 # Reference figures reported for the full-scale systems (trainable
 # parameters and FLOPs); the gate-arithmetic counts differ, see the note.
@@ -337,6 +338,45 @@ def _cmd_flops(args, cfg):
           f"(reported reference: {REPORTED_FLOPS['cm2']})")
     print(f"fusion FLOPs: {fe + f1 + f2:,} "
           f"(reported reference: {REPORTED_FLOPS['fusion']})")
+
+
+# glibc's mallopt parameters (malloc.h) and the values ``main`` sets them to.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+HEAP_THRESHOLDS = {M_MMAP_THRESHOLD: 4 << 20, M_TRIM_THRESHOLD: 64 << 20}
+
+
+def _libc_mallopt():
+    """glibc's ``mallopt``, or None where no such symbol resolves."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+
+
+@functools.cache
+def _keep_heap_mapped() -> bool:
+    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at
+    64 MiB, once per process; True if both were set.  Where no ``mallopt``
+    resolves this does nothing, and no output changes either way.  ``main``
+    calls it first, for every command, and is its only caller: a direct
+    caller of ``training.train`` keeps glibc's defaults.
+
+    ``train`` frees each step's activations before the next step's
+    forward.  Under glibc's dynamic thresholds that freed heap goes back
+    to the kernel at the end of the step and is faulted in again, a page
+    at a time, by the next: on the benchmark's sim_recipe workload
+    ``train --cm 1`` took 75-117k minor faults per run, and at most a few
+    hundred after the process's first run with these thresholds.  On
+    both benchmark workloads a step's arrays are under 4 MiB, so they
+    stay on the heap; larger ones are mapped and unmapped on their own,
+    so that freeing them leaves no hole.  At the full preset a 32 MiB
+    mmap threshold raised ``train("cm1")``'s peak RSS at batch 8 from
+    986 to 1,039 MB, and this one reads 937 MB."""
+    mallopt = _libc_mallopt()
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in HEAP_THRESHOLDS.items()])
 
 
 def main(argv=None) -> int:

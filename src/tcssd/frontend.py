@@ -61,6 +61,15 @@ class AugmentPolicy:
     n_time_masks: int = 1
     max_time_width: int = 10
 
+    def __post_init__(self):  # the time width's bound is the crop's: ``train`` checks it
+        for key, ok, need in (("n_freq_masks", self.n_freq_masks >= 0, "at least 0"),
+                              ("max_freq_width", 0 <= self.max_freq_width <= N_MELS,
+                               f"in [0, N_MELS = {N_MELS}]"),
+                              ("n_time_masks", self.n_time_masks >= 0, "at least 0"),
+                              ("max_time_width", self.max_time_width >= 0, "at least 0")):
+            if not ok:
+                raise DataError(f"augment.{key} must be {need}, got {getattr(self, key)}")
+
 
 def load_waveform(path) -> np.ndarray:
     """Read a 16 kHz mono PCM16 WAV file into float samples in [-1, 1]."""

@@ -9,10 +9,8 @@ masks all derive from one seeded generator consumed in a fixed order.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -254,14 +252,25 @@ def config_dict(cfg) -> dict:
 
 def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config | None]:
     """The encoder config a checkpoint was built with, and CM1's, which
-    only a cm1 checkpoint records (None for the others)."""
+    only a cm1 checkpoint records (None for the others).  A stored section
+    holds exactly its config's fields: a missing or unknown key is named."""
     try:
-        enc, cm1 = dict(ckpt.config["encoder"]), ckpt.config.get("cm1")
-        if "dilations" in enc:
-            enc["dilations"] = tuple(enc["dilations"])
-        return EncoderConfig(**enc), None if cm1 is None else Cm1Config(**cm1)
+        enc = _stored_config("encoder", EncoderConfig, ckpt.config["encoder"])
+        cm1 = ckpt.config.get("cm1")
+        return enc, None if cm1 is None else _stored_config("cm1", Cm1Config, cm1)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint config incomplete: {exc}") from None
+
+
+def _stored_config(section: str, cls, stored):
+    """Config ``cls`` from the manifest's ``section``, as ``config_dict`` stored it."""
+    values, names = dict(stored), {f.name for f in fields(cls)}
+    odd = sorted(names.symmetric_difference(values))
+    if odd:
+        raise ValueError(", ".join(f"{section}.{key} is "
+                                   f"{'missing' if key in names else 'unknown'}"
+                                   for key in odd))
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 # The most bytes of frozen encodings that training holds.  Past it, a drawn
@@ -304,45 +313,6 @@ def _cycled(pool: np.ndarray, order: np.ndarray, rng: np.random.Generator):
         order = rng.permutation(pool)
 
 
-# glibc's mallopt parameters (malloc.h) and the values ``train`` sets them to.
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-HEAP_THRESHOLDS = {M_MMAP_THRESHOLD: 4 << 20, M_TRIM_THRESHOLD: 64 << 20}
-
-
-def _libc_mallopt():
-    """glibc's ``mallopt``, or None where no such symbol resolves."""
-    try:
-        return ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return None
-
-
-@functools.cache
-def _keep_heap_mapped() -> bool:
-    """Fix glibc's mmap threshold at 4 MiB and its trim threshold at
-    64 MiB, once per process; True if both were set.  Where no ``mallopt``
-    resolves this does nothing, and no output changes either way.  ``train``
-    calls it first, so a library caller gets it too; ``cli.main`` calls it
-    for every command.
-
-    ``train`` frees each step's activations before the next step's
-    forward.  Under glibc's dynamic thresholds that freed heap goes back
-    to the kernel at the end of the step and is faulted in again, a page
-    at a time, by the next: on the benchmark's sim_recipe workload
-    ``train --cm 1`` took 75-117k minor faults per run, and at most a few
-    hundred after the process's first run with these thresholds.  On
-    both benchmark workloads a step's arrays are under 4 MiB, so they
-    stay on the heap; larger ones are mapped and unmapped on their own,
-    so that freeing them leaves no hole.  At the full preset a 32 MiB
-    mmap threshold raised ``train("cm1")``'s peak RSS at batch 8 from
-    986 to 1,039 MB, and this one reads 937 MB."""
-    mallopt = _libc_mallopt()
-    if mallopt is None:
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return all([mallopt(param, value) == 1 for param, value in HEAP_THRESHOLDS.items()])
-
-
 def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
           out_dir: str | None = None, init_ckpt: Checkpoint | None = None):
     """Train one system under run config ``cfg``; return (final checkpoint,
@@ -355,10 +325,8 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     system's own, since its ``backward_embed`` fills no others.  On FBank
     maps a countermeasure's steps crop ``_FrozenEncodings``.  With
     ``out_dir``, the checkpoints ``init``, one per epoch and ``final`` and
-    the tab-separated ``train.log`` are saved there.  The process's heap
-    policy (``_keep_heap_mapped``) is set first.
+    the tab-separated ``train.log`` are saved there.
     """
-    _keep_heap_mapped()
     enc_cfg, train_cfg = cfg.encoder, cfg.train
     net = system_net(cm_id, enc_cfg, cfg.cm1)
     if not items:
@@ -375,7 +343,11 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     if train_cfg.augment and cm_id != "frontend-toy":
         raise DataError("train.augment masks FBank bins, so only frontend-toy takes it; "
                         f"{cm_id} trains on maps without them")
-    if cm_id == "cm1" and round(train_cfg.crop_min_s * FRAME_RATE) < 2:
+    min_frames = round(train_cfg.crop_min_s * FRAME_RATE)  # random_crop never returns fewer
+    if train_cfg.augment and cfg.augment.max_time_width > min_frames:
+        raise DataError(f"augment.max_time_width must be at most the {min_frames} frames "
+                        f"of train.crop_min_s, got {cfg.augment.max_time_width}")
+    if cm_id == "cm1" and min_frames < 2:
         raise DataError(f"train.crop_min_s must give cm1 at least 2 frames to difference "
                         f"at {FRAME_RATE:g} frames/s, got {train_cfg.crop_min_s}")
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tcssd
-from tcssd import training
+from tcssd import cli
 from tcssd.analysis import tc_similarity_matrix_features, write_similarity_matrix
 from tcssd.checkpoint import load_checkpoint, save_checkpoint
 from tcssd.cli import _build_parser, main
@@ -376,7 +376,7 @@ def test_heap_policy_changes_no_output_and_may_be_missing(tmp_path, monkeypatch,
     a run still exits 0 with the same bytes and stdout; setting the policy
     again gives what setting it once gave."""
     def run(out):
-        training._keep_heap_mapped.cache_clear()
+        cli._keep_heap_mapped.cache_clear()
         sim, ck = out / "sim", out / "ck"
         assert main(["simulate", "--out", str(sim), "--seed", "5", "--n-per-class", "4"]) == 0
         assert main(["train", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
@@ -388,13 +388,13 @@ def test_heap_policy_changes_no_output_and_may_be_missing(tmp_path, monkeypatch,
         return dir_snapshot(out), capsys.readouterr().out.replace(str(out), "OUT")
 
     with_policy = run(tmp_path / "a")
-    monkeypatch.setattr(training, "_libc_mallopt", lambda: None)
+    monkeypatch.setattr(cli, "_libc_mallopt", lambda: None)
     assert run(tmp_path / "b") == with_policy
-    assert training._keep_heap_mapped() is False
+    assert cli._keep_heap_mapped() is False
     monkeypatch.undo()
-    training._keep_heap_mapped.cache_clear()
-    once = training._keep_heap_mapped()
-    assert training._keep_heap_mapped.__wrapped__() == once
+    cli._keep_heap_mapped.cache_clear()
+    once = cli._keep_heap_mapped()
+    assert cli._keep_heap_mapped.__wrapped__() == once
 
 
 @pytest.fixture(scope="module")
@@ -836,7 +836,7 @@ def _legacy_checkpoint(src, dst, stored):
 def test_checkpoint_input_dim_mismatch_exits_two(tiny_pipeline, tmp_path, capsys):
     """CM1's input width is encoder.mfa_dim, so a manifest that stores
     cm1.input_dim (here 32 beside a 24-wide tap) is refused where it is
-    loaded, in one line naming the key."""
+    loaded, in one line naming the key as unknown."""
     _, sim, ck, _ = tiny_pipeline
     _legacy_checkpoint(ck / "final", tmp_path / "ck", {"cm1": {"input_dim": 32}})
     out = tmp_path / "s.tsv"
@@ -844,8 +844,8 @@ def test_checkpoint_input_dim_mismatch_exits_two(tiny_pipeline, tmp_path, capsys
                "--features", str(sim / "features"), "--ckpt", str(tmp_path / "ck"),
                "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "'input_dim'" in err[0]
+    assert capsys.readouterr().err.splitlines() == [
+        "tcssd score: checkpoint config incomplete: cm1.input_dim is unknown"]
     assert not out.exists()
 
 
@@ -853,9 +853,9 @@ def test_legacy_manifest_keys_checked_against_derived_values(tiny_pipeline, tmp_
                                                              capsys):
     """Manifests written before the block count, the FBank width and CM1's
     input width were derived stored encoder.n_blocks, encoder.n_mels and
-    cm1.input_dim.  Each is refused in one line naming it, even where it
-    equals the value derived from encoder.dilations, frontend.N_MELS or
-    encoder.mfa_dim, and nothing is written."""
+    cm1.input_dim.  Each is refused in one line naming it as unknown, even
+    where it equals the value derived from encoder.dilations,
+    frontend.N_MELS or encoder.mfa_dim, and nothing is written."""
     _, sim, ck, _ = tiny_pipeline
     args = ["--protocol", str(sim / "protocol.txt"), "--features", str(sim / "features"),
             "--seed", "3"]
@@ -866,9 +866,53 @@ def test_legacy_manifest_keys_checked_against_derived_values(tiny_pipeline, tmp_
         out = tmp_path / f"{key}.tsv"
         assert main(["score", "--cm", "1", *args, "--ckpt", str(tmp_path / key),
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and f"'{key}'" in err[0], err
+        assert capsys.readouterr().err.splitlines() == [
+            f"tcssd score: checkpoint config incomplete: {section}.{key} is unknown"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "analyze-tc", "analyze-dist", "train"])
+@pytest.mark.parametrize("system, section, key, stored, want", [
+    ("ck", "encoder", "embed_dim", None, "missing"),
+    ("ck", "cm1", "hidden", None, "missing"),
+    ("ck", "cm1", "fc2_out", None, "missing"),
+    ("ck", "encoder", "n_blocks", 3, "unknown"),
+    ("ck2", "encoder", "channels", None, "missing"),
+    ("ck2", "encoder", "mfa_dim", None, "missing"),
+    ("ck2", "encoder", "bogus", 1, "unknown"),
+], ids=["cm1-embed_dim", "cm1-hidden", "cm1-fc2_out", "cm1-n_blocks", "cm2-channels",
+        "cm2-mfa_dim", "cm2-bogus"])
+def test_manifest_section_must_hold_exactly_its_fields(command, system, section, key, stored,
+                                                       want, tiny_pipeline, tmp_path, capsys):
+    """A manifest key deleted (stored None) or added is named in one line,
+    with its section and whether it is missing or unknown, by every command
+    that reads the config, and nothing is written.  Before, a missing key
+    took the full preset's default."""
+    tmp, sim, _, _ = tiny_pipeline
+    ckpt = tmp_path / "ck"
+    shutil.copytree(tmp / system / "final", ckpt)
+    manifest = ckpt / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    if stored is None:
+        del doc["config"][section][key]
+    else:
+        doc["config"][section][key] = stored
+    manifest.write_text(json.dumps(doc))
+    wav = tmp_path / "u.wav"
+    save_waveform(0.1 * np.random.default_rng(0).standard_normal(16000), wav)
+    out = tmp_path / "out"
+    data = ["--protocol", str(sim / "protocol.txt"), "--features", str(sim / "features")]
+    argv = {"score": ["score", "--cm", {"ck": "1", "ck2": "2"}[system], *data,
+                      "--ckpt", str(ckpt), "--out", str(out)],
+            "analyze-tc": ["analyze-tc", "--wav", str(wav), "--ckpt", str(ckpt), "--k", "3",
+                           "--out", str(out)],
+            "analyze-dist": ["analyze-dist", *data, "--ckpt", str(ckpt), "--out", str(out)],
+            "train": sim_train_argv(sim, out, "--cm", "2", "--init-ckpt", str(ckpt))}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcssd {command}: checkpoint config incomplete: {section}.{key} is {want}"]
+    assert not out.exists()
 
 
 def test_checkpoint_with_equal_lane_widths_exits_two(tiny_pipeline, tmp_path, capsys):
@@ -1163,6 +1207,20 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
     assert foreign == []
 
 
+def test_only_the_cli_imports_ctypes():
+    """The heap policy is the CLI's: no other module of the package
+    reaches native code, so no library call but ``cli.main`` changes the
+    allocator."""
+    importers = []
+    for module in sorted(Path(tcssd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "ctypes" in {str(n).partition(".")[0] for n in names}:
+                importers.append(module.name)
+    assert importers == ["cli.py"]
+
+
 def audio_corpus(tmp_path):
     """Six 1 s WAVs (drifting chirps bonafide, steady tones spoof), their
     FBank caches and protocol: (wav paths, feature dir, protocol path)."""
@@ -1409,6 +1467,40 @@ def test_train_augment_for_cms_on_fbank_maps_exits_two(cm, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "train.augment" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, want", [
+    ("n_freq_masks=-3", "augment.n_freq_masks must be at least 0, got -3"),
+    ("max_freq_width=-1", "augment.max_freq_width must be in [0, N_MELS = 80], got -1"),
+    ("max_freq_width=100", "augment.max_freq_width must be in [0, N_MELS = 80], got 100"),
+    ("n_time_masks=-1", "augment.n_time_masks must be at least 0, got -1"),
+    ("max_time_width=-2", "augment.max_time_width must be at least 0, got -2"),
+    ("max_time_width=51",
+     "augment.max_time_width must be at most the 50 frames of train.crop_min_s, got 51"),
+], ids=["n_freq_masks_negative", "max_freq_width_negative", "max_freq_width_over_n_mels",
+        "n_time_masks_negative", "max_time_width_negative", "max_time_width_over_crop"])
+def test_bad_augment_policy_exits_two_before_out_exists(setting, want, tmp_path, capsys):
+    """A mask count or width that would train without masks or fail mid-run
+    (a time mask wider than the shortest crop, here 0.5 s) is refused in
+    one line naming the key, and --out is not made."""
+    _, feats, protocol = audio_corpus(tmp_path)
+    out = tmp_path / "ck"
+    capsys.readouterr()
+    assert main(["train", "--cm", "frontend-toy", "--protocol", str(protocol),
+                 "--features", str(feats), "--out", str(out), "--steps", "1", *AUDIO_TRAIN,
+                 "--set", "train.augment=true", "--set", f"augment.{setting}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"tcssd train: {want}"]
+    assert not out.exists()
+
+
+def test_augment_time_mask_may_span_the_shortest_crop(tmp_path, capsys):
+    """The time-width bound is inclusive: a mask as wide as the 0.5 s
+    shortest crop trains."""
+    _, feats, protocol = audio_corpus(tmp_path)
+    assert main(["train", "--cm", "frontend-toy", "--protocol", str(protocol),
+                 "--features", str(feats), "--out", str(tmp_path / "ck"), "--steps", "2",
+                 *AUDIO_TRAIN, "--set", "train.augment=true",
+                 "--set", "augment.max_time_width=50"]) == 0, capsys.readouterr().err
 
 
 def test_train_augment_deterministic_and_applied(tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_grads_close
-from tcssd import checkpoint, training
+from tcssd import checkpoint, cli, training
 from tcssd.analysis import SimConfig, simulate_trajectories
 from tcssd.checkpoint import load_checkpoint
 from tcssd.cm_distribution import Cm2Net
@@ -680,25 +680,27 @@ def test_cm1_batch_is_freed_before_backward(monkeypatch):
     assert seen["checked"] == 2
 
 
-def test_train_sets_the_heap_policy_once(monkeypatch):
-    """Called directly, not through the CLI, ``train`` sets glibc's mmap
-    and trim thresholds, each once per process."""
+def test_only_the_cli_sets_the_heap_policy(monkeypatch, capsys):
+    """``train`` called directly leaves glibc's mmap and trim thresholds
+    alone; ``cli.main`` sets each once per process, for any command."""
     calls = []
 
     def mallopt(param, value):
         calls.append((param, value))
         return 1
 
-    monkeypatch.setattr(training, "_libc_mallopt", lambda: mallopt)
-    training._keep_heap_mapped.cache_clear()
+    monkeypatch.setattr(cli, "_libc_mallopt", lambda: mallopt)
+    cli._keep_heap_mapped.cache_clear()
     try:
         items, cfg = sim_items(n_per_class=2, seed=17), tiny_run_cfg(max_steps=1)
         train("cm2", items, cfg)
         train("cm2", items, cfg)
-        assert training._keep_heap_mapped() is True
+        assert calls == []
+        assert cli.main(["count-params"]) == 0
+        assert cli._keep_heap_mapped() is True
     finally:
-        training._keep_heap_mapped.cache_clear()
-    assert calls == list(training.HEAP_THRESHOLDS.items())
+        cli._keep_heap_mapped.cache_clear()
+    assert calls == list(cli.HEAP_THRESHOLDS.items())
 
 
 def test_manifest_rendered_once_per_layout(tmp_path):
