@@ -265,11 +265,10 @@ def checkpoint_configs(ckpt: Checkpoint) -> tuple[EncoderConfig, Cm1Config | Non
 def _stored_config(section: str, cls, stored):
     """Config ``cls`` from the manifest's ``section``, as ``config_dict`` stored it."""
     values, names = dict(stored), {f.name for f in fields(cls)}
-    odd = sorted(names.symmetric_difference(values))
+    odd = [f"{section}.{key} is {'missing' if key in names else 'unknown'}"
+           for key in sorted(names.symmetric_difference(values))]
     if odd:
-        raise ValueError(", ".join(f"{section}.{key} is "
-                                   f"{'missing' if key in names else 'unknown'}"
-                                   for key in odd))
+        raise ValueError(", ".join(odd))
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
