@@ -30,9 +30,10 @@ from .cm_temporal import Cm1Net
 from .encoder import (FrontendNet, count_parameters, describe_frontend,
                       estimate_flops)
 from .errors import TcssdError
-from .files import write_text
+from .files import make_dir, write_text
 from .frontend import (FRAME_RATE, compute_fbank, frame_count, load_feature_map,
-                       load_waveform, save_feature_map, save_waveform, trim_silence)
+                       load_waveform, save_feature_map, save_waveform, trim_silence,
+                       wav_sample_count)
 from .scoring import (DEFAULT_SCORE_BATCH, TrialRecord, compute_eer,
                       embed_trials, fuse_scores, parse_protocol, read_scores,
                       score_trials, serialize_protocol, write_scores)
@@ -187,11 +188,11 @@ def _cmd_extract(args, cfg):
                              f"{sources[stem]}; both would write {stem}.fea")
         sources[stem] = wav_path
     for wav_path in sources.values():  # every input is read and checked before --out is made
-        n = len(load_waveform(wav_path))
+        n = wav_sample_count(wav_path)
         if frame_count(n) < 1:
             raise TcssdError(f"waveform too short for FBank: {wav_path} has {n} samples, "
                              "less than one frame")
-    os.makedirs(args.out, exist_ok=True)
+    make_dir(args.out)
     for stem, wav_path in sources.items():
         f = compute_fbank(load_waveform(wav_path))
         save_feature_map(f, os.path.join(args.out, f"{stem}.fea"))
@@ -292,7 +293,7 @@ def _cmd_analyze_dist(args, cfg):
 def _cmd_simulate(args, cfg):
     simulated = simulate_trajectories(cfg.sim, args.n_per_class, cfg.seed)
     fea_dir = os.path.join(args.out, "features")
-    os.makedirs(fea_dir, exist_ok=True)
+    make_dir(fea_dir)
     records = []
     for utt, f, key in simulated:
         save_feature_map(f, os.path.join(fea_dir, f"{utt}.fea"))

@@ -5,7 +5,8 @@ An input that cannot be read, or text that is not UTF-8, is a one-line
 ``DataError`` naming the file.  Text inputs skip blank and ``#`` lines;
 text outputs put ``# `` headers first.  Every output goes to a
 ``<path>.tmp`` sibling that replaces ``path`` only once complete, so an
-interrupted write leaves any previous file intact.  (Checkpoint
+interrupted write leaves any previous file intact.  An output path that
+cannot be made is a one-line ``TcssdError`` naming it.  (Checkpoint
 directories swap on their own, in checkpoint.py.)
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import io
 import os
 
-from .errors import DataError
+from .errors import DataError, TcssdError
 
 
 def read_bytes(path, what: str) -> bytes:
@@ -41,13 +42,29 @@ def read_lines(path, what: str) -> list[tuple[int, str]]:
             if (text := line.strip()) and not text.startswith("#")]
 
 
+def _output(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its OSError is a one-line error naming
+    the output ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except OSError as exc:
+        raise TcssdError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def make_dir(path) -> None:
+    """Make output directory ``path``, and its parents, where missing."""
+    _output(path, os.makedirs, path, exist_ok=True)
+
+
 def write_bytes(path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` through a temporary sibling."""
+    """Replace ``path`` with ``data`` through a temporary sibling.  A path
+    that cannot be created or replaced is a one-line error naming it; a
+    write that fails midway raises its OSError."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
+        with _output(path, open, tmp, "wb") as fh:
             fh.write(data)
-        os.replace(tmp, path)
+        _output(path, os.replace, tmp, path)
     finally:
         if os.path.exists(tmp):  # only after a failed write
             os.remove(tmp)

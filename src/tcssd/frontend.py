@@ -71,8 +71,8 @@ class AugmentPolicy:
                 raise DataError(f"augment.{key} must be {need}, got {getattr(self, key)}")
 
 
-def load_waveform(path) -> np.ndarray:
-    """Read a 16 kHz mono PCM16 WAV file into float samples in [-1, 1]."""
+def _read_pcm16(path) -> bytes:
+    """The sample bytes of a 16 kHz mono PCM16 WAV file, format checked."""
     try:
         wav = wave.open(io.BytesIO(read_bytes(path, "file")), "rb")
     except (wave.Error, EOFError) as exc:
@@ -86,7 +86,20 @@ def load_waveform(path) -> np.ndarray:
         if rate != SAMPLE_RATE:
             raise DataError(f"sample rate mismatch: {path} is {rate} Hz, expected {SAMPLE_RATE}")
         raw = wav.readframes(wav.getnframes())
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    if len(raw) % 2:
+        raise DataError(f"truncated WAV: {path} ends inside a sample")
+    return raw
+
+
+def wav_sample_count(path) -> int:
+    """The length of ``load_waveform(path)``, checked as it is, without
+    decoding the samples."""
+    return len(_read_pcm16(path)) // 2
+
+
+def load_waveform(path) -> np.ndarray:
+    """Read a 16 kHz mono PCM16 WAV file into float samples in [-1, 1]."""
+    return np.frombuffer(_read_pcm16(path), dtype="<i2").astype(np.float64) / 32768.0
 
 
 def save_waveform(samples: np.ndarray, path) -> None:

@@ -512,30 +512,26 @@ class Gru:
         del a_ih
         hs = np.zeros((t + 1, b, hd), dtype=inp.dtype)  # hs[ti] = h_ti
         zr_seq = np.empty((t, 2, b, hd), dtype=inp.dtype)  # [z, r] per step
-        z_seq, r_seq = zr_seq[:, 0], zr_seq[:, 1]
         n_seq = np.empty((t, b, hd), dtype=inp.dtype)
-        u_zr_t = w_hh[:2 * hd].T
-        u_n_t = w_hh[2 * hd:].T
-        b_hzr = b_hh[:2 * hd]
-        b_hn = b_hh[2 * hd:]
+        u_zr_t, u_n_t = w_hh[:2 * hd].T, w_hh[2 * hd:].T
+        b_hzr, b_hn = b_hh[:2 * hd], b_hh[2 * hd:]
         a_zr = np.empty((b, 2 * hd), dtype=inp.dtype)
-        # a_zr's [z | r] columns as (B, 2, H), written to the step's [z, r].
-        a_zr3, zr_out = a_zr.reshape(b, 2, hd), zr_seq.transpose(0, 2, 1, 3)
+        a_zr3 = a_zr.reshape(b, 2, hd)  # [z | r] columns as (B, 2, H), like zr below
         a_n, rh, zh, omz = np.empty((4, b, hd), dtype=inp.dtype)
-        for ti in range(t):
-            h = hs[ti]
+        for h, h_next, zr_in, n_in, (z, r), zr, n in zip(
+                hs, hs[1:], a_zr_in, a_n_in, zr_seq, zr_seq.transpose(0, 2, 1, 3), n_seq):
             np.dot(h, u_zr_t, out=a_zr)
             a_zr += b_hzr
-            a_zr += a_zr_in[ti]
-            sigmoid(a_zr3, out=zr_out[ti])
-            np.multiply(r_seq[ti], h, out=rh)
+            a_zr += zr_in
+            sigmoid(a_zr3, out=zr)
+            np.multiply(r, h, out=rh)
             np.dot(rh, u_n_t, out=a_n)
-            np.add(a_n_in[ti], a_n, out=a_n)
+            np.add(n_in, a_n, out=a_n)
             a_n += b_hn
-            n = np.tanh(a_n, out=n_seq[ti])
-            np.subtract(1.0, z_seq[ti], out=omz)
-            np.multiply(z_seq[ti], h, out=zh)
-            h_next = np.multiply(omz, n, out=hs[ti + 1])
+            np.tanh(a_n, out=n)
+            np.subtract(1.0, z, out=omz)
+            np.multiply(z, h, out=zh)
+            np.multiply(omz, n, out=h_next)
             h_next += zh
         return hs[1:].transpose(1, 0, 2), (inp, hs, zr_seq, n_seq)
 
@@ -549,12 +545,46 @@ class Gru:
         return d_seq
 
     def _backward_layer(self, params, l, cache, d_seq, grads, input_grad):
+        """The factors h_prev - n, 1 - r and 1 - n*n are staged for all steps
+        in the z, r and n slots of ``da`` (B, T, 3, H) (same bits, fewer calls
+        in the loop), and the reverse time loop overwrites each step's slots
+        with its pre-activation gradients [z, r, n]; 1 - z is refilled per
+        step.  Then each weight gradient is one GEMM over all B*T frames."""
         hd = self.hidden
-        inp, hs, zr_seq, _ = cache
+        inp, hs, zr_seq, n_seq = cache
         w_ih, w_hh, _, _ = self._weights(params, l)
+        u_z, u_r, u_n = w_hh[:hd], w_hh[hd:2 * hd], w_hh[2 * hd:]
         b, t, _ = inp.shape
-        da_seq = self._step_grads(cache, w_hh, d_seq)
-        # Weight gradients as one GEMM each over all B*T frames.
+        da = np.empty((b, t, 3, hd), dtype=inp.dtype)
+        da_z_seq, da_r_seq, da_n_seq = da.transpose(2, 1, 0, 3)
+        np.subtract(hs[:-1], n_seq, out=da_z_seq)
+        np.subtract(1.0, zr_seq[:, 1], out=da_r_seq)
+        np.multiply(n_seq, n_seq, out=da_n_seq)
+        np.subtract(1.0, da_n_seq, out=da_n_seq)
+        carry = np.zeros((b, hd), dtype=inp.dtype)
+        dh, dz, dn, drh, omz, tmp, tmp2 = np.empty((7, b, hd), dtype=inp.dtype)
+        for h_prev, (z, r), d, da_z, da_r, da_n in zip(
+                hs[-2::-1], zr_seq[::-1], d_seq.transpose(1, 0, 2)[::-1],
+                da_z_seq[::-1], da_r_seq[::-1], da_n_seq[::-1]):
+            np.subtract(1.0, z, out=omz)
+            np.add(d, carry, out=dh)
+            np.multiply(dh, da_z, out=dz)  # h_prev - n
+            np.multiply(dh, omz, out=dn)
+            np.multiply(dh, z, out=carry)  # dh_prev
+            np.multiply(dn, da_n, out=da_n)  # 1 - n*n
+            np.dot(da_n, u_n, out=drh)
+            np.multiply(drh, h_prev, out=tmp)
+            tmp *= r
+            np.multiply(tmp, da_r, out=da_r)  # 1 - r
+            np.multiply(drh, r, out=tmp)
+            carry += tmp
+            np.multiply(dz, z, out=tmp)
+            np.multiply(tmp, omz, out=da_z)
+            np.dot(da_z, u_z, out=tmp)
+            np.dot(da_r, u_r, out=tmp2)
+            tmp += tmp2
+            carry += tmp
+        da_seq = da.reshape(b, t, 3 * hd)
         da2 = da_seq.reshape(b * t, 3 * hd)
         grads[f"{self.name}.l{l}.w_ih"] = da2.T @ inp.reshape(b * t, -1)
         # h_prev batch-major, then r * h_prev in place: a copy, since at B=1
@@ -569,53 +599,6 @@ class Gru:
         grads[f"{self.name}.l{l}.b_ih"] = dbias
         grads[f"{self.name}.l{l}.b_hh"] = dbias.copy()
         return da_seq @ w_ih if input_grad else None
-
-    def _step_grads(self, cache, w_hh, d_seq):
-        """The reverse time loop -> pre-activation gradients (B, T, 3H),
-        blocks [z, r, n], in a batch-major loop's row order; each step
-        writes its (B, H) blocks through a (3, T, B, H) view.
-
-        The step's element-wise factors h_prev - n, 1 - r and 1 - n*n are
-        staged for all steps at once in the z, r and n slots of that same
-        buffer (same bits, fewer calls inside the loop); each step reads its
-        slot before writing its gradient there.  1 - z is refilled per step
-        in a (B, H) buffer, and d_seq's step is read in place."""
-        hd = self.hidden
-        _, hs, zr_seq, n_seq = cache
-        u_z, u_r, u_n = w_hh[:hd], w_hh[hd:2 * hd], w_hh[2 * hd:]
-        t, b, _ = n_seq.shape
-        h_prev_seq = hs[:-1]
-        z_seq, r_seq = zr_seq[:, 0], zr_seq[:, 1]
-        da = np.empty((b, t, 3, hd), dtype=n_seq.dtype)
-        da_z_seq, da_r_seq, da_n_seq = da.transpose(2, 1, 0, 3)
-        np.subtract(h_prev_seq, n_seq, out=da_z_seq)
-        np.subtract(1.0, r_seq, out=da_r_seq)
-        np.multiply(n_seq, n_seq, out=da_n_seq)
-        np.subtract(1.0, da_n_seq, out=da_n_seq)
-        carry = np.zeros((b, hd), dtype=n_seq.dtype)
-        dh, dz, dn, drh, omz, tmp, tmp2 = np.empty((7, b, hd), dtype=n_seq.dtype)
-        for ti in reversed(range(t)):
-            z, r = z_seq[ti], r_seq[ti]
-            da_z, da_r, da_n = da_z_seq[ti], da_r_seq[ti], da_n_seq[ti]
-            np.subtract(1.0, z, out=omz)
-            np.add(d_seq[:, ti], carry, out=dh)
-            np.multiply(dh, da_z, out=dz)  # h_prev - n
-            np.multiply(dh, omz, out=dn)
-            np.multiply(dh, z, out=carry)  # dh_prev
-            np.multiply(dn, da_n, out=da_n)  # 1 - n*n
-            np.dot(da_n, u_n, out=drh)
-            np.multiply(drh, h_prev_seq[ti], out=tmp)
-            tmp *= r
-            np.multiply(tmp, da_r, out=da_r)  # 1 - r
-            np.multiply(drh, r, out=tmp)
-            carry += tmp
-            np.multiply(dz, z, out=tmp)
-            np.multiply(tmp, omz, out=da_z)
-            np.dot(da_z, u_z, out=tmp)
-            np.dot(da_r, u_r, out=tmp2)
-            tmp += tmp2
-            carry += tmp
-        return da.reshape(b, t, 3 * hd)
 
     def flops(self, n_frames: int) -> int:
         total = 0

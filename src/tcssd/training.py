@@ -21,7 +21,7 @@ from .cm_distribution import Cm2Net
 from .cm_temporal import Cm1Config, Cm1Net
 from .encoder import EncoderConfig, FrontendNet, feature_kind
 from .errors import DataError, TrainingError
-from .files import write_text
+from .files import make_dir, write_text
 from .frontend import FRAME_RATE, FeatureMap, random_crop, spec_augment
 from .layers import init_layers, tensor_names
 
@@ -370,7 +370,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     log: list[LogEntry] = []
 
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        make_dir(out_dir)
         save_checkpoint(ckpt, os.path.join(out_dir, "init"))
 
     for step in range(1, total_steps + 1):

@@ -20,7 +20,7 @@ from tcssd.analysis import tc_similarity_matrix_features, write_similarity_matri
 from tcssd.checkpoint import load_checkpoint, save_checkpoint
 from tcssd.cli import _build_parser, main
 from tcssd.config import config_hash, flat_dict, toy_config
-from tcssd.frontend import (FeatureMap, load_feature_map, load_waveform,
+from tcssd.frontend import (FeatureMap, compute_fbank, load_feature_map, load_waveform,
                             save_feature_map, save_waveform)
 from tcssd.training import build_checkpoint
 
@@ -250,6 +250,29 @@ def test_extract_writes_feature_cache(tmp_path, capsys):
     f = load_feature_map(out / "a.fea")
     assert f.values.shape == (198, 80)
     assert (out / "provenance.txt").exists()
+
+
+def test_extract_decodes_each_wav_once(tmp_path, monkeypatch, capsys):
+    """The pre-pass checks each WAV's format and length without decoding
+    its samples, so FBank's decode is the only one; the caches keep their
+    bytes."""
+    rng = np.random.default_rng(0)
+    wavs = [tmp_path / f"{stem}.wav" for stem in "abc"]
+    for wav, n in zip(wavs, (16000, 8000, 12000)):
+        save_waveform(rng.uniform(-0.3, 0.3, n), wav)
+    decoded = []
+
+    def counting_load(path):
+        decoded.append(path)
+        return load_waveform(path)
+
+    monkeypatch.setattr(cli, "load_waveform", counting_load)
+    out = tmp_path / "feats"
+    assert main(["extract", "--wav", *map(str, wavs), "--out", str(out)]) == 0
+    assert decoded == [str(w) for w in wavs]
+    for wav in wavs:
+        save_feature_map(compute_fbank(load_waveform(wav)), tmp_path / "ref.fea")
+        assert (out / f"{wav.stem}.fea").read_bytes() == (tmp_path / "ref.fea").read_bytes()
 
 
 def test_extract_refuses_duplicate_stems_before_writing(tmp_path, capsys):
@@ -678,6 +701,47 @@ def test_unreadable_input_exits_two_naming_it(argv, bad, tiny_pipeline, tmp_path
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and bad.format(**paths) in err
     assert "Traceback" not in err
+
+
+# Output paths that cannot be made: an existing file where a command makes
+# its output directory, an output file in a missing directory, or an
+# existing directory where an output file goes.
+@pytest.mark.parametrize("argv, out", [
+    (["extract", "--wav", "{wav}", "--out", "{out}"], "file"),
+    (["train", "--cm", "1", "--protocol", "{protocol}", "--features", "{features}",
+      "--out", "{out}", "--steps", "1"], "file"),
+    (["simulate", "--out", "{out}", "--n-per-class", "2"], "file"),
+    (["score", "--cm", "1", "--protocol", "{protocol}", "--features", "{features}",
+      "--ckpt", "{ckpt}", "--out", "{out}"], "missing"),
+    (["fuse", "--a", "{scores}", "--b", "{scores}", "--out", "{out}"], "missing"),
+    (["analyze-tc", "--features", "{fea}", "--out", "{out}"], "missing"),
+    (["analyze-dist", "--protocol", "{protocol}", "--features", "{features}",
+      "--ckpt", "{ckpt}", "--out", "{out}"], "missing"),
+    (["trim", "{wav}", "{out}"], "missing"),
+    (["fuse", "--a", "{scores}", "--b", "{scores}", "--out", "{out}"], "dir"),
+], ids=["extract", "train", "simulate", "score", "fuse", "analyze-tc", "analyze-dist",
+        "trim", "fuse-onto-dir"])
+def test_unwritable_output_exits_two_naming_it(argv, out, tiny_pipeline, tmp_path, capsys):
+    """One stderr line names the path as given, not its ``.tmp`` sibling,
+    and nothing is written."""
+    _, sim, ck, scores = tiny_pipeline
+    outs = {"file": tmp_path / "taken", "missing": tmp_path / "absent" / "out.txt",
+            "dir": tmp_path / "dir"}
+    paths = {"wav": tmp_path / "a.wav", "out": outs[out],
+             "protocol": sim / "protocol.txt", "features": sim / "features",
+             "ckpt": ck / "final", "scores": scores,
+             "fea": next((sim / "features").glob("*.fea"))}
+    save_waveform(0.1 * np.random.default_rng(0).standard_normal(16000), paths["wav"])
+    outs["file"].write_text("kept\n")
+    outs["dir"].mkdir()
+    (outs["dir"] / "kept.txt").write_text("kept\n")
+    before = dir_snapshot(tmp_path)
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(paths["out"]) in err
+    assert ".tmp" not in err and "Traceback" not in err
+    assert dir_snapshot(tmp_path) == before and not (tmp_path / "absent").exists()
 
 
 def test_bad_device_rejected(capsys):

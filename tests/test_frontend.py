@@ -59,6 +59,14 @@ def test_wav_sample_rate_mismatch(tmp_path):
         load_waveform(path)
 
 
+def test_wav_ending_inside_a_sample_rejected(tmp_path):
+    path = tmp_path / "cut.wav"
+    save_waveform(np.zeros(1000), path)
+    path.write_bytes(path.read_bytes()[:-601])
+    with pytest.raises(DataError, match="ends inside a sample"):
+        load_waveform(path)
+
+
 # ---------------------------------------------------------------------------
 # Silence trimming
 # ---------------------------------------------------------------------------

@@ -103,16 +103,21 @@ def test_gru_time_loop_bit_identical_to_reference(b, t):
     assert np.array_equal(dx, want_dx)
 
 
-# (32, 199) is the toy CM1 width and sequence length the recipe trains on.
-@pytest.mark.parametrize("b,t,i_dim,h_dim", [
-    (1, 9, 6, 8), (5, 13, 6, 8), (32, 199, 24, 32), (3, 1, 6, 8)])
-def test_gru_two_layers_bit_identical_to_chained_reference(b, t, i_dim, h_dim):
+# (32, 199) is the toy CM1 width and sequence length the recipe trains on;
+# ``last_only`` is CM1's traffic there, a gradient on the last step alone.
+@pytest.mark.parametrize("b,t,i_dim,h_dim,last_only", [
+    (1, 9, 6, 8, False), (5, 13, 6, 8, False), (32, 199, 24, 32, False),
+    (32, 199, 24, 32, True), (3, 1, 6, 8, False)], ids=[
+    "1-9-6-8", "5-13-6-8", "32-199-24-32", "32-199-24-32-last_only", "3-1-6-8"])
+def test_gru_two_layers_bit_identical_to_chained_reference(b, t, i_dim, h_dim, last_only):
     gru = Gru("g", i_dim, h_dim, n_layers=2, input_gain=5.0, carry_bias=3.0)
     rng = np.random.default_rng(b * 1000 + t)
     params = {}
     gru.init(params, rng)
     x = (rng.standard_normal((b, t, i_dim)) * 0.5).astype(np.float32)
     dh_seq = rng.standard_normal((b, t, h_dim)).astype(np.float32)
+    if last_only:
+        dh_seq[:, :-1] = 0.0
     h_seq, caches = gru.forward(params, x)
     dx = gru.backward(params, caches, dh_seq, {})
     p0, p1 = ([params[f"g.l{l}.{k}"] for k in ("w_ih", "w_hh", "b_ih", "b_hh")]
