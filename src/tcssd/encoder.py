@@ -131,10 +131,10 @@ class FrontendNet:
 
     def backward_concat(self, params, caches, dcat, grads):
         (h, c_stem, c_norm), *block_caches = caches
-        dblocks = np.split(dcat, len(self.blocks), axis=2)
-        dinp = np.zeros_like(dblocks[0])
-        for i in reversed(range(len(self.blocks))):
-            dinp = self.blocks[i].backward(params, block_caches[i], dblocks[i] + dinp, grads)
+        dinp = 0.0
+        for block, cache, dblock in zip(self.blocks[::-1], block_caches[::-1],
+                                        np.split(dcat, len(self.blocks), axis=2)[::-1]):
+            dinp = block.backward(params, cache, dblock + dinp, grads)
         dr = self.stem_norm.backward(params, c_norm, dinp, grads)
         dh = dr * (h > 0)
         return self.stem_conv.backward(params, c_stem, dh, grads)

@@ -72,7 +72,7 @@ class AugmentPolicy:
 
 
 def _read_pcm16(path) -> bytes:
-    """The sample bytes of a 16 kHz mono PCM16 WAV file, format checked."""
+    """The sample bytes of a 16 kHz mono PCM16 WAV file, format and length checked."""
     try:
         wav = wave.open(io.BytesIO(read_bytes(path, "file")), "rb")
     except (wave.Error, EOFError) as exc:
@@ -85,9 +85,13 @@ def _read_pcm16(path) -> bytes:
         rate = wav.getframerate()
         if rate != SAMPLE_RATE:
             raise DataError(f"sample rate mismatch: {path} is {rate} Hz, expected {SAMPLE_RATE}")
-        raw = wav.readframes(wav.getnframes())
+        n = wav.getnframes()
+        raw = wav.readframes(n)
     if len(raw) % 2:
         raise DataError(f"truncated WAV: {path} ends inside a sample")
+    if len(raw) != 2 * n:
+        raise DataError(f"truncated WAV: {path} holds {len(raw) // 2} samples, "
+                        f"its header says {n}")
     return raw
 
 

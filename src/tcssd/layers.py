@@ -328,48 +328,30 @@ class SERes2Block(Composite):
         h1, c1 = self.conv1.forward(params, x)
         n1, cn1 = self.norm1.forward(params, h1)
         r1 = relu(n1)
-        w = self.width
-        groups = [r1[:, :, i * w:(i + 1) * w] for i in range(self.scale)]
-        sp = None
-        outs = []
+        outs = [r1[:, :, i:i + self.width] for i in range(0, self.channels, self.width)]
         gcaches = []
-        for i in range(self.scale - 1):
-            sp_in = groups[i] if i == 0 else sp + groups[i]
-            h, cc = self.convs[i].forward(params, sp_in)
-            hn, cn = self.norms[i].forward(params, h)
-            hr = relu(hn)
+        for i, (conv, norm) in enumerate(zip(self.convs, self.norms)):
+            h, cc = conv.forward(params, outs[i - 1] + outs[i] if i else outs[0])
+            hn, cn = norm.forward(params, h)
+            outs[i] = relu(hn)
             gcaches.append((cc, cn, hn))
-            sp = hr
-            outs.append(sp)
-        outs.append(groups[-1])
-        cat = np.concatenate(outs, axis=2)
-        h3, c3 = self.conv3.forward(params, cat)
+        h3, c3 = self.conv3.forward(params, np.concatenate(outs, axis=2))
         n3, cn3 = self.norm3.forward(params, h3)
-        r3 = relu(n3)
-        y_se, cse = self.se.forward(params, r3)
+        y_se, cse = self.se.forward(params, relu(n3))
         return y_se + x, (c1, cn1, n1, gcaches, c3, cn3, n3, cse)
 
     def backward(self, params, cache, dy, grads):
         c1, cn1, n1, gcaches, c3, cn3, n3, cse = cache
-        w = self.width
-        dr3 = self.se.backward(params, cse, dy, grads)
-        dn3 = dr3 * (n3 > 0)
+        dn3 = self.se.backward(params, cse, dy, grads) * (n3 > 0)
         dh3 = self.norm3.backward(params, cn3, dn3, grads)
         dcat = self.conv3.backward(params, c3, dh3, grads)
-        douts = [dcat[:, :, i * w:(i + 1) * w] for i in range(self.scale)]
-        dg = [None] * self.scale
-        dg[-1] = douts[-1]
+        dg = [dcat[:, :, i:i + self.width] for i in range(0, self.channels, self.width)]
         carry = 0.0
         for i in reversed(range(self.scale - 1)):
-            d_sp_out = douts[i] + carry
             cc, cn, hn = gcaches[i]
-            dhn = d_sp_out * (hn > 0)
-            dh = self.norms[i].backward(params, cn, dhn, grads)
-            d_sp_in = self.convs[i].backward(params, cc, dh, grads)
-            dg[i] = d_sp_in
-            carry = d_sp_in if i > 0 else 0.0
-        dr1 = np.concatenate(dg, axis=2)
-        dn1 = dr1 * (n1 > 0)
+            dh = self.norms[i].backward(params, cn, (dg[i] + carry) * (hn > 0), grads)
+            dg[i] = carry = self.convs[i].backward(params, cc, dh, grads)
+        dn1 = np.concatenate(dg, axis=2) * (n1 > 0)
         dh1 = self.norm1.backward(params, cn1, dn1, grads)
         return dy + self.conv1.backward(params, c1, dh1, grads)
 
@@ -416,11 +398,8 @@ class AttentiveStatsPool(Composite):
     def backward(self, params, cache, dy, grads):
         x, a, c1, c2, alpha, mu, var, sigma = cache
         d = self.in_dim
-        dmu = dy[:, :d].copy()
-        dsigma = dy[:, d:]
-        dvar = dsigma * (0.5 / sigma) * (var > 0)
-        dm2 = dvar
-        dmu += -2.0 * mu * dvar
+        dm2 = dy[:, d:] * (0.5 / sigma) * (var > 0)
+        dmu = dy[:, :d] - 2.0 * mu * dm2
         dalpha = np.einsum("bd,btd->bt", dmu, x) + np.einsum("bd,btd->bt", dm2, x * x)
         dx = alpha[:, :, None] * (dmu[:, None, :] + 2.0 * dm2[:, None, :] * x)
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))

@@ -302,6 +302,32 @@ def test_extract_refuses_a_short_wav_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_extract_refuses_a_cut_wav_before_writing(tmp_path, capsys):
+    """A WAV whose data chunk is shorter than its header says is named with
+    both counts, and nothing is written, not the cache of the WAV before it."""
+    rng = np.random.default_rng(0)
+    wavs = [tmp_path / f"{stem}.wav" for stem in "ab"]
+    for wav in wavs:
+        save_waveform(rng.uniform(-0.3, 0.3, 16000), wav)
+    wavs[1].write_bytes(wavs[1].read_bytes()[:-2000])
+    out = tmp_path / "fe"
+    assert main(["extract", "--wav", *map(str, wavs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"tcssd extract: truncated WAV: {wavs[1]} holds 15000 samples, "
+                   "its header says 16000"]
+    assert not out.exists()
+
+
+def test_trim_refuses_a_cut_wav(tmp_path, capsys):
+    src, dst = tmp_path / "a.wav", tmp_path / "o.wav"
+    save_waveform(0.1 * np.random.default_rng(0).standard_normal(16000), src)
+    src.write_bytes(src.read_bytes()[:-2])
+    assert main(["trim", str(src), str(dst)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcssd trim: truncated WAV: {src} holds 15999 samples, its header says 16000"]
+    assert not dst.exists()
+
+
 def test_sizes_below_one_exit_two_and_write_no_output(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "sim"), "--n-per-class", "0"]) == 2
     assert not (tmp_path / "sim").exists()

@@ -12,7 +12,7 @@ from tcssd.frontend import (AugmentPolicy, FeatureMap, compute_fbank,
                             mel_filterbank, mel_to_hz, hz_to_mel, random_crop,
                             save_feature_map, save_waveform, spec_augment,
                             trim_boundaries, trim_silence, FRAME_LEN, FRAME_HOP,
-                            N_FFT, N_MELS, LOG_FLOOR, SAMPLE_RATE)
+                            wav_sample_count, N_FFT, N_MELS, LOG_FLOOR, SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +65,17 @@ def test_wav_ending_inside_a_sample_rejected(tmp_path):
     path.write_bytes(path.read_bytes()[:-601])
     with pytest.raises(DataError, match="ends inside a sample"):
         load_waveform(path)
+
+
+def test_wav_shorter_than_its_header_rejected(tmp_path):
+    """A data chunk cut at a sample boundary: the header still counts 1,000
+    samples, and only 700 are there."""
+    path = tmp_path / "cut.wav"
+    save_waveform(np.zeros(1000), path)
+    path.write_bytes(path.read_bytes()[:-600])
+    for read in (load_waveform, wav_sample_count):
+        with pytest.raises(DataError, match="holds 700 samples, its header says 1000"):
+            read(path)
 
 
 # ---------------------------------------------------------------------------

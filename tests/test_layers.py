@@ -1,7 +1,7 @@
-"""Layer primitives: bit-level contracts of the fused GRU hot path and of
-the frontend's frame-laid element-wise ops, and direct-formula oracles plus
-finite-difference gradients for the frontend's convolution and
-normalization."""
+"""Layer primitives: bit-level contracts of the fused GRU hot path, of
+the frontend's frame-laid element-wise ops and of the Res2 block and
+pooling passes, and direct-formula oracles plus finite-difference
+gradients for the frontend's convolution and normalization."""
 
 import tracemalloc
 
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import assert_grads_close
-from tcssd.layers import ChannelNorm, Conv1d, Gru, SEGate, _time_mean, relu, sigmoid
+from tcssd.layers import (AttentiveStatsPool, ChannelNorm, Conv1d, Gru, SEGate, SERes2Block,
+                          _time_mean, relu, sigmoid)
 
 
 def masked_sigmoid(x):
@@ -315,6 +316,77 @@ def broadcast_se_backward(se, params, cache, dy):
     return dx
 
 
+def list_res2_forward(block, params, x):
+    """Oracle: SERes2Block.forward with the group outputs gathered in a
+    second list beside the group views."""
+    h1, c1 = block.conv1.forward(params, x)
+    n1, cn1 = block.norm1.forward(params, h1)
+    r1 = relu(n1)
+    w = block.width
+    groups = [r1[:, :, i * w:(i + 1) * w] for i in range(block.scale)]
+    sp = None
+    outs = []
+    gcaches = []
+    for i in range(block.scale - 1):
+        sp_in = groups[i] if i == 0 else sp + groups[i]
+        h, cc = block.convs[i].forward(params, sp_in)
+        hn, cn = block.norms[i].forward(params, h)
+        hr = relu(hn)
+        gcaches.append((cc, cn, hn))
+        sp = hr
+        outs.append(sp)
+    outs.append(groups[-1])
+    cat = np.concatenate(outs, axis=2)
+    h3, c3 = block.conv3.forward(params, cat)
+    n3, cn3 = block.norm3.forward(params, h3)
+    r3 = relu(n3)
+    y_se, cse = block.se.forward(params, r3)
+    return y_se + x, (c1, cn1, n1, gcaches, c3, cn3, n3, cse)
+
+
+def list_res2_backward(block, params, cache, dy, grads):
+    c1, cn1, n1, gcaches, c3, cn3, n3, cse = cache
+    w = block.width
+    dr3 = block.se.backward(params, cse, dy, grads)
+    dn3 = dr3 * (n3 > 0)
+    dh3 = block.norm3.backward(params, cn3, dn3, grads)
+    dcat = block.conv3.backward(params, c3, dh3, grads)
+    douts = [dcat[:, :, i * w:(i + 1) * w] for i in range(block.scale)]
+    dg = [None] * block.scale
+    dg[-1] = douts[-1]
+    carry = 0.0
+    for i in reversed(range(block.scale - 1)):
+        d_sp_out = douts[i] + carry
+        cc, cn, hn = gcaches[i]
+        dhn = d_sp_out * (hn > 0)
+        dh = block.norms[i].backward(params, cn, dhn, grads)
+        d_sp_in = block.convs[i].backward(params, cc, dh, grads)
+        dg[i] = d_sp_in
+        carry = d_sp_in if i > 0 else 0.0
+    dr1 = np.concatenate(dg, axis=2)
+    dn1 = dr1 * (n1 > 0)
+    dh1 = block.norm1.backward(params, cn1, dn1, grads)
+    return dy + block.conv1.backward(params, c1, dh1, grads)
+
+
+def copy_pool_backward(pool, params, cache, dy, grads):
+    """Oracle: AttentiveStatsPool.backward with dmu copied, then updated."""
+    x, a, c1, c2, alpha, mu, var, sigma = cache
+    d = pool.in_dim
+    dmu = dy[:, :d].copy()
+    dsigma = dy[:, d:]
+    dvar = dsigma * (0.5 / sigma) * (var > 0)
+    dm2 = dvar
+    dmu += -2.0 * mu * dvar
+    dalpha = np.einsum("bd,btd->bt", dmu, x) + np.einsum("bd,btd->bt", dm2, x * x)
+    dx = alpha[:, :, None] * (dmu[:, None, :] + 2.0 * dm2[:, None, :] * x)
+    dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    da = pool.fc2.backward(params, c2, dscores[:, :, None], grads)
+    da_pre = da * (1.0 - a * a)
+    dx += pool.fc1.backward(params, c1, da_pre, grads)
+    return dx
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     uint = np.uint32 if got.dtype == np.float32 else np.uint64
@@ -373,3 +445,46 @@ def test_se_gate_bit_identical_to_broadcast(width, b, dtype):
     assert cache[-1].shape == (b, width)
     dx = se.backward(params, cache, dy, {})
     assert_same_bits(dx, broadcast_se_backward(se, params, want_cache, dy))
+
+
+def _random_params(layer, rng, dtype):
+    return {name: rng.standard_normal(shape).astype(dtype) for name, shape in layer.param_specs()}
+
+
+def _assert_same_grads(grads, want_grads, layer):
+    assert grads.keys() == want_grads.keys() == {name for name, _ in layer.param_specs()}
+    for name, want in want_grads.items():
+        assert_same_bits(grads[name], want)
+
+
+@pytest.mark.parametrize("t, dilation", [(37, 2), (3, 4), (1, 3)])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_res2_block_bit_identical_to_list_bookkeeping(dtype, b, t, dilation):
+    """At t <= dilation every side tap reads only padding."""
+    rng, x, dy = _layer_inputs(16, b, dtype, t)
+    block = SERes2Block("blk", 16, kernel=3, dilation=dilation, scale=8, se_bottleneck=4)
+    params = _random_params(block, rng, dtype)
+    y, cache = block.forward(params, x)
+    want_y, want_cache = list_res2_forward(block, params, x)
+    assert_same_bits(y, want_y)
+    grads, want_grads = {}, {}
+    dx = block.backward(params, cache, dy, grads)
+    assert_same_bits(dx, list_res2_backward(block, params, want_cache, dy, want_grads))
+    _assert_same_grads(grads, want_grads, block)
+
+
+@pytest.mark.parametrize("t", [37, 3, 1])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attentive_pool_backward_bit_identical_to_copy_then_add(dtype, b, t):
+    """At t = 1 every variance is exactly 0, so the clamp zeroes dm2."""
+    rng, x, _ = _layer_inputs(16, b, dtype, t)
+    pool = AttentiveStatsPool("pool", 16, 4)
+    params = _random_params(pool, rng, dtype)
+    dy = rng.standard_normal((b, 32)).astype(dtype)
+    _, cache = pool.forward(params, x)
+    grads, want_grads = {}, {}
+    dx = pool.backward(params, cache, dy, grads)
+    assert_same_bits(dx, copy_pool_backward(pool, params, cache, dy, want_grads))
+    _assert_same_grads(grads, want_grads, pool)

@@ -24,11 +24,12 @@ def test_tree_against_itself_is_all_same(tmp_path):
     n = len(verdicts)
     assert summary.startswith(f"samebytes: {n} of {n} same, 0 differ, 0 in one tree only")
     assert summary.endswith("; 0 command runs failed")
-    # every kind of output is covered: checkpoints, score files, command outputs
+    # every kind of output is covered: checkpoints, score files, command outputs;
+    # audio/fe's weights are the only output of the Res2 and concat backward passes
     items = [line.split("  ")[-1] for line in verdicts]
     for name in ("sim7/ck1/final/weights.bin", "sim13/cm2_b1.tsv",
-                 "audio/fe/final/manifest.json", "audio/ck2i_b32.tsv",
-                 "audio/ck2from1_b32.tsv", "sim7/cm2from1_b32.tsv",
+                 "audio/fe/final/manifest.json", "audio/fe/final/weights.bin",
+                 "audio/ck2i_b32.tsv", "audio/ck2from1_b32.tsv", "sim7/cm2from1_b32.tsv",
                  "audio/trimmed.wav", "audio/dist.tsv"):
         assert name in items, name
     commands = {item.strip("[]").split()[1] for item in items if item.startswith("[")}
