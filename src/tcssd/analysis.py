@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .encoder import EncoderConfig, FrontendNet
-from .errors import DataError
+from .errors import DataError, refuse_unless
 from .files import write_text
 from .frontend import FRAME_RATE, SAMPLE_RATE, FeatureMap, compute_fbank, frame_count
 
@@ -39,12 +39,10 @@ class SimConfig:
     base_scale: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 2 or self.n_frames < 2:
-            raise DataError("dim and n_frames must be >= 2")
-        for key in ("drift_sigma", "noise_sigma", "base_scale"):
-            if not 0 <= getattr(self, key) < np.inf:
-                raise DataError(f"sim.{key} must be finite and not negative, "
-                                f"got {getattr(self, key)}")
+        refuse_unless("sim", self, ("dim", self.dim >= 2, "at least 2"),
+                      ("n_frames", self.n_frames >= 2, "at least 2"),
+                      *((k, 0 <= getattr(self, k) < np.inf, "finite and not negative")
+                        for k in ("drift_sigma", "noise_sigma", "base_scale")))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

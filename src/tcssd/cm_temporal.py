@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, FrontendNet, require_sizes
-from .errors import DataError
+from .encoder import EncoderConfig, FrontendNet
+from .errors import DataError, refuse_unless
 from .layers import ClassWeights, Gru, Linear, relu
 
 
@@ -31,10 +31,10 @@ class Cm1Config:
     carry_bias: float = 0.0
 
     def __post_init__(self):
-        require_sizes(self, "hidden", "n_layers", "fc1_out", "fc2_out")
-        for key in ("input_gain", "carry_bias"):
-            if not np.isfinite(getattr(self, key)):
-                raise DataError(f"cm1.{key} must be finite, got {getattr(self, key)}")
+        refuse_unless("cm1", self, *((k, getattr(self, k) >= 1, "at least 1")
+                                     for k in ("hidden", "n_layers", "fc1_out", "fc2_out")),
+                      *((k, np.isfinite(getattr(self, k)), "finite")
+                        for k in ("input_gain", "carry_bias")))
 
 
 class Cm1Net:

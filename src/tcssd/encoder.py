@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .errors import DataError
+from .errors import DataError, refuse_unless
 from .frontend import FRAME_RATE, N_MELS, FeatureMap
 from .layers import (AttentiveStatsPool, ChannelNorm, ClassWeights, Conv1d,
                      Linear, SERes2Block, relu)
@@ -39,13 +39,13 @@ class EncoderConfig:
     att_dim: int = 128
 
     def __post_init__(self):
-        require_sizes(self, "channels", "res2_scale", "mfa_dim", "embed_dim", "att_dim")
-        if not self.dilations:
-            raise DataError("need at least one block dilation")
-        if min(self.dilations) < 1:
-            raise DataError(f"dilations must be at least 1, got {min(self.dilations)}")
-        if self.channels % self.res2_scale != 0:
-            raise DataError("channels must be divisible by res2_scale")
+        refuse_unless("encoder", self,
+                      *((k, getattr(self, k) >= 1, "at least 1")
+                        for k in ("channels", "res2_scale", "mfa_dim", "embed_dim", "att_dim")),
+                      ("dilations", min(self.dilations, default=0) >= 1,
+                       "one or more values of at least 1"))
+        refuse_unless("encoder", self, ("res2_scale", self.channels % self.res2_scale == 0,
+                                        f"a divisor of encoder.channels = {self.channels}"))
         widths = {"N_MELS": N_MELS, "mfa_dim": self.mfa_dim,
                   "len(dilations) * channels": self.concat_width}
         if len(set(widths.values())) < len(widths):
@@ -60,13 +60,6 @@ class EncoderConfig:
     def concat_width(self) -> int:
         """Channels of the MFA concat: one block output per dilation."""
         return len(self.dilations) * self.channels
-
-
-def require_sizes(cfg, *names) -> None:
-    """Each named field of config ``cfg`` is a size: refuse any below 1."""
-    for name in names:
-        if getattr(cfg, name) < 1:
-            raise DataError(f"{name} must be at least 1, got {getattr(cfg, name)}")
 
 
 def feature_kind(n_channels: int, cfg: EncoderConfig, utt_id: str) -> str:

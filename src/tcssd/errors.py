@@ -15,3 +15,11 @@ class CheckpointError(DataError):
 
 class TrainingError(TcssdError):
     """Training aborted (e.g. non-finite loss)."""
+
+
+def refuse_unless(section: str, cfg, *rules) -> None:
+    """Raise a DataError at the first ``(key, ok, need)`` rule that fails,
+    naming ``<section>.<key>``, what it must be and its value in ``cfg``."""
+    for key, ok, need in rules:
+        if not ok:
+            raise DataError(f"{section}.{key} must be {need}, got {getattr(cfg, key)}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, refuse_unless
 from .files import read_bytes, write_bytes
 
 SAMPLE_RATE = 16000
@@ -62,13 +62,11 @@ class AugmentPolicy:
     max_time_width: int = 10
 
     def __post_init__(self):  # the time width's bound is the crop's: ``train`` checks it
-        for key, ok, need in (("n_freq_masks", self.n_freq_masks >= 0, "at least 0"),
-                              ("max_freq_width", 0 <= self.max_freq_width <= N_MELS,
-                               f"in [0, N_MELS = {N_MELS}]"),
-                              ("n_time_masks", self.n_time_masks >= 0, "at least 0"),
-                              ("max_time_width", self.max_time_width >= 0, "at least 0")):
-            if not ok:
-                raise DataError(f"augment.{key} must be {need}, got {getattr(self, key)}")
+        refuse_unless("augment", self, ("n_freq_masks", self.n_freq_masks >= 0, "at least 0"),
+                      ("max_freq_width", 0 <= self.max_freq_width <= N_MELS,
+                       f"in [0, N_MELS = {N_MELS}]"),
+                      ("n_time_masks", self.n_time_masks >= 0, "at least 0"),
+                      ("max_time_width", self.max_time_width >= 0, "at least 0"))
 
 
 def _read_pcm16(path) -> bytes:

@@ -18,7 +18,8 @@ the finite-difference gradient tests.
 
 Layout rule: an operand that is constant over time, per channel ``(C,)``
 or per utterance ``(B, 1, C)``, is repeated over the frames by
-``_over_time`` before an element-wise op with a ``(B, T, C)`` activation.
+``_over_time`` before an element-wise op with a ``(B, T, C)`` activation,
+as a GRU bias ``(C,)`` is over the batch rows of its ``(B, C)`` step blocks.
 A plain broadcast makes numpy run a C-long inner loop once per frame, and
 the Res2 groups are only 2 channels wide at the toy width.  At
 (32, 400, 2) float32 on one Xeon core, ``x - m`` took 126 us broadcast and
@@ -493,7 +494,8 @@ class Gru:
         zr_seq = np.empty((t, 2, b, hd), dtype=inp.dtype)  # [z, r] per step
         n_seq = np.empty((t, b, hd), dtype=inp.dtype)
         u_zr_t, u_n_t = w_hh[:2 * hd].T, w_hh[2 * hd:].T
-        b_hzr, b_hn = b_hh[:2 * hd], b_hh[2 * hd:]
+        b_hzr, b_hn = np.tile(b_hh[:2 * hd], (b, 1)), np.tile(b_hh[2 * hd:], (b, 1))
+        one = np.array(1.0, dtype=inp.dtype)
         a_zr = np.empty((b, 2 * hd), dtype=inp.dtype)
         a_zr3 = a_zr.reshape(b, 2, hd)  # [z | r] columns as (B, 2, H), like zr below
         a_n, rh, zh, omz = np.empty((4, b, hd), dtype=inp.dtype)
@@ -508,7 +510,7 @@ class Gru:
             np.add(n_in, a_n, out=a_n)
             a_n += b_hn
             np.tanh(a_n, out=n)
-            np.subtract(1.0, z, out=omz)
+            np.subtract(one, z, out=omz)
             np.multiply(z, h, out=zh)
             np.multiply(omz, n, out=h_next)
             h_next += zh
@@ -542,10 +544,11 @@ class Gru:
         np.subtract(1.0, da_n_seq, out=da_n_seq)
         carry = np.zeros((b, hd), dtype=inp.dtype)
         dh, dz, dn, drh, omz, tmp, tmp2 = np.empty((7, b, hd), dtype=inp.dtype)
+        one = np.array(1.0, dtype=inp.dtype)
         for h_prev, (z, r), d, da_z, da_r, da_n in zip(
                 hs[-2::-1], zr_seq[::-1], d_seq.transpose(1, 0, 2)[::-1],
                 da_z_seq[::-1], da_r_seq[::-1], da_n_seq[::-1]):
-            np.subtract(1.0, z, out=omz)
+            np.subtract(one, z, out=omz)
             np.add(d, carry, out=dh)
             np.multiply(dh, da_z, out=dz)  # h_prev - n
             np.multiply(dh, omz, out=dn)

@@ -20,7 +20,7 @@ from .checkpoint import Checkpoint, save_checkpoint
 from .cm_distribution import Cm2Net
 from .cm_temporal import Cm1Config, Cm1Net
 from .encoder import EncoderConfig, FrontendNet, feature_kind
-from .errors import DataError, TrainingError
+from .errors import DataError, TrainingError, refuse_unless
 from .files import make_dir, write_text
 from .frontend import FRAME_RATE, FeatureMap, random_crop, spec_augment
 from .layers import init_layers, tensor_names
@@ -40,10 +40,8 @@ class AamConfig:
     scale: float = 30.0
 
     def __post_init__(self):
-        for key, ok, need in (("margin", 0.0 <= self.margin < np.pi / 2, "in [0, pi/2)"),
-                              ("scale", 0 < self.scale < np.inf, "finite and positive")):
-            if not ok:
-                raise DataError(f"aam.{key} must be {need}, got {getattr(self, key)}")
+        refuse_unless("aam", self, ("margin", 0.0 <= self.margin < np.pi / 2, "in [0, pi/2)"),
+                      ("scale", 0 < self.scale < np.inf, "finite and positive"))
 
 
 @dataclass(frozen=True)
@@ -62,28 +60,22 @@ class TrainConfig:
     augment: bool = False
 
     def __post_init__(self):
-        for key, ok, need in (
-                ("epochs", self.epochs >= 1, "at least 1"),
-                ("warmup_steps", self.warmup_steps >= 1, "at least 1"),
-                ("batch_size", self.batch_size >= 2, "at least 2"),  # a batch is half spoof
-                ("base_lr", 0 < self.base_lr < np.inf, "finite and positive"),
-                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                ("eps", 0 < self.eps < np.inf, "finite and positive"),
-                ("weight_decay", 0 <= self.weight_decay < np.inf,
-                 "finite and not negative")):
-            if not ok:
-                raise DataError(f"train.{key} must be {need}, got {getattr(self, key)}")
-        if self.max_steps < 0:
-            raise DataError(f"max_steps must be at least 0, got {self.max_steps}")
-        if not 0 < self.crop_min_s <= self.crop_max_s:
-            raise DataError("need 0 < train.crop_min_s <= train.crop_max_s, got "
-                            f"{self.crop_min_s} and {self.crop_max_s}")
-        for key in ("crop_min_s", "crop_max_s"):  # random_crop's frame counts
-            seconds = getattr(self, key)
-            if not (np.isfinite(seconds) and 1 <= round(seconds * FRAME_RATE) < 2 ** 63):
-                raise DataError(f"train.{key} must be finite and give 1 to 2^63 - 1 "
-                                f"frames at {FRAME_RATE:g} frames/s, got {seconds}")
+        refuse_unless(
+            "train", self,
+            ("epochs", self.epochs >= 1, "at least 1"),
+            ("warmup_steps", self.warmup_steps >= 1, "at least 1"),
+            ("batch_size", self.batch_size >= 2, "at least 2"),  # a batch is half spoof
+            ("base_lr", 0 < self.base_lr < np.inf, "finite and positive"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("eps", 0 < self.eps < np.inf, "finite and positive"),
+            ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and not negative"),
+            ("max_steps", self.max_steps >= 0, "at least 0"),
+            ("crop_min_s", 0 < self.crop_min_s <= self.crop_max_s,
+             f"above 0 and at most train.crop_max_s = {self.crop_max_s}"),
+            *((k, np.isfinite(s) and 1 <= round(s * FRAME_RATE) < 2 ** 63,  # random_crop frames
+               f"finite and give 1 to 2^63 - 1 frames at {FRAME_RATE:g} frames/s")
+              for k, s in (("crop_min_s", self.crop_min_s), ("crop_max_s", self.crop_max_s))))
 
 
 def aam_softmax_loss(embeddings: np.ndarray, labels: np.ndarray,

@@ -1114,7 +1114,7 @@ def test_negative_steps_exit_two(tmp_path, capsys):
                "--features", str(tmp_path), "--out", str(tmp_path / "ck"),
                "--steps", "-1"])
     assert rc == 2
-    assert capsys.readouterr().err == "tcssd train: max_steps must be at least 0, got -1\n"
+    assert capsys.readouterr().err == "tcssd train: train.max_steps must be at least 0, got -1\n"
     assert not (tmp_path / "ck").exists()
 
 
@@ -1240,6 +1240,34 @@ def test_architecture_size_below_one_exits_two(setting, field, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("setting, need, got", [
+    *((f"encoder.{k}=0", "at least 1", "0")
+      for k in ("channels", "res2_scale", "mfa_dim", "embed_dim", "att_dim")),
+    *((f"cm1.{k}=0", "at least 1", "0") for k in ("hidden", "n_layers", "fc1_out", "fc2_out")),
+    ("encoder.dilations=0", "one or more values of at least 1", "(0,)"),
+    ("encoder.dilations=", "one or more values of at least 1", "()"),
+    ("encoder.res2_scale=3", "a divisor of encoder.channels = 16", "3"),
+    ("sim.dim=1", "at least 2", "1"), ("sim.n_frames=1", "at least 2", "1"),
+    ("train.max_steps=-1", "at least 0", "-1"),
+    ("train.crop_min_s=5", "above 0 and at most train.crop_max_s = 4.0", "5.0"),
+    ("train.batch_size=1", "at least 2", "1"), ("aam.scale=0", "finite and positive", "0.0"),
+    ("augment.max_freq_width=81", "in [0, N_MELS = 80]", "81"),
+    ("sim.noise_sigma=-1", "finite and not negative", "-1.0"),
+    ("cm1.carry_bias=inf", "finite", "inf"),
+])
+def test_bounded_config_key_refuses_naming_itself_and_its_value(setting, need, got,
+                                                                tmp_path, capsys):
+    """Every config section refuses in one form, ``<section>.<key> must be
+    <need>, got <value>``; an empty value is given in a config file."""
+    key, _, value = setting.partition("=")
+    conf = tmp_path / "run.cfg"
+    conf.write_text(f"{setting}\n")
+    given = ["--set", setting] if value else ["--config", str(conf)]
+    assert main(["count-params", *given]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcssd count-params: {key} must be {need}, got {got}"]
+
+
 def test_dilations_alone_set_the_block_count(tmp_path, capsys):
     """Two dilations give a two-block encoder; none at all is refused."""
     sim = tmp_path / "sim"
@@ -1258,7 +1286,8 @@ def test_dilations_alone_set_the_block_count(tmp_path, capsys):
     no_blocks.write_text("encoder.dilations =\n")
     capsys.readouterr()
     assert main(["count-params", "--config", str(no_blocks)]) == 2
-    assert "need at least one block dilation" in capsys.readouterr().err
+    assert ("encoder.dilations must be one or more values of at least 1, got ()"
+            in capsys.readouterr().err)
 
 
 def test_every_config_field_is_read_by_the_package():
@@ -1309,6 +1338,28 @@ def test_only_the_cli_imports_ctypes():
             if "ctypes" in {str(n).partition(".")[0] for n in names}:
                 importers.append(module.name)
     assert importers == ["cli.py"]
+
+
+def test_config_sections_refuse_through_refuse_unless():
+    """A config section's ``__post_init__`` refuses only through
+    ``errors.refuse_unless``, which names ``<section>.<key>`` and its value;
+    the encoder's lane-width relation, which names three quantities, is the
+    one raise of its own."""
+    sections = {"EncoderConfig", "Cm1Config", "TrainConfig", "AamConfig",
+                "AugmentPolicy", "SimConfig"}
+    seen, raises = set(), []
+    for module in sorted(Path(tcssd.__file__).parent.glob("*.py")):
+        text = module.read_text()
+        assert "require_sizes" not in text, module.name
+        for cls in ast.walk(ast.parse(text)):
+            if isinstance(cls, ast.ClassDef) and cls.name in sections:
+                seen.add(cls.name)
+                raises += [(cls.name, ast.unparse(node)) for fn in cls.body
+                           if getattr(fn, "name", None) == "__post_init__"
+                           for node in ast.walk(fn) if isinstance(node, ast.Raise)]
+    assert seen == sections
+    assert [name for name, _ in raises] == ["EncoderConfig"]
+    assert "picks its lane" in raises[0][1]
 
 
 def audio_corpus(tmp_path):
