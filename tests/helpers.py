@@ -1,5 +1,9 @@
 """Shared oracles and utilities for the test suite."""
 
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 
 from tcssd import files
@@ -131,3 +135,38 @@ def fail_writes_halfway(monkeypatch):
     """Make every write through ``tcssd.files`` stop halfway with OSError."""
     monkeypatch.setattr(files, "open", lambda *a, **k: HalfWriteFile(open(*a, **k)),
                         raising=False)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+DESK_RECIPE = "The desk-scale recipe"
+
+
+def readme_blocks(lang):
+    """(heading, text) of each fenced block of README.md whose fence names
+    ``lang`` ("" for a bare fence), under the ``## `` heading it follows."""
+    text = README.read_text()
+    blocks = []
+    for m in re.finditer(r"^```(\w*)\n(.*?)^```", text, re.M | re.S):
+        if m.group(1) == lang:
+            headings = re.findall(r"^## (.+)$", text[:m.start()], re.M)
+            blocks.append((headings[-1] if headings else "", m.group(2)))
+    return blocks
+
+
+def shell_commands(block):
+    """The commands of a fenced ``sh`` block as word lists: ``\\``
+    continuations joined, ``#`` comments and blank lines dropped."""
+    return [words for line in block.replace("\\\n", " ").splitlines()
+            if (words := shlex.split(line, comments=True))]
+
+
+def desk_recipe():
+    """The ``tcssd`` argument lists of README.md's desk-scale recipe block."""
+    blocks = [text for heading, text in readme_blocks("sh") if heading == DESK_RECIPE]
+    assert len(blocks) == 1, (f"README.md: expected one sh block under "
+                              f"'## {DESK_RECIPE}', found {len(blocks)}")
+    commands = shell_commands(blocks[0])
+    other = [" ".join(words) for words in commands if words[0] != "tcssd"]
+    assert commands and not other, (f"README.md, {DESK_RECIPE}: every line must be "
+                                    f"a tcssd command, got {other or 'none'}")
+    return [words[1:] for words in commands]

@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v``; the per-criterion lines
 bypass pytest's capture so they always appear.  The heavyweight criteria
 share one end-to-end recipe run (simulate -> train -> score -> fuse ->
 evaluate, all through the CLI); criterion 9 repeats the recipe to check
-bit-level determinism of the printed numbers.
+bit-level determinism of the printed numbers.  The recipe is not written
+here: ``run_recipe`` reads the fenced ``sh`` block under README.md's
+"The desk-scale recipe" and runs its ``tcssd`` commands as written, so the
+criteria test exactly what the README tells a reader to run.
 """
 
 import contextlib
@@ -17,10 +20,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import assert_grads_close, gru_final_state, rank_auc
+from helpers import DESK_RECIPE, assert_grads_close, desk_recipe, gru_final_state, rank_auc
 from tcssd.analysis import simulate_trajectories, tc_similarity_matrix_features, tc_statistic
 from tcssd.checkpoint import load_checkpoint
-from tcssd.cli import main
+from tcssd.cli import _build_parser, main
 from tcssd.cm_distribution import cm2_score_features
 from tcssd.cm_temporal import Cm1Config, Cm1Net, cm1_score, difference_sequence
 from tcssd.config import toy_config
@@ -48,38 +51,30 @@ def run_cli(argv):
 
 
 def run_recipe(root):
-    """The documented desk-scale recipe, driven through the CLI."""
-    sim_train = root / "sim_train"
-    sim_eval = root / "sim_eval"
-    run_cli(["simulate", "--out", str(sim_train), "--seed", "7",
-             "--n-per-class", "100"])
-    run_cli(["simulate", "--out", str(sim_eval), "--seed", "999",
-             "--n-per-class", "100"])
-    protocol = str(sim_train / "protocol.txt")
-    features = str(sim_train / "features")
-    eval_protocol = str(sim_eval / "protocol.txt")
-    eval_features = str(sim_eval / "features")
-    ck1, ck2 = root / "ck1", root / "ck2"
-    run_cli(["train", "--cm", "1", "--protocol", protocol, "--features",
-             features, "--out", str(ck1), "--seed", "7"])
-    run_cli(["train", "--cm", "2", "--protocol", protocol, "--features",
-             features, "--out", str(ck2), "--seed", "7"])
-    s1, s2, sf = root / "cm1.tsv", root / "cm2.tsv", root / "fused.tsv"
-    run_cli(["score", "--cm", "1", "--protocol", eval_protocol, "--features",
-             eval_features, "--ckpt", str(ck1 / "final"), "--out", str(s1),
-             "--seed", "7"])
-    run_cli(["score", "--cm", "2", "--protocol", eval_protocol, "--features",
-             eval_features, "--ckpt", str(ck2 / "final"), "--out", str(s2),
-             "--seed", "7"])
-    run_cli(["fuse", "--a", str(s1), "--b", str(s2), "--w", "0.5",
-             "--out", str(sf), "--seed", "7"])
-    evaluate_out = {}
-    for name, path in (("cm1", s1), ("cm2", s2), ("fusion", sf)):
-        evaluate_out[name] = run_cli(["evaluate", "--scores", str(path),
-                                      "--protocol", eval_protocol, "--seed", "7"])
-    return {"root": root, "sim_train": sim_train, "sim_eval": sim_eval,
-            "ck1": ck1, "ck2": ck2, "scores": {"cm1": s1, "cm2": s2, "fusion": sf},
-            "evaluate": evaluate_out}
+    """README.md's desk-scale recipe, run as written through the CLI in
+    ``root``; each output is found by the role its command gives it."""
+    out = {"root": root, "scores": {}, "evaluate": {}}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        for argv in desk_recipe():
+            try:
+                printed = run_cli(argv)
+            except (AssertionError, SystemExit) as exc:
+                pytest.fail(f"README.md, {DESK_RECIPE}: tcssd {' '.join(argv)}: "
+                            f"{type(exc).__name__} {exc}")
+            args = _build_parser().parse_args(argv)
+            if args.command == "train":
+                out["sim_train"] = (root / args.protocol).parent
+                out[f"ck{args.cm}"] = root / args.out
+            elif args.command == "score":
+                out["sim_eval"] = (root / args.protocol).parent
+                out["scores"][f"cm{args.cm}"] = root / args.out
+            elif args.command == "fuse":
+                out["scores"]["fusion"] = root / args.out
+            elif args.command == "evaluate":
+                by_path = {path: name for name, path in out["scores"].items()}
+                out["evaluate"][by_path[root / args.scores]] = printed
+    return out
 
 
 @pytest.fixture(scope="module")
