@@ -15,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint
-from .encoder import EncoderConfig, FrontendNet
 from .errors import DataError, refuse_unless
 from .files import write_text
-from .frontend import FRAME_RATE, SAMPLE_RATE, FeatureMap, compute_fbank, frame_count
+from .frontend import FRAME_RATE, FeatureMap
 
 SEGMENT_FRAMES_DEFAULT = 50  # 0.5 s at 10 ms frames
 
@@ -62,24 +60,6 @@ def _cosine_matrix(embeddings: list[np.ndarray]) -> np.ndarray:
     return m
 
 
-def tc_similarity_matrix(samples: np.ndarray, cfg: EncoderConfig, ckpt: Checkpoint,
-                         k: int = 8, seg_dur: float = 0.5,
-                         seed: int = 0) -> SimilarityMatrix:
-    """Cosine matrix of k random ``seg_dur``-second segment embeddings, in time order:
-    windows of the utterance's FBank drawn by ``tc_similarity_matrix_features``
-    and embedded in one ``FrontendNet.embed`` batch."""
-    seg_frames = round(seg_dur * FRAME_RATE)
-    if seg_frames < 2:  # ChannelNorm over one frame embeds every window alike
-        raise DataError(f"segment ({seg_dur} s, {seg_frames} frames) needs at least 2 frames")
-    t = frame_count(len(samples))
-    if t < seg_frames:
-        raise DataError(f"utterance ({len(samples) / SAMPLE_RATE:.3f} s, {t} FBank frames) "
-                        f"shorter than segment ({seg_dur} s, {seg_frames} frames)")
-    return tc_similarity_matrix_features(
-        compute_fbank(samples).values, k=k, seg_frames=seg_frames, seed=seed,
-        embed=lambda windows: FrontendNet(cfg).embed(ckpt.tensors, windows)[0])
-
-
 def tc_similarity_matrix_features(values: np.ndarray, k: int = 8,
                                   seg_frames: int = SEGMENT_FRAMES_DEFAULT,
                                   seed: int = 0, embed=None) -> SimilarityMatrix:
@@ -87,8 +67,8 @@ def tc_similarity_matrix_features(values: np.ndarray, k: int = 8,
 
     Window starts are uniform over the map (overlap permitted) and sorted
     ascending.  ``embed`` maps the stacked windows (k, seg_frames, D) to k
-    embeddings; without it each window's embedding is its frame mean, which
-    is all the simulator lane needs.
+    embeddings (``analyze-tc --wav`` passes the checkpoint's frozen encoder);
+    without it each window's embedding is its frame mean.
     """
     t = values.shape[0]
     if k < 2:
@@ -96,7 +76,8 @@ def tc_similarity_matrix_features(values: np.ndarray, k: int = 8,
     if seg_frames < 1:
         raise DataError(f"seg_frames must be at least 1, got {seg_frames}")
     if t < seg_frames:
-        raise DataError(f"map has {t} frames, segment needs {seg_frames}")
+        raise DataError(f"map has {t} frames ({t / FRAME_RATE:g} s), shorter than a "
+                        f"{seg_frames}-frame ({seg_frames / FRAME_RATE:g} s) segment")
     rng = np.random.default_rng(seed)
     starts = np.sort(rng.integers(0, t - seg_frames + 1, size=k))
     windows = np.stack([values[s0:s0 + seg_frames] for s0 in starts])

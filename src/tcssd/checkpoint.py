@@ -132,7 +132,10 @@ def load_checkpoint(path) -> Checkpoint:
                 f"corrupt manifest {manifest_path}: bad tensor entry {entry!r}")
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if offset < 0 or offset + size > n_floats:
+        if offset != total or name in tensors:  # save_checkpoint packs each name once, in order
+            raise CheckpointError(f"corrupt manifest {manifest_path}: tensor entry {entry!r} "
+                                  f"must be a new name at offset {total}")
+        if offset + size > n_floats:
             raise CheckpointError(
                 f"truncated blob in {path}: tensor '{name}' needs elements "
                 f"[{offset}, {offset + size}) but blob has {n_floats}")

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (pca_project, simulate_trajectories, tc_similarity_matrix,
+from .analysis import (SEGMENT_FRAMES_DEFAULT, pca_project, simulate_trajectories,
                        tc_similarity_matrix_features, tc_statistic,
                        write_projection, write_similarity_matrix)
 from .checkpoint import load_checkpoint
@@ -119,7 +119,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", default=None, help="feature cache file")
     p.add_argument("--ckpt", default=None)
     p.add_argument("--k", type=int, default=8)
-    p.add_argument("--seg-dur", type=float, default=0.5, help="segment seconds")
+    p.add_argument("--seg-dur", type=float, default=SEGMENT_FRAMES_DEFAULT / FRAME_RATE,
+                   help="segment seconds")
     p.add_argument("--out", required=True)
 
     p = add("analyze-dist", "2-D projection of inter-utterance embeddings",
@@ -260,16 +261,15 @@ def _cmd_analyze_tc(args, cfg):
         if args.ckpt is None:
             raise TcssdError("--wav analysis needs --ckpt for the encoder")
         ckpt = load_checkpoint(args.ckpt)
-        enc_cfg, _ = checkpoint_configs(ckpt)
-        m = tc_similarity_matrix(load_waveform(args.wav), enc_cfg, ckpt, k=args.k,
-                                 seg_dur=args.seg_dur, seed=cfg.seed)
+        values = compute_fbank(load_waveform(args.wav)).values
+        embed = lambda w: FrontendNet(checkpoint_configs(ckpt)[0]).embed(ckpt.tensors, w)[0]
     else:
         if args.ckpt is not None:
             raise TcssdError("--features analysis takes frame means and reads no "
                              "checkpoint; drop --ckpt")
-        f = load_feature_map(args.features)
-        m = tc_similarity_matrix_features(f.values, k=args.k, seed=cfg.seed,
-                                          seg_frames=round(args.seg_dur * FRAME_RATE))
+        values, embed = load_feature_map(args.features).values, None
+    m = tc_similarity_matrix_features(values, args.k, round(args.seg_dur * FRAME_RATE),
+                                      cfg.seed, embed)
     mean_od, range_od = tc_statistic(m)
     write_similarity_matrix(m, args.out, header_lines=_provenance(args, cfg))
     print(f"tc_mean={mean_od:.6f} tc_range={range_od:.6f} -> {args.out}")

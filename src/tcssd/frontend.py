@@ -234,23 +234,19 @@ def spec_augment(f: FeatureMap, policy: AugmentPolicy, seed: int) -> FeatureMap:
     return FeatureMap(values=out, frame_hop=f.frame_hop)
 
 
-def random_crop(f: FeatureMap, min_dur: float = 2.0, max_dur: float = 4.0,
-                seed: int = 0) -> FeatureMap:
-    """Contiguous slice of uniform duration in [min_dur, max_dur] seconds
-    at FRAME_RATE frames per second.
+def random_crop(f: FeatureMap, min_frames: int, max_frames: int, seed: int) -> FeatureMap:
+    """Contiguous slice of uniform length in [min_frames, max_frames] frames.
 
-    Inputs shorter than min_dur are wrap-padded (repeating from the start)
-    to exactly min_dur; the drawn duration is capped at the input length,
-    so an input of at most min_dur comes out the same for every seed, and
-    only a longer one seeds a generator.  A crop that lies inside the
-    input is a view of it: callers must not write into the result
+    Inputs shorter than min_frames are wrap-padded (repeating from the
+    start) to exactly min_frames; the drawn length is capped at the input
+    length, so an input of at most min_frames comes out the same for every
+    seed, and only a longer one seeds a generator.  A crop that lies inside
+    the input is a view of it: callers must not write into the result
     (``spec_augment`` copies).
     """
     t = f.values.shape[0]
     if t == 0:
         raise DataError("empty feature map")
-    min_frames = int(round(min_dur * FRAME_RATE))
-    max_frames = int(round(max_dur * FRAME_RATE))
     if t < min_frames:
         values = np.take(f.values, np.arange(min_frames), axis=0, mode="wrap")
     elif t == min_frames:

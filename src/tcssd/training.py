@@ -335,6 +335,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         raise DataError("train.augment masks FBank bins, so only frontend-toy takes it; "
                         f"{cm_id} trains on maps without them")
     min_frames = round(train_cfg.crop_min_s * FRAME_RATE)  # random_crop never returns fewer
+    max_frames = round(train_cfg.crop_max_s * FRAME_RATE)
     if train_cfg.augment and cfg.augment.max_time_width > min_frames:
         raise DataError(f"augment.max_time_width must be at most the {min_frames} frames "
                         f"of train.crop_min_s, got {cfg.augment.max_time_width}")
@@ -370,7 +371,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
         crops = []
         for i in idx:
             crop_seed = int(rng.integers(2 ** 31))
-            f = random_crop(maps[i], train_cfg.crop_min_s, train_cfg.crop_max_s, crop_seed)
+            f = random_crop(maps[i], min_frames, max_frames, crop_seed)
             if train_cfg.augment:
                 f = spec_augment(f, cfg.augment, int(rng.integers(2 ** 31)))
             # a crop of an encoding not held is copied, so the encoding is freed

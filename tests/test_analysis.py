@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import rank_auc
-from tcssd import analysis
 from tcssd.analysis import (SimConfig, SimilarityMatrix, cosine_similarity,
                             pca_project, simulate_trajectories,
-                            tc_similarity_matrix, tc_similarity_matrix_features,
-                            tc_statistic)
-from tcssd.cm_temporal import Cm1Config
-from tcssd.config import toy_config
-from tcssd.encoder import FrontendNet
+                            tc_similarity_matrix_features, tc_statistic)
 from tcssd.errors import DataError
-from tcssd.frontend import compute_fbank, frame_count
-from tcssd.training import build_checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +36,7 @@ def test_cosine_zero_vector_rejected():
 
 
 # ---------------------------------------------------------------------------
-# tc_similarity_matrix
+# tc_similarity_matrix_features
 # ---------------------------------------------------------------------------
 
 def test_tc_matrix_features_symmetric_unit_diagonal():
@@ -57,94 +50,11 @@ def test_tc_matrix_features_symmetric_unit_diagonal():
         assert np.all(np.diff(m.segment_times) >= 0)
 
 
-def test_tc_matrix_audio_lane():
-    enc = toy_config().encoder
-    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
-                            seed=0)
-    rng = np.random.default_rng(1)
-    w = rng.uniform(-0.4, 0.4, 16000 * 2)
-    m = tc_similarity_matrix(w, k=4, seg_dur=0.5, seed=3, cfg=enc, ckpt=ckpt)
-    assert m.values.shape == (4, 4)
-    np.testing.assert_allclose(m.values, m.values.T, atol=1e-7)
-    np.testing.assert_allclose(np.diag(m.values), 1.0, atol=1e-7)
-
-
-def test_tc_matrix_audio_lane_embeds_fbank_windows_in_one_batch(monkeypatch):
-    """The utterance's FBank is computed once and its k windows go through
-    one ``FrontendNet.embed`` call, each window a slice of that FBank."""
-    enc = toy_config().encoder
-    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
-                            seed=0)
-    w = np.random.default_rng(4).uniform(-0.4, 0.4, 16000 * 3)
-    fbank_calls, embed_inputs = [], []
-    real_fbank, real_embed = analysis.compute_fbank, FrontendNet.embed
-
-    def counting_fbank(samples):
-        fbank_calls.append(len(samples))
-        return real_fbank(samples)
-
-    def counting_embed(self, params, x):
-        embed_inputs.append(x)
-        return real_embed(self, params, x)
-
-    monkeypatch.setattr(analysis, "compute_fbank", counting_fbank)
-    monkeypatch.setattr(FrontendNet, "embed", counting_embed)
-    m = tc_similarity_matrix(w, k=6, seg_dur=0.5, seed=2, cfg=enc, ckpt=ckpt)
-    assert fbank_calls == [len(w)]
-    assert len(embed_inputs) == 1 and embed_inputs[0].shape == (6, 50, 80)
-    values = compute_fbank(w).values
-    for window, t0 in zip(embed_inputs[0], m.segment_times):
-        s0 = round(t0 * 100)
-        np.testing.assert_array_equal(window, values[s0:s0 + 50])
-
-
-def test_tc_matrix_lanes_draw_the_same_segments():
-    """For one seed, k, segment length and frame count, the --wav and
-    --features lanes start their segments at the same times."""
-    enc = toy_config().encoder
-    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
-                            seed=0)
-    w = np.random.default_rng(5).uniform(-0.4, 0.4, 16000 * 2)
-    s = np.random.default_rng(6).standard_normal((frame_count(len(w)), 24)) + 3.0
-    for seed in range(3):
-        m_wav = tc_similarity_matrix(w, k=5, seg_dur=0.3, seed=seed, cfg=enc, ckpt=ckpt)
-        m_fea = tc_similarity_matrix_features(s, k=5, seg_frames=30, seed=seed)
-        np.testing.assert_array_equal(m_wav.segment_times, m_fea.segment_times)
-
-
-def test_tc_matrix_too_short_utterance_rejected():
-    enc = toy_config().encoder
-    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
-                            seed=0)
-    w = np.zeros(4000)  # 0.25 s
-    with pytest.raises(DataError, match="shorter than segment"):
-        tc_similarity_matrix(w, seg_dur=0.5, cfg=enc, ckpt=ckpt)
-
-
-@pytest.mark.parametrize("seg_dur", [0.01, 0.0])
-def test_tc_matrix_refuses_segments_below_two_frames(seg_dur):
-    """A one-frame window embeds to the same vector wherever it starts."""
-    enc = toy_config().encoder
-    ckpt = build_checkpoint("frontend-toy", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8),
-                            seed=0)
-    w = np.random.default_rng(5).uniform(-0.4, 0.4, 16000 * 2)
-    with pytest.raises(DataError, match="needs at least 2 frames"):
-        tc_similarity_matrix(w, seg_dur=seg_dur, cfg=enc, ckpt=ckpt)
-    m = tc_similarity_matrix(w, k=4, seg_dur=0.02, cfg=enc, ckpt=ckpt)
-    assert tc_statistic(m)[1] > 0
-
-
 @pytest.mark.parametrize("seg_frames", [0, -5])
 def test_tc_matrix_features_refuses_segments_below_one_frame(seg_frames):
     s = np.ones((60, 24), dtype=np.float32)
     with pytest.raises(DataError, match="seg_frames must be at least 1"):
         tc_similarity_matrix_features(s, k=4, seg_frames=seg_frames)
-
-
-def test_tc_matrix_needs_encoder_config_and_checkpoint():
-    w = np.zeros(16000)
-    with pytest.raises(TypeError, match="cfg.*ckpt"):
-        tc_similarity_matrix(w)
 
 
 def test_tc_matrix_separates_simulator_classes():

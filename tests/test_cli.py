@@ -20,8 +20,9 @@ from tcssd.analysis import tc_similarity_matrix_features, write_similarity_matri
 from tcssd.checkpoint import load_checkpoint, save_checkpoint
 from tcssd.cli import _build_parser, main
 from tcssd.config import config_hash, flat_dict, toy_config
-from tcssd.frontend import (FeatureMap, compute_fbank, load_feature_map, load_waveform,
-                            save_feature_map, save_waveform)
+from tcssd.encoder import FrontendNet
+from tcssd.frontend import (FeatureMap, compute_fbank, frame_count, load_feature_map,
+                            load_waveform, save_feature_map, save_waveform)
 from tcssd.training import build_checkpoint
 
 SUBCOMMANDS = ["extract", "trim", "train", "score", "fuse", "evaluate",
@@ -575,6 +576,96 @@ def test_analyze_tc_too_short_seg_dur_names_the_flag(lane, seg_dur, shortest,
     assert not out.exists()
     assert main(["analyze-tc", lane, *source, "--seg-dur", shortest,
                  "--out", str(out)]) == 0
+    # windows of the shortest segment still embed apart
+    assert float(capsys.readouterr().out.partition("tc_range=")[2].split()[0]) > 0
+
+
+def matrix_rows(path):
+    """A similarity matrix file's lines below its headers: times, then rows."""
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_analyze_tc_wav_embeds_k_windows_of_one_fbank(tiny_pipeline, tmp_path, monkeypatch):
+    """--wav computes the utterance's FBank once and its k windows, each a
+    slice of that FBank at its written start time, go through one
+    ``FrontendNet.embed`` call; the matrix is symmetric, diagonal one."""
+    _, _, ck, _ = tiny_pipeline
+    wav = tmp_path / "u.wav"
+    save_waveform(np.random.default_rng(4).uniform(-0.4, 0.4, 16000 * 3), wav)
+    fbank_calls, embed_inputs = [], []
+    real_fbank, real_embed = cli.compute_fbank, FrontendNet.embed
+
+    def counting_fbank(samples):
+        fbank_calls.append(len(samples))
+        return real_fbank(samples)
+
+    def counting_embed(self, params, x):
+        embed_inputs.append(x)
+        return real_embed(self, params, x)
+
+    monkeypatch.setattr(cli, "compute_fbank", counting_fbank)
+    monkeypatch.setattr(FrontendNet, "embed", counting_embed)
+    out = tmp_path / "m.txt"
+    assert main(["analyze-tc", "--wav", str(wav), "--ckpt", str(ck / "final"), "--k", "6",
+                 "--seed", "2", "--out", str(out)]) == 0
+    samples = load_waveform(wav)
+    assert fbank_calls == [len(samples)]
+    assert len(embed_inputs) == 1 and embed_inputs[0].shape == (6, 50, 80)
+    times, *rows = matrix_rows(out)
+    values = compute_fbank(samples).values
+    for window, t0 in zip(embed_inputs[0], times.split(), strict=True):
+        s0 = round(float(t0) * 100)
+        np.testing.assert_array_equal(window, values[s0:s0 + 50])
+    m = np.array([[float(v) for v in row.split()] for row in rows])
+    assert m.shape == (6, 6)
+    np.testing.assert_array_equal(m, m.T)
+    np.testing.assert_array_equal(np.diag(m), 1.0)
+
+
+def test_analyze_tc_lanes_write_the_same_segment_times(tiny_pipeline, tmp_path):
+    """One sampler serves both lanes: at one seed, --k, --seg-dur and frame
+    count, --wav and --features write the same segment-time row."""
+    _, _, ck, _ = tiny_pipeline
+    wav, fea = tmp_path / "u.wav", tmp_path / "u.fea"
+    samples = np.random.default_rng(5).uniform(-0.4, 0.4, 16000 * 2)
+    save_waveform(samples, wav)
+    values = np.random.default_rng(6).standard_normal((frame_count(len(samples)), 24)) + 3.0
+    save_feature_map(FeatureMap(values=values.astype(np.float32), frame_hop=0), fea)
+    lanes = {"wav": ["--wav", str(wav), "--ckpt", str(ck / "final")],
+             "fea": ["--features", str(fea)]}
+    for seed in range(3):
+        times = set()
+        for name, lane in lanes.items():
+            out = tmp_path / f"{name}{seed}.txt"
+            assert main(["analyze-tc", *lane, "--k", "5", "--seg-dur", "0.3",
+                         "--seed", str(seed), "--out", str(out)]) == 0
+            times.add(matrix_rows(out)[0])
+        assert len(times) == 1, (seed, times)
+
+
+@pytest.mark.parametrize("lane, frames, message", [
+    ("--wav", 4000, "map has 23 frames (0.23 s), shorter than a 50-frame (0.5 s) segment"),
+    ("--wav", 399, "waveform too short for FBank: 399 < 400 samples"),
+    ("--features", 25, "map has 25 frames (0.25 s), shorter than a 50-frame (0.5 s) segment"),
+], ids=["wav", "wav_under_one_frame", "features"])
+def test_analyze_tc_input_shorter_than_the_segment_exits_two(lane, frames, message,
+                                                             tiny_pipeline, tmp_path, capsys):
+    """A segment longer than the map is the sampler's one refusal on both
+    lanes (frames counts samples on --wav); a WAV under one FBank frame
+    stops at the FBank.  Nothing is written."""
+    _, _, ck, _ = tiny_pipeline
+    if lane == "--wav":
+        source = tmp_path / "u.wav"
+        save_waveform(0.1 * np.random.default_rng(0).standard_normal(frames), source)
+        argv = ["--wav", str(source), "--ckpt", str(ck / "final")]
+    else:
+        source = tmp_path / "u.fea"
+        save_feature_map(FeatureMap(values=np.ones((frames, 24), dtype=np.float32)), source)
+        argv = ["--features", str(source)]
+    out = tmp_path / "m.txt"
+    assert main(["analyze-tc", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"tcssd analyze-tc: {message}"]
+    assert not out.exists()
 
 
 def test_feature_cache_at_another_frame_rate_exits_two(tiny_pipeline, tmp_path, capsys):
@@ -1039,6 +1130,41 @@ def test_malformed_manifest_exits_two(manifest, tiny_pipeline, tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("corrupt", ["offset_read_again", "name_repeated"])
+def test_manifest_entries_must_be_packed_in_order_once_each(corrupt, tiny_pipeline, tmp_path,
+                                                            capsys):
+    """``save_checkpoint`` packs each tensor once, in manifest order, so an
+    entry starts where the ones before it end and names a tensor not yet
+    read.  An entry at offset 0 again (once loaded as a copy of the first
+    tensor's floats) or a name given twice (once kept as its last entry)
+    exits 2 naming the manifest and the entry; the saved one still loads."""
+    _, sim, ck, _ = tiny_pipeline
+    dst = tmp_path / "ck"
+    shutil.copytree(ck / "final", dst)
+    manifest = dst / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    entries = doc["tensors"]
+    if corrupt == "offset_read_again":
+        entries[1]["offset"] = 0
+    else:  # the last tensor again, with floats of its own after the others
+        last = entries[-1]
+        size = int(np.prod(last["shape"]))
+        entries.append({**last, "offset": last["offset"] + size})
+        with open(dst / "weights.bin", "ab") as fh:
+            fh.write(np.ones(size, dtype="<f4").tobytes())
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "s.tsv"
+    assert main(["score", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+                 "--features", str(sim / "features"), "--ckpt", str(dst),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    bad = entries[1] if corrupt == "offset_read_again" else entries[-1]
+    assert len(err) == 1 and err[0].startswith(f"tcssd score: corrupt manifest {manifest}: ")
+    assert repr(bad) in err[0]
+    assert not out.exists()
+    assert load_checkpoint(ck / "final").tensors.keys() == {e["name"] for e in entries}
+
+
 def test_config_file_and_inline_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# desk-scale tweak\nsim.n_frames = 64\nsim.dim = 12\n")
@@ -1338,6 +1464,20 @@ def test_only_the_cli_imports_ctypes():
             if "ctypes" in {str(n).partition(".")[0] for n in names}:
                 importers.append(module.name)
     assert importers == ["cli.py"]
+
+
+def test_analysis_imports_no_model():
+    """``analysis`` is model-free math and the simulator: the encoder reaches
+    its sampler only as the ``embed`` that ``analyze-tc --wav`` passes."""
+    tree = ast.parse((Path(tcssd.__file__).parent / "analysis.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update([node.module] if node.module else
+                            [alias.name for alias in node.names])
+    assert not {name.rpartition(".")[2] for name in imported} & {"encoder", "checkpoint"}
 
 
 def test_config_sections_refuse_through_refuse_unless():

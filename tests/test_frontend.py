@@ -315,7 +315,7 @@ def test_spec_augment_oversize_width_rejected():
 
 def test_crop_long_input_in_range():
     f = FeatureMap(values=np.random.default_rng(0).standard_normal((1000, 80)).astype(np.float32))
-    out = random_crop(f, seed=5)
+    out = random_crop(f, 200, 400, seed=5)
     assert 200 <= out.values.shape[0] <= 400
     # bit-equal to some source slice
     t = out.values.shape[0]
@@ -326,7 +326,7 @@ def test_crop_long_input_in_range():
 
 def test_crop_short_input_wrap_padded():
     f = FeatureMap(values=np.arange(100 * 3, dtype=np.float32).reshape(100, 3))
-    out = random_crop(f, seed=0)
+    out = random_crop(f, 200, 400, seed=0)
     assert out.values.shape[0] == 200
     np.testing.assert_array_equal(out.values[:100], f.values)
     np.testing.assert_array_equal(out.values[100:], f.values)
@@ -336,25 +336,25 @@ def test_crop_inside_the_input_is_a_view():
     """A crop that lies inside its input is not copied; a short input's
     wrap-padded crop is a new array."""
     f = FeatureMap(values=np.random.default_rng(2).standard_normal((1000, 4)).astype(np.float32))
-    assert np.shares_memory(random_crop(f, seed=5).values, f.values)
+    assert np.shares_memory(random_crop(f, 200, 400, seed=5).values, f.values)
     short = FeatureMap(values=f.values[:100])
-    assert not np.shares_memory(random_crop(short, seed=5).values, f.values)
+    assert not np.shares_memory(random_crop(short, 200, 400, seed=5).values, f.values)
 
 
 def test_crop_full_length_identity():
     f = FeatureMap(values=np.random.default_rng(1).standard_normal((300, 4)).astype(np.float32))
-    out = random_crop(f, min_dur=3.0, max_dur=3.0, seed=9)
+    out = random_crop(f, 300, 300, seed=9)
     np.testing.assert_array_equal(out.values, f.values)
-    # a map of exactly min_dur is the only crop a longer max_dur allows
+    # a map of exactly min_frames is the only crop a longer max_dur allows
     for seed in range(20):
-        out = random_crop(f, min_dur=3.0, max_dur=4.0, seed=seed)
+        out = random_crop(f, 300, 400, seed=seed)
         np.testing.assert_array_equal(out.values, f.values)
         assert np.shares_memory(out.values, f.values)
 
 
 def test_crop_empty_rejected():
     with pytest.raises(DataError, match="empty"):
-        random_crop(FeatureMap(values=np.zeros((0, 4), dtype=np.float32)), seed=0)
+        random_crop(FeatureMap(values=np.zeros((0, 4), dtype=np.float32)), 200, 400, seed=0)
 
 
 # ---------------------------------------------------------------------------
