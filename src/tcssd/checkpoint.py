@@ -97,11 +97,12 @@ def _render_manifest(config_json: str, entries: tuple) -> str:
 
 
 def _valid_entry(entry) -> bool:
-    """A tensor entry names a string, a list of sizes and an int offset."""
+    """A tensor entry names a string, a list of sizes, an int offset and a
+    frozen flag; JSON's true is not a size, nor "false" a flag."""
     return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list)
-            and all(isinstance(s, int) and s >= 0 for s in entry["shape"])
-            and isinstance(entry.get("offset"), int))
+            and all(type(s) is int and s >= 0 for s in entry["shape"])
+            and type(entry.get("offset")) is int and type(entry.get("frozen")) is bool)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -140,7 +141,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"truncated blob in {path}: tensor '{name}' needs elements "
                 f"[{offset}, {offset + size}) but blob has {n_floats}")
         tensors[name] = flat[offset:offset + size].reshape(shape).copy()
-        if entry.get("frozen"):
+        if entry["frozen"]:
             frozen.add(name)
         total += size
     if total != n_floats:

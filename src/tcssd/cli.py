@@ -171,13 +171,12 @@ def _print_provenance(args, cfg: RunConfig) -> None:
 
 
 def _load_items(protocol_path, feature_dir):
-    items = []
-    for r in parse_protocol(protocol_path):
-        fea = os.path.join(feature_dir, f"{r.utt_id}.fea")
-        label = LABEL_BONAFIDE if r.key == "bonafide" else LABEL_SPOOF
-        items.append(TrainItem(utt_id=r.utt_id, label=label,
-                               features=load_feature_map(fea)))
-    return items
+    """The protocol's items, its maps loaded one at a time as they are read:
+    the protocol is parsed now, the feature files when iterated."""
+    return (TrainItem(utt_id=r.utt_id,
+                      label=LABEL_BONAFIDE if r.key == "bonafide" else LABEL_SPOOF,
+                      features=load_feature_map(os.path.join(feature_dir, f"{r.utt_id}.fea")))
+            for r in parse_protocol(protocol_path))
 
 
 def _cmd_extract(args, cfg):
@@ -215,9 +214,9 @@ def _cmd_trim(args, cfg):
 
 def _cmd_train(args, cfg):
     cm_id = {"1": "cm1", "2": "cm2"}.get(args.cm, args.cm)
-    items = _load_items(args.protocol, args.features)
     init = load_checkpoint(args.init_ckpt) if args.init_ckpt else None
-    ckpt, log = train(cm_id, items, cfg, out_dir=args.out, init_ckpt=init)
+    ckpt, log = train(cm_id, _load_items(args.protocol, args.features), cfg,
+                      out_dir=args.out, init_ckpt=init)
     write_text(os.path.join(args.out, "provenance.txt"), (), _provenance(args, cfg))
     print(f"trained {cm_id}: {len(log)} steps, "
           f"final loss {log[-1].loss:.6g}, checkpoints in {args.out}")

@@ -402,11 +402,15 @@ class AttentiveStatsPool(Composite):
         dm2 = dy[:, d:] * (0.5 / sigma) * (var > 0)
         dmu = dy[:, :d] - 2.0 * mu * dm2
         dalpha = np.einsum("bd,btd->bt", dmu, x) + np.einsum("bd,btd->bt", dm2, x * x)
-        dx = alpha[:, :, None] * (dmu[:, None, :] + 2.0 * dm2[:, None, :] * x)
         dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
         da = self.fc2.backward(params, c2, dscores[:, :, None], grads)
-        da_pre = da * (1.0 - a * a)
-        dx += self.fc1.backward(params, c1, da_pre, grads)
+        da *= 1.0 - a * a
+        dx = self.fc1.backward(params, c1, da, grads)
+        del da  # freed before dx_stats is made
+        dx_stats = 2.0 * dm2[:, None, :] * x  # alpha (dmu + 2 dm2 x); + and * commute bitwise
+        dx_stats += dmu[:, None, :]
+        dx_stats *= alpha[:, :, None]
+        dx += dx_stats
         return dx
 
 

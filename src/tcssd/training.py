@@ -26,6 +26,8 @@ from .frontend import FRAME_RATE, FeatureMap, random_crop, spec_augment
 from .layers import init_layers, tensor_names
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .config import RunConfig
 
 LABEL_BONAFIDE = 0
@@ -275,7 +277,8 @@ class _FrozenEncodings:
     batch draws it, so utterances never drawn are never encoded.  CM1's
     MFA conv is frozen too, so its maps go on to the tap point; CM2 trains
     its own, so its maps stop at the concat.  An encoding is held while the
-    held ones total at most ``ENCODED_BYTES_MAX``."""
+    held ones total at most ``ENCODED_BYTES_MAX``, and its FBank map is then
+    dropped from the list ``fbanks``; one not held keeps its FBank map."""
 
     def __init__(self, cm_id: str, enc_cfg: EncoderConfig, params, fbanks):
         frontend = FrontendNet(enc_cfg)
@@ -293,6 +296,7 @@ class _FrozenEncodings:
         if self.nbytes + m.values.nbytes <= ENCODED_BYTES_MAX:
             self.held[i] = m
             self.nbytes += m.values.nbytes
+            self.fbanks[i] = None  # later draws read the encoding
         return m
 
 
@@ -304,7 +308,7 @@ def _cycled(pool: np.ndarray, order: np.ndarray, rng: np.random.Generator):
         order = rng.permutation(pool)
 
 
-def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
+def train(cm_id: str, items: Iterable[TrainItem], cfg: RunConfig,
           out_dir: str | None = None, init_ckpt: Checkpoint | None = None):
     """Train one system under run config ``cfg``; return (final checkpoint,
     training log).
@@ -313,19 +317,23 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     starts from ``build_checkpoint(cm_id, ...)``, so its checkpoints hold
     what that holds: the system's own tensors and every ``frontend.*``
     tensor.  Adam steps the tensors that have gradients: the selected
-    system's own, since its ``backward_embed`` fills no others.  On FBank
-    maps a countermeasure's steps crop ``_FrozenEncodings``.  With
+    system's own, since its ``backward_embed`` fills no others.  ``items``
+    is read once, keeping its maps: on FBank maps a countermeasure's steps
+    crop ``_FrozenEncodings``, which frees each map no caller holds.  With
     ``out_dir``, the checkpoints ``init``, one per epoch and ``final`` and
     the tab-separated ``train.log`` are saved there.
     """
     enc_cfg, train_cfg = cfg.encoder, cfg.train
     net = system_net(cm_id, enc_cfg, cfg.cm1)
-    if not items:
+    rows = [(it.utt_id, it.label, it.features) for it in items]
+    if not rows:
         raise DataError("empty training manifest")
-    labels = np.array([it.label for it in items])
+    utt_ids, labels, maps = map(list, zip(*rows))
+    del rows  # the maps are kept, not the items
+    labels = np.array(labels)
     if len(set(labels.tolist())) < 2:
         raise DataError("training manifest must contain both classes")
-    kinds = {feature_kind(it.features.values.shape[1], enc_cfg, it.utt_id) for it in items}
+    kinds = {feature_kind(f.values.shape[1], enc_cfg, u) for u, f in zip(utt_ids, maps)}
     if len(kinds) > 1:
         raise DataError("training manifest mixes fbank and speaker feature kinds")
     kind = kinds.pop()
@@ -346,7 +354,6 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     ckpt = build_checkpoint(cm_id, enc_cfg, cfg.cm1, cfg.seed, init_from=init_ckpt)
     params = ckpt.tensors
     cls_name = f"{net.cls.name}.w"
-    maps = [it.features for it in items]
     held = range(len(maps))  # maps kept through the run: a crop may stay a view
     if kind == "fbank" and cm_id != "frontend-toy":  # a frozen concat: encode once
         maps = _FrozenEncodings(cm_id, enc_cfg, params, maps)
@@ -357,7 +364,7 @@ def train(cm_id: str, items: list[TrainItem], cfg: RunConfig,
     # first passes drawn now, bonafide first: drawn lazily, they would shift every later draw
     bonafide, spoof = [_cycled(p, rng.permutation(p), rng) for p in pools]
     b = train_cfg.batch_size
-    steps_per_epoch = max(1, int(np.ceil(len(items) / b)))
+    steps_per_epoch = max(1, int(np.ceil(len(labels) / b)))
     total_steps = train_cfg.max_steps or train_cfg.epochs * steps_per_epoch
     opt = Adam(train_cfg)
     log: list[LogEntry] = []

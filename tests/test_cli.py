@@ -1165,6 +1165,32 @@ def test_manifest_entries_must_be_packed_in_order_once_each(corrupt, tiny_pipeli
     assert load_checkpoint(ck / "final").tensors.keys() == {e["name"] for e in entries}
 
 
+@pytest.mark.parametrize("field, value", [("shape", [True]), ("offset", False),
+                                          ("frozen", "false")],
+                         ids=["size_true", "offset_false", "frozen_string"])
+def test_manifest_entry_sizes_are_ints_and_frozen_a_bool(field, value, tiny_pipeline,
+                                                         tmp_path, capsys):
+    """JSON's true is a Python int, so a size of true once reached
+    ``reshape`` and ended ``score`` in a traceback, and the string "false"
+    once loaded a tensor as frozen.  Each exits 2 naming the entry."""
+    _, sim, ck, _ = tiny_pipeline
+    dst = tmp_path / "ck"
+    shutil.copytree(ck / "final", dst)
+    manifest = dst / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    entry = doc["tensors"][0]
+    assert entry["offset"] == 0 and entry["frozen"] is False
+    entry[field] = value
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "s.tsv"
+    assert main(["score", "--cm", "1", "--protocol", str(sim / "protocol.txt"),
+                 "--features", str(sim / "features"), "--ckpt", str(dst),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcssd score: corrupt manifest {manifest}: bad tensor entry {entry!r}"]
+    assert not out.exists()
+
+
 def test_config_file_and_inline_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# desk-scale tweak\nsim.n_frames = 64\nsim.dim = 12\n")

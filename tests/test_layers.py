@@ -181,6 +181,32 @@ def test_gru_cache_and_backward_peak_in_step_sized_arrays():
     assert (peak - held) / unit <= 5.5
 
 
+def test_attentive_pool_backward_peak_in_activation_sized_arrays():
+    """At the fbank_cm2 shape (32 crops of 400 frames, mfa_dim 24, att_dim
+    8), the pooling backward peaks at most 2.3 (B, T, D)-sized arrays
+    above its entry: its input gradient and one temporary for the
+    statistics' share of it, with fc2's gradient scaled in place and freed
+    once fc1's input gradient is taken."""
+    b, t, d = 32, 400, 24
+    unit = b * t * d * 4
+    pool = AttentiveStatsPool("pool", d, 8)
+    rng = np.random.default_rng(5)
+    params = {}
+    pool.init(params, rng)
+    x = rng.standard_normal((b, t, d)).astype(np.float32)
+    dy = rng.standard_normal((b, 2 * d)).astype(np.float32)
+    _, cache = pool.forward(params, x)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        dx = pool.backward(params, cache, dy, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == x.shape
+    assert (peak - entry) / unit <= 2.3
+
+
 def reference_conv(x, w, b, dilation):
     """Oracle: same-padded dilated conv as a direct loop over output frames
     and taps; a tap that falls outside [0, T) reads zeros."""

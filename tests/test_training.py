@@ -17,7 +17,7 @@ from tcssd.cm_temporal import Cm1Net
 from tcssd.config import toy_config
 from tcssd.encoder import FrontendNet
 from tcssd.errors import DataError, TrainingError
-from tcssd.frontend import N_MELS, FeatureMap
+from tcssd.frontend import N_MELS, FeatureMap, save_feature_map
 from tcssd.layers import Gru, init_layers, tensor_names
 from tcssd.training import (CM_IDS, Adam, AamConfig, LABEL_BONAFIDE, LABEL_SPOOF,
                             TrainConfig, TrainItem, aam_softmax_loss,
@@ -616,6 +616,86 @@ def test_crops_of_encodings_not_held_free_them(monkeypatch):
     finally:
         tracemalloc.stop()
     assert seen["peak"] < seen["encode"] + 1.5 * seen["nbytes"], seen
+
+
+def fbank_item_stream(refs):
+    """``unequal_fbank_items`` as a generator of items that only it held,
+    each map's values weakly referenced in ``refs``."""
+    for it in unequal_fbank_items():
+        values = it.features.values.copy()
+        refs.append(weakref.ref(values))
+        yield TrainItem(it.utt_id, it.label, FeatureMap(values, it.features.frame_hop))
+
+
+def alive_at_second_embed(monkeypatch, refs):
+    """A list that gets, at step 2's ``embed``, how many of ``refs`` are alive."""
+    alive = []
+
+    def making(*args):
+        net = system_net(*args)
+        embed, calls = net.embed, []
+
+        def embedding(params, x):
+            calls.append(x.shape)
+            if len(calls) == 2:
+                alive.append(sum(r() is not None for r in refs))
+            return embed(params, x)
+
+        net.embed = embedding
+        return net
+
+    monkeypatch.setattr(training, "system_net", making)
+    return alive
+
+
+@pytest.mark.parametrize("cm_id", ["cm1", "cm2"])
+def test_fbank_maps_are_freed_once_encoded(cm_id, monkeypatch):
+    """``train`` reads its items once and keeps their maps, not the items,
+    and an FBank map whose encoding is held is dropped: step 1 draws all
+    six utterances, so from a generator no FBank map is alive at step 2's
+    ``embed``.  Past ``ENCODED_BYTES_MAX`` each draw encodes its FBank map
+    again, so all six stay alive, and training ends on the same bits."""
+    runs = {}
+    for bound in (training.ENCODED_BYTES_MAX, 0):
+        monkeypatch.setattr(training, "ENCODED_BYTES_MAX", bound)
+        refs = []
+        alive = alive_at_second_embed(monkeypatch, refs)
+        ckpt, _ = train(cm_id, fbank_item_stream(refs), tiny_run_cfg(max_steps=2))
+        runs[bound] = ckpt, alive, len(refs)
+    (held, alive_held, n_held), (bounded, alive_bounded, n_bounded) = runs.values()
+    assert (alive_held, n_held) == ([0], 6)
+    assert (alive_bounded, n_bounded) == ([6], 6)
+    assert held.tensors.keys() == bounded.tensors.keys()
+    for name in held.tensors:
+        assert held.tensors[name].tobytes() == bounded.tensors[name].tobytes(), name
+
+
+@pytest.mark.parametrize("cm", ["1", "2"])
+def test_cli_train_frees_fbank_maps_once_encoded(cm, monkeypatch, tmp_path):
+    """``train`` at the command line loads its feature files as it reads
+    them and holds no list of items, so there too no FBank map is alive at
+    step 2's ``embed``."""
+    feats, lines = tmp_path / "feats", []
+    feats.mkdir()
+    for it in unequal_fbank_items():
+        save_feature_map(it.features, feats / f"{it.utt_id}.fea")
+        attack, key = ("-", "bonafide") if it.label == LABEL_BONAFIDE else ("A01", "spoof")
+        lines.append(f"SPK {it.utt_id} - {attack} {key}\n")
+    (tmp_path / "protocol.txt").write_text("".join(lines))
+    refs, load = [], cli.load_feature_map
+
+    def loading(path):
+        f = load(path)
+        refs.append(weakref.ref(f.values))
+        return f
+
+    monkeypatch.setattr(cli, "load_feature_map", loading)
+    alive = alive_at_second_embed(monkeypatch, refs)
+    assert cli.main(["train", "--cm", cm, "--protocol", str(tmp_path / "protocol.txt"),
+                     "--features", str(feats), "--out", str(tmp_path / "ck"), "--steps", "2",
+                     "--set", "train.batch_size=8", "--set", "train.crop_min_s=0.2",
+                     "--set", "train.crop_max_s=0.4"]) == 0
+    assert (alive, len(refs)) == ([0], 6)
 
 
 def cache_arrays(obj):
