@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -132,7 +133,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(
                 f"corrupt manifest {manifest_path}: bad tensor entry {entry!r}")
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)  # exact: Python ints do not wrap
         if offset != total or name in tensors:  # save_checkpoint packs each name once, in order
             raise CheckpointError(f"corrupt manifest {manifest_path}: tensor entry {entry!r} "
                                   f"must be a new name at offset {total}")

@@ -72,16 +72,14 @@ class Cm1Net:
         f1, c1 = self.fc1.forward(params, h_last)
         r1 = relu(f1)
         emb, c2 = self.fc2.forward(params, r1)
-        return emb, (gru_cache, h_seq.shape, f1, c1, c2)
+        return emb, (gru_cache, f1, c1, c2)
 
     def backward(self, params, cache, demb, grads):
-        gru_cache, h_shape, f1, c1, c2 = cache
+        gru_cache, f1, c1, c2 = cache
         dr1 = self.fc2.backward(params, c2, demb, grads)
         df1 = dr1 * (f1 > 0)
         dh_last = self.fc1.backward(params, c1, df1, grads)
-        dh_seq = np.zeros(h_shape, dtype=dh_last.dtype)
-        dh_seq[:, -1] = dh_last
-        self.gru.backward(params, gru_cache, dh_seq, grads, input_grad=False)
+        self.gru.backward(params, gru_cache, dh_last[:, None], grads, input_grad=False)
 
 
 def difference_sequence(values: np.ndarray) -> np.ndarray:

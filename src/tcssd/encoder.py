@@ -18,6 +18,7 @@ Also houses parameter and FLOP accounting over plain layer lists (such as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,7 +204,7 @@ def encode_features(f: FeatureMap, cfg: EncoderConfig, ckpt: Checkpoint) -> np.n
 
 def count_parameters(layers) -> int:
     """Exact scalar count over the tensors of the layers."""
-    return sum(int(np.prod(shape, dtype=np.int64))
+    return sum(math.prod(shape)
                for layer in layers for _, shape in layer.param_specs())
 
 

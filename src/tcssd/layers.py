@@ -31,6 +31,8 @@ a repeat is a temporary that no cache keeps.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 
@@ -477,7 +479,8 @@ class Gru:
         own call, so its temporaries are freed before the next layer's are made.
         A layer's cache is ``(inp, hs, zr_seq, n_seq)``: its input, then
         h_0..h_T, [z, r] and n per step, four (T, B, H)-sized arrays; 1 - z
-        lives in a (B, H) step buffer, which the backward refills.
+        lives in a (B, H) step buffer, which the backward refills.  The input
+        projections wait in the z, r and n slots: two layers peak at 10 units.
         """
         caches = []
         inp = x
@@ -490,28 +493,29 @@ class Gru:
         hd = self.hidden
         w_ih, w_hh, b_ih, b_hh = self._weights(params, l)
         b, t, _ = inp.shape
-        a_ih = inp @ w_ih.T + b_ih  # (B, T, 3H)
-        a_zr_in = np.ascontiguousarray(a_ih[:, :, :2 * hd].transpose(1, 0, 2))
-        a_n_in = np.ascontiguousarray(a_ih[:, :, 2 * hd:].transpose(1, 0, 2))
+        a_ih = inp @ w_ih.T  # (B, T, 3H)
+        a_ih += b_ih
+        # [z, r] and n per step, each slot holding its input projection until
+        # the loop reads it and the gate overwrites it.
+        zr_seq = a_ih[:, :, :2 * hd].reshape(b, t, 2, hd).transpose(1, 2, 0, 3).copy()
+        n_seq = a_ih[:, :, 2 * hd:].transpose(1, 0, 2).copy()
         del a_ih
         hs = np.zeros((t + 1, b, hd), dtype=inp.dtype)  # hs[ti] = h_ti
-        zr_seq = np.empty((t, 2, b, hd), dtype=inp.dtype)  # [z, r] per step
-        n_seq = np.empty((t, b, hd), dtype=inp.dtype)
         u_zr_t, u_n_t = w_hh[:2 * hd].T, w_hh[2 * hd:].T
         b_hzr, b_hn = np.tile(b_hh[:2 * hd], (b, 1)), np.tile(b_hh[2 * hd:], (b, 1))
         one = np.array(1.0, dtype=inp.dtype)
         a_zr = np.empty((b, 2 * hd), dtype=inp.dtype)
         a_zr3 = a_zr.reshape(b, 2, hd)  # [z | r] columns as (B, 2, H), like zr below
         a_n, rh, zh, omz = np.empty((4, b, hd), dtype=inp.dtype)
-        for h, h_next, zr_in, n_in, (z, r), zr, n in zip(
-                hs, hs[1:], a_zr_in, a_n_in, zr_seq, zr_seq.transpose(0, 2, 1, 3), n_seq):
+        for h, h_next, (z, r), zr, n in zip(
+                hs, hs[1:], zr_seq, zr_seq.transpose(0, 2, 1, 3), n_seq):
             np.dot(h, u_zr_t, out=a_zr)
             a_zr += b_hzr
-            a_zr += zr_in
+            a_zr3 += zr
             sigmoid(a_zr3, out=zr)
             np.multiply(r, h, out=rh)
             np.dot(rh, u_n_t, out=a_n)
-            np.add(n_in, a_n, out=a_n)
+            np.add(n, a_n, out=a_n)
             a_n += b_hn
             np.tanh(a_n, out=n)
             np.subtract(one, z, out=omz)
@@ -521,8 +525,11 @@ class Gru:
         return hs[1:].transpose(1, 0, 2), (inp, hs, zr_seq, n_seq)
 
     def backward(self, params, caches, dh_seq, grads, input_grad=True):
-        """dh_seq: (B, T, H) external gradient on the last layer's outputs ->
-        the input gradient, or None without ``input_grad`` (a frozen input)."""
+        """dh_seq: (B, T', H) gradient on the last layer's last T' <= T outputs
+        -> the input gradient, or None without ``input_grad`` (a frozen input)."""
+        b, t, _ = caches[-1][0].shape
+        if dh_seq.shape[0] != b or dh_seq.shape[1] > t or dh_seq.shape[2] != self.hidden:
+            raise ValueError(f"dh_seq {dh_seq.shape} does not fit outputs {(b, t, self.hidden)}")
         d_seq = dh_seq
         for l in reversed(range(self.n_layers)):
             d_seq = self._backward_layer(params, l, caches[l], d_seq, grads,
@@ -534,7 +541,9 @@ class Gru:
         in the z, r and n slots of ``da`` (B, T, 3, H) (same bits, fewer calls
         in the loop), and the reverse time loop overwrites each step's slots
         with its pre-activation gradients [z, r, n]; 1 - z is refilled per
-        step.  Then each weight gradient is one GEMM over all B*T frames."""
+        step.  Then each weight gradient is one GEMM over all B*T frames.  A
+        layer peaks at ``da`` plus one (T, B, H) array, h_prev or the input
+        gradient: 4.1 such units above the caches at the toy CM1 shape."""
         hd = self.hidden
         inp, hs, zr_seq, n_seq = cache
         w_ih, w_hh, _, _ = self._weights(params, l)
@@ -550,7 +559,7 @@ class Gru:
         dh, dz, dn, drh, omz, tmp, tmp2 = np.empty((7, b, hd), dtype=inp.dtype)
         one = np.array(1.0, dtype=inp.dtype)
         for h_prev, (z, r), d, da_z, da_r, da_n in zip(
-                hs[-2::-1], zr_seq[::-1], d_seq.transpose(1, 0, 2)[::-1],
+                hs[-2::-1], zr_seq[::-1], chain(d_seq.transpose(1, 0, 2)[::-1], repeat(0)),
                 da_z_seq[::-1], da_r_seq[::-1], da_n_seq[::-1]):
             np.subtract(one, z, out=omz)
             np.add(d, carry, out=dh)
@@ -573,9 +582,10 @@ class Gru:
         da_seq = da.reshape(b, t, 3 * hd)
         da2 = da_seq.reshape(b * t, 3 * hd)
         grads[f"{self.name}.l{l}.w_ih"] = da2.T @ inp.reshape(b * t, -1)
-        # h_prev batch-major, then r * h_prev in place: a copy, since at B=1
-        # the batch-major view would be hs itself.
-        hp = hs[:-1].transpose(1, 0, 2).copy()
+        # h_prev batch-major, then r * h_prev in place, in a buffer (at B=1 the
+        # view is hs itself): below the top, the spent gradient from above.
+        hp = d_seq if l < self.n_layers - 1 else np.empty((b, t, hd), dtype=inp.dtype)
+        hp[...] = hs[:-1].transpose(1, 0, 2)
         dw_zr = da2[:, :2 * hd].T @ hp.reshape(b * t, hd)
         hp *= zr_seq[:, 1].transpose(1, 0, 2)
         grads[f"{self.name}.l{l}.w_hh"] = np.concatenate(

@@ -207,7 +207,7 @@ def embed_trials(net, records, feature_dir, ckpt: Checkpoint, enc_cfg: EncoderCo
     for members in groups.values():
         for start in range(0, len(members), batch_size):
             chunk = members[start:start + batch_size]
-            emb, _ = net.embed(ckpt.tensors, np.stack([v for _, v in chunk]))
+            emb = net.embed(ckpt.tensors, np.stack([v for _, v in chunk]))[0]  # no cache kept
             yield [i for i, _ in chunk], emb
 
 

@@ -349,6 +349,17 @@ def test_count_params_report(capsys):
     assert "not forced to agree" in out
 
 
+def test_count_params_exact_beyond_int64(capsys):
+    """Counts are Python ints: at the toy widths cm1 holds 9 H^2 + 148 H
+    + 2208 scalars, which at H = 3e9 is past int64 and once printed
+    wrapped (25,659,768,222,871,347,360)."""
+    h = 3_000_000_000
+    assert main(["count-params", "--set", f"cm1.hidden={h}"]) == 0
+    out = capsys.readouterr().out
+    assert f"cm1 trainable parameters: {9 * h * h + 148 * h + 2208:,} " in out
+    assert 9 * 32 * 32 + 148 * 32 + 2208 == int(PARAM_REPORTS["toy"][0].replace(",", ""))
+
+
 def test_flops_report(capsys):
     assert main(["flops", "--preset", "full", "--duration", "4.0"]) == 0
     out = capsys.readouterr().out

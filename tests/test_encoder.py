@@ -1,5 +1,6 @@
 """Speaker encoder: shapes, gradients, pooling, accounting, checkpoint I/O."""
 
+import json
 import os
 
 import numpy as np
@@ -362,6 +363,21 @@ def test_checkpoint_truncated_blob_names_tensor(tmp_path):
     blob = (tmp_path / "ck" / "weights.bin").read_bytes()
     (tmp_path / "ck" / "weights.bin").write_bytes(blob[:10 * 4])
     with pytest.raises(CheckpointError, match="truncated blob.*'a.w'|truncated blob.*'a.b'"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_huge_manifest_shape_is_a_truncated_blob(tmp_path):
+    """A size is the exact product of the shape: [2**62, 4, 1] is 2**64
+    elements, which int64 arithmetic wrapped to 0 and a bare ValueError
+    from ``reshape``."""
+    ckpt = _random_checkpoint(np.random.default_rng(4))
+    save_checkpoint(ckpt, tmp_path / "ck")
+    manifest = tmp_path / "ck" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["tensors"][0]["shape"] = [2 ** 62, 4, 1]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=rf"truncated blob.*'a.b' needs elements "
+                                              rf"\[0, {2 ** 64}\)"):
         load_checkpoint(tmp_path / "ck")
 
 

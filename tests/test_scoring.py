@@ -1,5 +1,7 @@
 """Protocol parsing, EER, fusion, and trial scoring."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from tcssd.config import toy_config
 from tcssd.errors import DataError
 from tcssd.frontend import FeatureMap, save_feature_map
 from tcssd.scoring import (DEFAULT_SCORE_BATCH, ScoreEntry, ScoreSet,
-                           TrialRecord, compute_eer, eer_from_arrays,
+                           TrialRecord, compute_eer, eer_from_arrays, embed_trials,
                            fuse_scores, parse_protocol, read_scores,
                            score_trials, serialize_protocol, write_scores)
-from tcssd.training import build_checkpoint
+from tcssd.training import build_checkpoint, system_net
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +291,33 @@ def test_score_trials_missing_feature_named(sim_eval_dir, tmp_path):
     _, records, ckpts = sim_eval_dir
     with pytest.raises(DataError, match=records[0].utt_id):
         score_trials("cm1", records, tmp_path, ckpts["cm1"])
+
+
+def test_embed_trials_frees_each_chunk_cache_before_the_next_chunk(sim_eval_dir):
+    """A chunk's cache (a GRU forward's is eight (T, B, H) arrays) is gone
+    before the next chunk is embedded: only its embeddings are yielded."""
+    tmp, records, ckpts = sim_eval_dir
+
+    class Held:  # the net's cache, weakly referable
+        def __init__(self, cache):
+            self.cache = cache
+
+    class TracingNet:
+        def __init__(self, net):
+            self.net, self.caches = net, []
+
+        def embed(self, params, x):
+            assert all(ref() is None for ref in self.caches), "a chunk's cache outlived it"
+            emb, cache = self.net.embed(params, x)
+            held = Held(cache)
+            self.caches.append(weakref.ref(held))
+            return emb, held
+
+    enc = toy_config().encoder
+    net = TracingNet(system_net("cm1", enc, Cm1Config(hidden=8, fc1_out=8, fc2_out=8)))
+    chunks = list(embed_trials(net, records, tmp, ckpts["cm1"], enc, batch_size=2))
+    assert len(chunks) == len(net.caches) == 3
+    assert sorted(i for idx, _ in chunks for i in idx) == list(range(len(records)))
 
 
 def test_score_trials_cm2(sim_eval_dir):
